@@ -8,7 +8,6 @@ outer-class equality tests.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from . import capacity
@@ -131,38 +130,20 @@ def phi_commuting_automorphism_unitaries(
     """Reduced unitaries u <= max_level with lambda_u a shift-commuting
     diagonal automorphism.
 
-    Sweeps every permutation of W_n^max_level in stages tuned so the cheap
-    tests run first: a one-projection necessary condition, the exact
-    commutation decision, a rule read-off from the level-1 cylinder images,
-    and finally the two-sided inverse search.  The inverse certificate found
-    in the last stage is itself the automorphism proof, so survivors need no
-    further checking.
+    Such a lambda_u is a shift automorphism of radius <= max(max_level, 1),
+    and u is its unique lift, so the answer is the lifts of the enumerated
+    automorphism codes that land at level <= max_level.
     """
     capacity.check(n, max_level)
-    radius = max(max_level, 1)
-    window = max_window if max_window else 2 * radius + 2
-    p1 = W.cylinder(n, (1,))
-    phi_p1 = W.shift_diag(p1)
-    found = {}
-    for perm in itertools.permutations(range(n**max_level)):
-        u = PermutationUnitary(n, max_level, perm)
-        e = PermutativeEndomorphism(u)
-        if E.apply_diag(e, phi_p1) != W.shift_diag(E.apply_diag(e, p1)):
-            continue
-        if not E.commutes_with_shift_on_diagonal(e):
-            continue
-        rule = [0] * n**radius
-        for j in range(1, n + 1):
-            img = E.apply_diag(e, W.cylinder(n, (j,)))
-            for mu in W.refine(img, radius).support():
-                rule[W.word_rank(mu, n)] = j
-        if 0 in rule:
-            continue
-        code = C.minimize(SlidingBlockCode(n, radius, tuple(rule)))
-        if C.one_sided_automorphism_check(code, window) is None:
-            continue
-        found[U.reduce(u)] = code
-    return sorted(found, key=lambda v: (v.level, v.ranks))
+    lifts = {
+        unitary_from_shift_automorphism(code)
+        for code, _ in C.enumerate_one_sided_automorphisms(
+            n, max(max_level, 1), max_window
+        )
+    }
+    return sorted(
+        (v for v in lifts if v.level <= max_level), key=lambda v: (v.level, v.ranks)
+    )
 
 
 def weyl_class_equal(

@@ -28,10 +28,7 @@ class RunConfig:
     budget_depth: int = 8
     max_m: int = 4
     max_window: int = 12
-    max_r: int = 6
-    max_k: int = 6
     fmt: str = "json"
-    seed: int = 0
 
 
 def _emit(obj, fmt: str) -> None:
@@ -77,8 +74,6 @@ def _run(body) -> None:
 @click.option("--budget-depth", default=8, envvar="BUDGET_DEPTH", show_default=True)
 @click.option("--max-m", default=4, envvar="MAX_M", show_default=True)
 @click.option("--max-window", default=12, envvar="MAX_WINDOW", show_default=True)
-@click.option("--max-r", default=6, envvar="MAX_R", show_default=True)
-@click.option("--max-k", default=6, envvar="MAX_K", show_default=True)
 @click.option("--capacity", default=0, envvar="CAPACITY", help="index-set size limit")
 @click.option(
     "--format",
@@ -88,16 +83,13 @@ def _run(body) -> None:
     envvar="FORMAT",
     show_default=True,
 )
-@click.option("--seed", default=0, envvar="SEED", show_default=True)
 @click.pass_context
-def main(ctx, budget_depth, max_m, max_window, max_r, max_k, capacity, fmt, seed):
+def main(ctx, budget_depth, max_m, max_window, capacity, fmt):
     """Exact calculus of permutative endomorphisms of the shift diagonal."""
     for name, value in (
         ("--budget-depth", budget_depth),
         ("--max-m", max_m),
         ("--max-window", max_window),
-        ("--max-r", max_r),
-        ("--max-k", max_k),
     ):
         if value < 1:
             raise click.BadParameter("%s must be at least 1" % name)
@@ -106,7 +98,7 @@ def main(ctx, budget_depth, max_m, max_window, max_r, max_k, capacity, fmt, seed
             set_limit(capacity)
         except ValueError as exc:
             raise click.BadParameter(str(exc))
-    ctx.obj = RunConfig(budget_depth, max_m, max_window, max_r, max_k, fmt, seed)
+    ctx.obj = RunConfig(budget_depth, max_m, max_window, fmt)
 
 
 @main.command()

@@ -102,22 +102,15 @@ def pad(c: SlidingBlockCode, radius: int) -> SlidingBlockCode:
         raise ValueError("cannot pad to a smaller radius")
     if radius == c.radius:
         return c
-    copies = _check_capacity(c.n, radius) // len(c.rule)
-    return SlidingBlockCode(c.n, radius, tuple(s for s in c.rule for _ in range(copies)))
+    return SlidingBlockCode(c.n, radius, W.lift_table(c.rule, c.n, radius))
 
 
 def minimize(c: SlidingBlockCode) -> SlidingBlockCode:
     """Smallest-radius table inducing the same point map."""
-    n, radius, rule = c.n, c.radius, c.rule
-    while radius > 1:
-        chunks = [rule[i : i + n] for i in range(0, len(rule), n)]
-        if any(ch.count(ch[0]) != n for ch in chunks):
-            break
-        rule = tuple(ch[0] for ch in chunks)
-        radius -= 1
+    radius, rule = W.strip_table(c.rule, c.n, c.radius, floor=1)
     if radius == c.radius:
         return c
-    return SlidingBlockCode(n, radius, rule)
+    return SlidingBlockCode(c.n, radius, rule)
 
 
 def code_equal(c1: SlidingBlockCode, c2: SlidingBlockCode) -> bool:
@@ -217,53 +210,24 @@ def one_sided_automorphism_check(
 def degree(c: SlidingBlockCode, beta: SlidingBlockCode, m: int) -> int:
     """The constant number k of preimages of a point, given an E_n certificate.
 
-    Counts viable prefixes of preimages of the fixed point (1,1,...): the
-    count is nondecreasing and stabilizes at k.  The divisibility facts
-    k | n^m and k * degree(beta) = n^m are the caller's cross-checks (the
-    paired degree is computed with the roles of c and beta swapped).
+    With F_beta F_c = sigma^m and b = rule_beta(1...1), every preimage z of
+    the fixed point (1,1,...) has sigma^m(z) = F_beta(1,1,...) = (b,b,...),
+    so z = w b b ... with |w| = m; and F_c(b b ...) = (1,1,...) because
+    F_c F_beta = sigma^m.  So k counts the words w of length m for which
+    F_c(w b b ...) starts with 1^m.  k | n^m is checked here; k * degree(beta)
+    = n^m is the caller's cross-check (the paired degree is computed with
+    the roles of c and beta swapped).
     """
-    k = _preimage_count(c, m)
+    tail = (beta.rule[0],) * (c.radius - 1)
+    target = (1,) * m
+    k = sum(c.output(w + tail) == target for w in W.enumerate_words(c.n, m))
+    if k == 0:
+        raise ArithmeticError("the fixed point has no preimage; certificate refuted")
     if (c.n**m) % k:
         raise ArithmeticError(
             "degree %d does not divide n^m = %d; certificate refuted" % (k, c.n**m)
         )
     return k
-
-
-def _preimage_count(c: SlidingBlockCode, m: int) -> int:
-    n, r = c.n, c.radius
-    target = 1  # counting preimages of the fixed point (1, 1, 1, ...)
-    states = list(W.enumerate_words(n, r - 1))
-    index = {t: i for i, t in enumerate(states)}
-    # transitions: from tail t, appending letter x' is allowed iff rule(t x') = 1
-    succ = [
-        [index[(t + (x,))[1:]] for x in range(1, n + 1) if c.local(t + (x,)) == target]
-        for t in states
-    ]
-    viable = [bool(s) for s in succ]
-    changed = True
-    while changed:
-        changed = False
-        for i, nxt in enumerate(succ):
-            if viable[i] and not any(viable[j] for j in nxt):
-                viable[i] = False
-                changed = True
-    counts = [1 if viable[i] else 0 for i in range(len(states))]
-    history = [sum(counts)]
-    window = 2 * r
-    limit = 4 * r + 2 * m + 40
-    for _ in range(limit):
-        counts = [
-            sum(counts[j] for j in succ[i] if viable[j]) if viable[i] else 0
-            for i in range(len(states))
-        ]
-        history.append(sum(counts))
-        if len(history) > window and len(set(history[-window:])) == 1:
-            return history[-1]
-    raise ArithmeticError(
-        "preimage count failed to stabilize (history tail %s); "
-        "the E_n certificate looks wrong" % history[-window:]
-    )
 
 
 @dataclass(frozen=True)
@@ -395,7 +359,7 @@ def enumerate_one_sided_automorphisms(n: int, max_radius: int, max_window: int =
     if max_window <= 0:
         max_window = 2 * max_radius + 2
     _check_capacity(n, n**max_radius)  # guard the n^(n^r) table space
-    found = []
+    found = {}  # (radius, rule) of the minimized code -> (code, inverse)
     for r in range(1, max_radius + 1):
         for rule in itertools.product(range(1, n + 1), repeat=n**r):
             if not _balanced(rule, n, r):
@@ -407,10 +371,8 @@ def enumerate_one_sided_automorphisms(n: int, max_radius: int, max_window: int =
             if inv is None:
                 continue
             cm = minimize(c)
-            if all(not code_equal(cm, prev) for prev, _ in found):
-                found.append((cm, inv))
-    found.sort(key=lambda pair: (pair[0].radius, pair[0].rule))
-    return found
+            found.setdefault((cm.radius, cm.rule), (cm, inv))
+    return [found[key] for key in sorted(found)]
 
 
 def _injective_on_periodics(c: SlidingBlockCode, max_r: int) -> bool:

@@ -226,18 +226,41 @@ def preimage(
     return None
 
 
-def _inverse_braiding_image(
-    e: PermutativeEndomorphism, x: DiagonalElement, max_depth: int
-) -> Optional[DiagonalElement]:
-    """One value of the braiding automorphism of alpha^{-1}, where alpha = e.
+def _braid(n: int, outer: Callable, inner: Callable, x: DiagonalElement):
+    """The braiding formula outer( sum_j P_j phi(inner(x_j)) ).
 
-    beta'(x) = alpha^{-1}( sum_j P_j phi(alpha(x_j)) ); the outer inverse
-    goes through `preimage`.
+    With outer = alpha and inner = alpha^{-1} this is the braiding
+    automorphism of alpha; swapping the roles gives that of alpha^{-1}.
+    Returns None when `outer` does.
     """
     parts = W.decompose(x)
-    mapped = [apply_diag(e, p) for p in parts]
-    z = W.recompose(e.n, mapped)
-    return preimage(e, z, max_depth)
+    return outer(W.recompose(n, [inner(p) for p in parts]))
+
+
+def _unitary_from_images(
+    n: int, levels, image: Callable
+) -> Optional[PermutationUnitary]:
+    """The unitary v with image(w) = P_{v(w)} for every word w of one level.
+
+    Takes the first level in `levels` at which the images of the level's
+    words are distinct single cylinders of that level; None if no level
+    qualifies, and at once if `image` gives up by returning None.
+    """
+    for rho in levels:
+        mapping = {}
+        for w in W.enumerate_words(n, rho):
+            img = image(w)
+            if img is None:
+                return None
+            img = W.reduce(img)
+            supp = img.support()
+            if not (img.is_projection() and img.level == rho and len(supp) == 1):
+                break
+            mapping[w] = supp[0]
+        else:
+            if len(set(mapping.values())) == len(mapping):
+                return U.reduce(U.from_mapping(n, rho, mapping))
+    return None
 
 
 def candidate_inverse(
@@ -248,29 +271,21 @@ def candidate_inverse(
     When alpha = lambda_u restricts to an automorphism of the diagonal, the
     braiding automorphism of alpha^{-1} is Ad(v) for a permutation v with
     lambda_v = alpha^{-1} on the diagonal; v is read off cylinder images at
-    the first level where they become single cylinders.  The caller must
-    verify the returned candidate exactly.
+    the first level where they become single cylinders.  The outer inverse
+    goes through `preimage`.  The caller must verify the returned candidate
+    exactly.
     """
     n = e.n
-    for rho in range(1, budget + 1):
-        domain = W.enumerate_words(n, rho)
-        mapping = {}
-        ok = True
-        for w in domain:
-            img = _inverse_braiding_image(e, W.cylinder(n, w), budget)
-            if img is None:
-                return None
-            img = W.reduce(img)
-            supp = img.support()
-            if not (img.is_projection() and img.level == rho and len(supp) == 1):
-                ok = False
-                break
-            mapping[w] = supp[0]
-        if not ok:
-            continue
-        if len(set(mapping.values())) == len(domain):
-            return U.reduce(U.from_mapping(n, rho, mapping))
-    return None
+    return _unitary_from_images(
+        n,
+        range(1, budget + 1),
+        lambda w: _braid(
+            n,
+            lambda z: preimage(e, z, budget),
+            lambda p: apply_diag(e, p),
+            W.cylinder(n, w),
+        ),
+    )
 
 
 def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> AutomorphismVerdict:
@@ -299,13 +314,12 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
         if k == 0:
             return AutomorphismVerdict("automorphism", inverse=U.identity(u.n))
         r = max([k] + [img.level for img in e.cylinder_images(k)])
-        mapping = {}
-        for word, img in zip(W.enumerate_words(u.n, r), e.cylinder_images(r)):
-            supp = W.refine(img, r).support()
-            if len(supp) != 1:
-                raise AssertionError("inner action fails to permute cylinders")
-            mapping[word] = supp[0]
-        w = U.from_mapping(u.n, r, mapping)
+        images = e.cylinder_images(r)
+        w = _unitary_from_images(
+            u.n, (r,), lambda word: images[W.word_rank(word, u.n)]
+        )
+        if w is None:
+            raise AssertionError("inner action fails to permute cylinders")
         if not agree_on_diagonal(u, ad_unitary(w)):
             raise AssertionError("recovered conjugator disagrees with the action")
         v = U.reduce(ad_unitary(U.inverse(w)))
@@ -400,25 +414,11 @@ def braiding(
     n = e.n
 
     def beta(x: DiagonalElement) -> DiagonalElement:
-        parts = W.decompose(x)
-        mapped = [apply_diag(inv, p) for p in parts]
-        z = W.recompose(n, mapped)
-        return apply_diag(e, z)
+        return _braid(n, lambda z: apply_diag(e, z), lambda p: apply_diag(inv, p), x)
 
-    unit_w = None
-    for rho in range(1, budget + 1):
-        mapping = {}
-        ok = True
-        for w in W.enumerate_words(n, rho):
-            img = W.reduce(beta(W.cylinder(n, w)))
-            supp = img.support()
-            if not (img.is_projection() and img.level == rho and len(supp) == 1):
-                ok = False
-                break
-            mapping[w] = supp[0]
-        if ok and len(set(mapping.values())) == n**rho:
-            unit_w = U.reduce(U.from_mapping(n, rho, mapping))
-            break
+    unit_w = _unitary_from_images(
+        n, range(1, budget + 1), lambda w: beta(W.cylinder(n, w))
+    )
     if unit_w is not None:
         theta = U.flip_unitary(n)
         lhs = convolution(e.unitary, theta)

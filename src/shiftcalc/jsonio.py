@@ -36,21 +36,38 @@ def diag_to_dict(x: DiagonalElement) -> dict:
     }
 
 
+def _table(data: dict, key: str) -> dict:
+    """data[key], which must be a JSON object keyed by words."""
+    entries = data[key]
+    if not isinstance(entries, dict):
+        raise ValueError("%r must be an object keyed by words" % key)
+    return entries
+
+
+def _rational(value) -> Fraction:
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError("coefficient %r has a zero denominator" % (value,)) from None
+
+
 def diag_from_dict(data: dict) -> DiagonalElement:
     n = int(data["n"])
     if "support" in data:
         words = [W.parse_word(s, n) for s in data["support"]]
         level = int(data.get("level", len(words[0]) if words else 0))
+        if level < 0:
+            raise ValueError("level must be nonnegative")
         if words and level != len(words[0]):
             raise ValueError("support words do not match the stated level")
         return W.projection(n, words) if words else W.zero(n)
     level = int(data["level"])
     coeffs = [Fraction(0)] * (n**level)
-    for text, value in data["coeffs"].items():
+    for text, value in _table(data, "coeffs").items():
         word = W.parse_word(text, n)
         if len(word) != level:
             raise ValueError("coefficient word %r is not at level %d" % (text, level))
-        coeffs[W.word_rank(word, n)] = Fraction(value)
+        coeffs[W.word_rank(word, n)] = _rational(value)
     return DiagonalElement(n, level, tuple(coeffs))
 
 
@@ -97,7 +114,7 @@ def code_from_dict(data: dict) -> SlidingBlockCode:
     n = int(data["n"])
     radius = int(data["radius"])
     rule = [0] * (n**radius)
-    entries = data["rule"]
+    entries = _table(data, "rule")
     if len(entries) != n**radius:
         raise ValueError("rule table must cover every window exactly once")
     for text, letter in entries.items():

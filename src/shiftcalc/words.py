@@ -145,29 +145,45 @@ def projection(n: int, words: Iterable[Sequence[int]]) -> DiagonalElement:
     return DiagonalElement(n, k, tuple(coeffs))
 
 
+def lift_table(table: tuple, n: int, level: int) -> tuple:
+    """A value table over lexicographic words, rewritten at `level`.
+
+    `level` is at least the table's own; each entry is copied to every
+    extension of its word, so the table still reads only the leading letters.
+    """
+    copies = _check_capacity(n, level) // len(table)
+    return tuple(v for v in table for _ in range(copies))
+
+
+def strip_table(table: tuple, n: int, level: int, floor: int = 0) -> tuple:
+    """(level, table) at the lowest level >= floor that keeps the values.
+
+    Strips the last letter while the table ignores it; inverse to lift_table.
+    """
+    while level > floor:
+        chunks = [table[i : i + n] for i in range(0, len(table), n)]
+        if any(ch.count(ch[0]) != n for ch in chunks):
+            break
+        table = tuple(ch[0] for ch in chunks)
+        level -= 1
+    return level, table
+
+
 def refine(x: DiagonalElement, level: int) -> DiagonalElement:
     """Rewrite x at a level >= level(x); coefficients copy to extensions."""
     if level < x.level:
         raise ValueError("cannot refine to a lower level")
     if level == x.level:
         return x
-    copies = _check_capacity(x.n, level) // len(x.coeffs)
-    coeffs = tuple(c for c in x.coeffs for _ in range(copies))
-    return DiagonalElement(x.n, level, coeffs)
+    return DiagonalElement(x.n, level, lift_table(x.coeffs, x.n, level))
 
 
 def reduce(x: DiagonalElement) -> DiagonalElement:
     """Canonical minimal-level form of x."""
-    n, level, coeffs = x.n, x.level, x.coeffs
-    while level > 0:
-        chunks = [coeffs[i : i + n] for i in range(0, len(coeffs), n)]
-        if any(ch.count(ch[0]) != n for ch in chunks):
-            break
-        coeffs = tuple(ch[0] for ch in chunks)
-        level -= 1
+    level, coeffs = strip_table(x.coeffs, x.n, x.level)
     if level == x.level:
         return x
-    return DiagonalElement(n, level, coeffs)
+    return DiagonalElement(x.n, level, coeffs)
 
 
 def _common(p: DiagonalElement, q: DiagonalElement):

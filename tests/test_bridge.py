@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -84,3 +85,44 @@ def test_weyl_class_equal_separates_kitchens_from_identity():
 def test_phi_commuting_automorphism_unitaries_level_two():
     found = B.phi_commuting_automorphism_unitaries(2, 2)
     assert found == [U.identity(2), U.letter_permutation(2, (2, 1))]
+
+
+def sweep_reference(n, max_level):
+    """Oracle: every permutation of W_n^max_level, in stages that run the
+    cheap tests first (a one-projection necessary condition, the exact
+    commutation decision, a rule read-off from the level-1 cylinder images,
+    and the two-sided inverse search)."""
+    radius = max(max_level, 1)
+    window = 2 * radius + 2
+    p1 = W.cylinder(n, (1,))
+    phi_p1 = W.shift_diag(p1)
+    found = set()
+    for perm in itertools.permutations(range(n**max_level)):
+        u = U.PermutationUnitary(n, max_level, perm)
+        e = E.PermutativeEndomorphism(u)
+        if E.apply_diag(e, phi_p1) != W.shift_diag(E.apply_diag(e, p1)):
+            continue
+        if not E.commutes_with_shift_on_diagonal(e):
+            continue
+        rule = [0] * n**radius
+        for j in range(1, n + 1):
+            img = E.apply_diag(e, W.cylinder(n, (j,)))
+            for mu in W.refine(img, radius).support():
+                rule[W.word_rank(mu, n)] = j
+        if 0 in rule:
+            continue
+        code = C.minimize(C.SlidingBlockCode(n, radius, tuple(rule)))
+        if C.one_sided_automorphism_check(code, window) is None:
+            continue
+        found.add(U.reduce(u))
+    return sorted(found, key=lambda v: (v.level, v.ranks))
+
+
+@pytest.mark.parametrize("n, level", [(2, 2), (2, 3), (3, 1)])
+def test_lifted_automorphism_unitaries_match_the_sweep(n, level):
+    assert B.phi_commuting_automorphism_unitaries(n, level) == sweep_reference(n, level)
+
+
+def test_level_zero_gives_the_identity_only():
+    assert B.phi_commuting_automorphism_unitaries(2, 0) == [U.identity(2)]
+    assert B.phi_commuting_automorphism_unitaries(3, 0) == [U.identity(3)]

@@ -132,3 +132,22 @@ def test_table_format_flattens_canonical_json(runner, tmp_path):
     result = runner.invoke(main, ["--format", "table", "degree", "--code", f])
     assert result.exit_code == 0
     assert "degree\t2" in result.output
+
+
+@pytest.mark.parametrize(
+    "diag",
+    [
+        {"n": 2, "level": 1, "coeffs": {"1": "1/0"}},
+        {"n": 2, "level": 1, "coeffs": ["1"]},
+        {"n": 2, "level": -1, "support": []},
+    ],
+    ids=["zero-denominator", "coeffs-as-list", "negative-level"],
+)
+def test_malformed_diagonal_is_an_input_error(runner, tmp_path, diag):
+    u = write(tmp_path / "u.json", jsonio.unitary_to_dict(U.flip_unitary(2)))
+    x = write(tmp_path / "x.json", diag)
+    result = runner.invoke(main, ["apply", u, x])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("input error:")
+    assert len(result.stderr.splitlines()) == 1

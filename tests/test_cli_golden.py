@@ -1,0 +1,77 @@
+"""Golden CLI transcripts: the exact stdout and exit code of each subcommand.
+
+The expected transcripts live in golden_cli.json next to this file.  When a
+change of output is intended, regenerate them with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and review the diff of golden_cli.json.
+"""
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from shiftcalc import codes as C
+from shiftcalc import jsonio
+from shiftcalc import unitaries as U
+from shiftcalc import words as W
+from shiftcalc.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+INPUTS = {
+    "kitchens_u": lambda: jsonio.unitary_to_dict(U.kitchens_unitary()),
+    "flip_u": lambda: jsonio.unitary_to_dict(U.flip_unitary(2)),
+    "swap_u": lambda: jsonio.unitary_to_dict(U.letter_permutation(3, (2, 1, 3))),
+    "kitchens_c": lambda: jsonio.code_to_dict(C.kitchens_code()),
+    "shift3_c": lambda: jsonio.code_to_dict(C.shift_code(3)),
+    "shift2_c": lambda: jsonio.code_to_dict(C.shift_code(2)),
+    "shift2sq_c": lambda: jsonio.code_to_dict(C.shift_power_code(2, 2)),
+    "p1": lambda: jsonio.diag_to_dict(W.cylinder(3, (1,))),
+    "x": lambda: jsonio.diag_to_dict(
+        W.diagonal(3, 2, ["1/3", 0, 2, 0, 0, "-1/2", 0, 1, 0])
+    ),
+}
+
+# case name -> argv, with {input} placeholders naming files built from INPUTS
+CASES = {
+    "certify_kitchens": ["certify", "{kitchens_u}"],
+    "certify_flip": ["certify", "{flip_u}"],
+    "compose_unitaries": ["compose", "{kitchens_u}", "{swap_u}"],
+    "compose_codes": ["compose", "{kitchens_c}", "{shift3_c}"],
+    "apply_unitary": ["apply", "{kitchens_u}", "{x}"],
+    "apply_code": ["apply", "{kitchens_c}", "{p1}"],
+    "orbits_r3": ["orbits", "--code", "{kitchens_c}", "--r", "3"],
+    "degree_shift": ["degree", "--code", "{shift2_c}"],
+    "degree_shift_squared": ["degree", "--code", "{shift2sq_c}"],
+    "enumerate_n2_r2": ["enumerate", "--n", "2", "--max-radius", "2"],
+    "fixtures": ["fixtures"],
+}
+
+
+def transcript(case, directory):
+    """(exit code, stdout) of one golden case, run in-process."""
+    files = {}
+    for name, build in INPUTS.items():
+        path = Path(directory) / (name + ".json")
+        path.write_text(json.dumps(build()))
+        files[name] = str(path)
+    argv = [arg.format(**files) for arg in CASES[case]]
+    result = CliRunner().invoke(main, argv)
+    return [result.exit_code, result.stdout]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[case]
+    assert transcript(case, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {case: transcript(case, tmp) for case in sorted(CASES)}
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

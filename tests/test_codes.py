@@ -90,6 +90,27 @@ def test_degree_facts():
     kit = C.kitchens_code()
     beta3, m3 = C.en_inverse_search(kit, 3, 6)
     assert m3 == 0 and C.degree(kit, beta3, m3) == 1
+    # (code, m, degree); every partner degree is 1
+    cases = [(C.shift_power_code(n, m), m, n**m) for n in (2, 3) for m in range(4)]
+    cases += [
+        (kit, 0, 1),
+        (C.code_compose(kit, C.shift_power_code(3, 2)), 2, 9),
+        (C.code_compose(C.shift_code(3), kit), 1, 3),
+    ]
+    for c, m, k in cases:
+        beta, found_m = C.en_inverse_search(c, 3, 8)
+        assert found_m == m
+        assert C.degree(c, beta, m) == k
+        assert C.degree(beta, c, m) == 1
+
+
+def test_degree_refutes_wrong_certificates():
+    # no preimage of the fixed point at all
+    with pytest.raises(ArithmeticError):
+        C.degree(C.letter_code(2, (2, 2)), C.identity_code(2), 1)
+    # two preimages, which do not divide n^m = 3
+    with pytest.raises(ArithmeticError):
+        C.degree(C.letter_code(3, (1, 1, 2)), C.identity_code(3), 1)
 
 
 def test_trace_necessary_check():
