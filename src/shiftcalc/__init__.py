@@ -69,6 +69,7 @@ from .endo import (
 )
 from .codes import (
     PeriodicPoint,
+    RefutationError,
     SlidingBlockCode,
     code_apply_diag,
     code_compose,

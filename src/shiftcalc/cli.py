@@ -62,10 +62,12 @@ def _run(body) -> None:
     except CapacityError as exc:
         click.echo("capacity exceeded: %s" % exc, err=True)
         sys.exit(4)
-    except ArithmeticError as exc:
+    except C.RefutationError as exc:
         click.echo("refuted: %s" % exc, err=True)
         sys.exit(2)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (
+        ArithmeticError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError
+    ) as exc:
         click.echo("input error: %s" % exc, err=True)
         sys.exit(1)
 
@@ -198,7 +200,7 @@ def degree(cfg: RunConfig, code_file):
         k = C.degree(c, beta, m)
         partner = C.degree(beta, c, m)
         if k * partner != c.n**m:
-            raise ArithmeticError("degrees %d * %d != n^m" % (k, partner))
+            raise C.RefutationError("degrees %d * %d != n^m" % (k, partner))
         _emit({"degree": k, "m": m, "partner_degree": partner}, cfg.fmt)
 
     _run(body)

@@ -22,7 +22,11 @@ from typing import Optional, Sequence
 
 from .capacity import check as _check_capacity
 from . import words as W
-from .words import DiagonalElement, word_rank, word_unrank
+from .words import DiagonalElement, word_rank
+
+
+class RefutationError(ArithmeticError):
+    """An exact witness that a claimed certificate is false."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,27 @@ class SlidingBlockCode:
         """Sliding evaluation on a finite word of length >= radius."""
         r = self.radius
         return tuple(self.local(word[j : j + r]) for j in range(len(word) - r + 1))
+
+    def output_ranks(self, length: int) -> list:
+        """out[X] = rank of output(word X), for every word X of `length` >= radius.
+
+        Built letter by letter: appending a to X appends the rule's letter on
+        the window (last r-1 letters of X) a, so
+        out[X n + a] = out[X] n + rule[(X mod n^(r-1)) n + a] - 1; the rule row
+        for X mod n^(r-1) cycles with X.
+        """
+        n, r = self.n, self.radius
+        if length < r:
+            raise ValueError("output needs words of length at least the radius")
+        _check_capacity(n, length)
+        rows = [
+            tuple(v - 1 for v in self.rule[i : i + n])
+            for i in range(0, len(self.rule), n)
+        ]
+        out = [v - 1 for v in self.rule]
+        for _ in range(r, length):
+            out = [y * n + b for y, row in zip(out, itertools.cycle(rows)) for b in row]
+        return out
 
 
 def identity_code(n: int) -> SlidingBlockCode:
@@ -139,11 +164,7 @@ def code_apply_diag(c: SlidingBlockCode, x: DiagonalElement) -> DiagonalElement:
     if x.level == 0:
         return x
     n, k, r = c.n, x.level, c.radius
-    size = _check_capacity(n, k + r - 1)
-    coeffs = tuple(
-        x.coeffs[word_rank(c.output(word_unrank(v, n, k + r - 1)), n)]
-        for v in range(size)
-    )
+    coeffs = tuple(x.coeffs[y] for y in c.output_ranks(k + r - 1))
     return W.reduce(DiagonalElement(n, k + r - 1, coeffs))
 
 
@@ -156,8 +177,8 @@ def trace_necessary_check(c: SlidingBlockCode, max_level: int) -> bool:
     n, r = c.n, c.radius
     for k in range(1, max_level + 1):
         counts = [0] * n**k
-        for v in W.enumerate_words(n, k + r - 1):
-            counts[word_rank(c.output(v), n)] += 1
+        for y in c.output_ranks(k + r - 1):
+            counts[y] += 1
         if any(cnt != n ** (r - 1) for cnt in counts):
             return False
     return True
@@ -222,9 +243,9 @@ def degree(c: SlidingBlockCode, beta: SlidingBlockCode, m: int) -> int:
     target = (1,) * m
     k = sum(c.output(w + tail) == target for w in W.enumerate_words(c.n, m))
     if k == 0:
-        raise ArithmeticError("the fixed point has no preimage; certificate refuted")
+        raise RefutationError("the fixed point has no preimage; certificate refuted")
     if (c.n**m) % k:
-        raise ArithmeticError(
+        raise RefutationError(
             "degree %d does not divide n^m = %d; certificate refuted" % (k, c.n**m)
         )
     return k
@@ -311,10 +332,10 @@ def orbit_permutation(c: SlidingBlockCode, r: int) -> dict:
         image = code_on_periodic(c, periodic_point(c.n, rep))
         target = least_rotation(image.word * (r // image.period)) if r % image.period == 0 else None
         if target is None:
-            raise ArithmeticError("image period does not divide r; certificate refuted")
+            raise RefutationError("image period does not divide r; certificate refuted")
         perm[rep] = target
     if sorted(perm.values()) != sorted(perm.keys()):
-        raise ArithmeticError(
+        raise RefutationError(
             "induced orbit map is not a permutation at r=%d; certificate refuted" % r
         )
     return perm

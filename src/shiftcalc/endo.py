@@ -52,6 +52,7 @@ class PermutativeEndomorphism:
     unitary: PermutationUnitary
     _uk: dict = field(default_factory=dict, compare=False, repr=False)
     _images: dict = field(default_factory=dict, compare=False, repr=False)
+    _supports: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -70,6 +71,16 @@ class PermutativeEndomorphism:
                 for w in W.enumerate_words(self.n, level)
             ]
         return self._images[level]
+
+    def image_supports(self, level: int, at: int) -> list:
+        """Rank supports of the level-`level` cylinder images, written at
+        level `at` (at least every image's level), cached."""
+        if (level, at) not in self._supports:
+            self._supports[level, at] = [
+                [r for r, c in enumerate(W.refine(img, at).coeffs) if c]
+                for img in self.cylinder_images(level)
+            ]
+        return self._supports[level, at]
 
 
 def endomorphism(u: PermutationUnitary) -> PermutativeEndomorphism:
@@ -206,23 +217,18 @@ def preimage(
     """
     n = e.n
     for s in range(1, max_depth + 1):
-        images = e.cylinder_images(s)
-        level = max(y.level, max(img.level for img in images))
-        ye = W.refine(y, level)
+        level = max(y.level, max(img.level for img in e.cylinder_images(s)))
+        ye = W.refine(y, level).coeffs
         coeffs = []
-        ok = True
-        for img in images:
-            supp = [r for r, c in enumerate(W.refine(img, level).coeffs) if c]
-            vals = {ye.coeffs[r] for r in supp}
+        for supp in e.image_supports(s, level):
+            vals = {ye[r] for r in supp}
             if len(vals) != 1:
-                ok = False
                 break
             coeffs.append(vals.pop())
-        if not ok:
-            continue
-        x = W.reduce(DiagonalElement(n, s, tuple(coeffs)))
-        if apply_diag(e, x) == y:
-            return x
+        else:
+            x = W.reduce(DiagonalElement(n, s, tuple(coeffs)))
+            if apply_diag(e, x) == y:
+                return x
     return None
 
 

@@ -6,6 +6,7 @@ are byte-stable.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import codes as C
@@ -45,6 +46,8 @@ def _table(data: dict, key: str) -> dict:
 
 
 def _rational(value) -> Fraction:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("coefficient %r is not finite" % (value,))
     try:
         return Fraction(value)
     except ZeroDivisionError:

@@ -151,8 +151,12 @@ def lift_table(table: tuple, n: int, level: int) -> tuple:
     `level` is at least the table's own; each entry is copied to every
     extension of its word, so the table still reads only the leading letters.
     """
-    copies = _check_capacity(n, level) // len(table)
-    return tuple(v for v in table for _ in range(copies))
+    size = _check_capacity(n, level)
+    copies = size // len(table)
+    out = [None] * size
+    for i in range(copies):
+        out[i::copies] = table
+    return tuple(out)
 
 
 def strip_table(table: tuple, n: int, level: int, floor: int = 0) -> tuple:
@@ -161,10 +165,10 @@ def strip_table(table: tuple, n: int, level: int, floor: int = 0) -> tuple:
     Strips the last letter while the table ignores it; inverse to lift_table.
     """
     while level > floor:
-        chunks = [table[i : i + n] for i in range(0, len(table), n)]
-        if any(ch.count(ch[0]) != n for ch in chunks):
+        head = table[::n]
+        if any(table[a::n] != head for a in range(1, n)):
             break
-        table = tuple(ch[0] for ch in chunks)
+        table = head
         level -= 1
     return level, table
 

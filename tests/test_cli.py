@@ -62,6 +62,18 @@ def test_orbits_refutes_non_bijective_codes(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_stray_arithmetic_error_is_not_a_refutation(runner, tmp_path, monkeypatch):
+    def broken(c, x):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(C, "code_apply_diag", broken)
+    c = write(tmp_path / "c.json", jsonio.code_to_dict(C.kitchens_code()))
+    p = write(tmp_path / "p.json", jsonio.diag_to_dict(W.cylinder(3, (1,))))
+    result = runner.invoke(main, ["apply", c, p])
+    assert result.exit_code == 1
+    assert not result.stderr.startswith("refuted")
+
+
 def test_degree_of_the_shift(runner, tmp_path):
     f = write(tmp_path / "c.json", jsonio.code_to_dict(C.shift_code(2)))
     result = runner.invoke(main, ["degree", "--code", f])
@@ -140,8 +152,10 @@ def test_table_format_flattens_canonical_json(runner, tmp_path):
         {"n": 2, "level": 1, "coeffs": {"1": "1/0"}},
         {"n": 2, "level": 1, "coeffs": ["1"]},
         {"n": 2, "level": -1, "support": []},
+        {"n": 2, "level": 1, "coeffs": {"1": 1e999}},
+        {"n": 2, "level": 1, "coeffs": {"1": float("nan")}},
     ],
-    ids=["zero-denominator", "coeffs-as-list", "negative-level"],
+    ids=["zero-denominator", "coeffs-as-list", "negative-level", "infinite", "nan"],
 )
 def test_malformed_diagonal_is_an_input_error(runner, tmp_path, diag):
     u = write(tmp_path / "u.json", jsonio.unitary_to_dict(U.flip_unitary(2)))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,29 @@ def test_output_matches_letterwise_oracle():
         length = rng.randint(2, 8)
         x = tuple(rng.randint(1, 3) for _ in range(length + c.radius - 1))
         assert c.output(x) == brute_image_word(c, x, length)
+
+
+def sample_codes():
+    """Letter codes, Kitchens, shift powers, Kitchens o sigma^2 and seeded
+    random tables, over n = 2 and 3."""
+    kit = C.kitchens_code()
+    codes = [C.letter_code(2, (2, 1)), C.letter_code(3, (3, 1, 2)), C.letter_code(3, (1, 1, 2))]
+    codes += [kit, C.code_compose(kit, C.shift_power_code(3, 2))]
+    codes += [C.shift_power_code(n, m) for n in (2, 3) for m in range(4)]
+    rng = random.Random(17)
+    for n in (2, 3):
+        for r in (1, 2, 3):
+            codes.append(C.SlidingBlockCode(n, r, tuple(rng.randint(1, n) for _ in range(n**r))))
+    return codes
+
+
+def test_output_ranks_match_the_word_oracle():
+    for c in sample_codes():
+        for length in range(c.radius, c.radius + 4):
+            oracle = [W.word_rank(c.output(w), c.n) for w in W.enumerate_words(c.n, length)]
+            assert c.output_ranks(length) == oracle
+        with pytest.raises(ValueError):
+            c.output_ranks(c.radius - 1)
 
 
 def test_pad_and_minimize_are_inverse():
@@ -60,11 +84,20 @@ def test_code_apply_diag_matches_preimage_oracle():
     assert C.code_apply_diag(c, W.cylinder(3, (1,))) == W.projection(
         3, [(1, 1), (1, 2), (2, 3)]
     )
-    # preimage oracle on words: P_w pulls back to the words mapping onto w
-    for w in W.enumerate_words(3, 2):
-        img = W.refine(C.code_apply_diag(c, W.cylinder(3, w)), 3)
-        oracle = [x for x in W.enumerate_words(3, 3) if c.output(x) == w]
-        assert sorted(img.support()) == sorted(oracle)
+    rng = random.Random(4)
+    for k in range(1, 5):
+        # preimage oracle on words: P_w pulls back to the words mapping onto w
+        preimages = {}
+        for v in W.enumerate_words(3, k + 1):
+            preimages.setdefault(c.output(v), []).append(v)
+        for w in W.enumerate_words(3, k):
+            img = W.refine(C.code_apply_diag(c, W.cylinder(3, w)), k + 1)
+            assert img.support() == preimages.get(w, [])
+        # and a rational element x pulls back to v -> x(output(v))
+        x = W.diagonal(3, k, [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(3**k)])
+        img = W.refine(C.code_apply_diag(c, x), k + 1)
+        for v in W.enumerate_words(3, k + 1):
+            assert img.coeffs[W.word_rank(v, 3)] == x.coeffs[W.word_rank(c.output(v), 3)]
 
 
 def test_en_inverse_search_on_shift_powers():
@@ -106,10 +139,10 @@ def test_degree_facts():
 
 def test_degree_refutes_wrong_certificates():
     # no preimage of the fixed point at all
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(C.RefutationError):
         C.degree(C.letter_code(2, (2, 2)), C.identity_code(2), 1)
     # two preimages, which do not divide n^m = 3
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(C.RefutationError):
         C.degree(C.letter_code(3, (1, 1, 2)), C.identity_code(3), 1)
 
 
@@ -146,7 +179,7 @@ def test_orbit_permutation_kitchens_swap():
 
 def test_orbit_permutation_refutes_non_bijective_codes():
     collapse = C.SlidingBlockCode(2, 1, (1, 1))
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(C.RefutationError):
         C.orbit_permutation(collapse, 2)
 
 

@@ -137,6 +137,24 @@ def test_preimage_inverts_kitchens():
     assert E.preimage(e, W.cylinder(3, (3,)), 4) == W.cylinder(3, (3,))
 
 
+def test_image_supports_match_the_cylinder_images():
+    rng = random.Random(31)
+    perm = list(range(9))
+    rng.shuffle(perm)
+    inner = E.ad_unitary(U.PermutationUnitary(3, 2, tuple(perm)))
+    for u in (U.kitchens_unitary(), U.flip_unitary(2), inner):
+        e = E.endomorphism(u)
+        for s in (1, 2, 3):
+            images = e.cylinder_images(s)
+            top = max(img.level for img in images)
+            for at in (top, top + 1):
+                expected = [
+                    [W.word_rank(w, e.n) for w in W.refine(img, at).support()]
+                    for img in images
+                ]
+                assert e.image_supports(s, at) == expected
+
+
 def test_property_p_data_kitchens():
     u = U.kitchens_unitary()
     m_upper, m_min = E.property_p_data(E.endomorphism(u), u)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,36 @@ def test_refine_preserves_element_and_trace():
         y = W.refine(x, level)
         assert y == x
         assert W.trace(y) == W.trace(x)
+
+
+def lift_reference(table, n, level):
+    copies = n**level // len(table)
+    return tuple(v for v in table for _ in range(copies))
+
+
+def strip_reference(table, n, level, floor=0):
+    while level > floor:
+        chunks = [table[i : i + n] for i in range(0, len(table), n)]
+        if any(ch.count(ch[0]) != n for ch in chunks):
+            break
+        table = tuple(ch[0] for ch in chunks)
+        level -= 1
+    return level, table
+
+
+def test_table_kernels_match_the_comprehensions():
+    rng = random.Random(5)
+    draws = (
+        lambda: rng.randint(0, 1),
+        lambda: Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+    )
+    for n, level, draw in itertools.product((2, 3), range(4), draws):
+        table = tuple(draw() for _ in range(n**level))
+        for target in range(level, level + 3):
+            lifted = W.lift_table(table, n, target)
+            assert lifted == lift_reference(table, n, target)
+            for (t, k), floor in itertools.product(((table, level), (lifted, target)), (0, 1)):
+                assert W.strip_table(t, n, k, floor) == strip_reference(t, n, k, floor)
 
 
 def test_reduce_collapses_to_minimal_level():
