@@ -30,14 +30,7 @@ def convolution(u: PermutationUnitary, w: PermutationUnitary) -> PermutationUnit
     The product is lambda_u(w) u, where lambda_u(w) = u_m w u_m^* for w of
     level m.
     """
-    if u.n != w.n:
-        raise ValueError("alphabet sizes differ")
-    m = w.level
-    if m == 0:
-        return U.reduce(u)
-    um = U.u_k_product(u, m)
-    conj = U.multiply(U.multiply(um, w), U.inverse(um))
-    return U.reduce(U.multiply(conj, u))
+    return endomorphism(u).convolve(w)
 
 
 def ad_unitary(w: PermutationUnitary) -> PermutationUnitary:
@@ -59,9 +52,25 @@ class PermutativeEndomorphism:
         return self.unitary.n
 
     def u_k(self, k: int) -> PermutationUnitary:
+        """The cocycle product u_k, cached, built as u_{k-1} phi^{k-1}(u)."""
         if k not in self._uk:
-            self._uk[k] = U.u_k_product(self.unitary, k)
+            if k <= 1:
+                self._uk[k] = U.u_k_product(self.unitary, k)
+            else:
+                tail = U.phi_shift(self.unitary, k - 1)
+                self._uk[k] = U.multiply(self.u_k(k - 1), tail)
         return self._uk[k]
+
+    def convolve(self, w: PermutationUnitary) -> PermutationUnitary:
+        """convolution(u, w), with u_m read from the cache."""
+        if self.n != w.n:
+            raise ValueError("alphabet sizes differ")
+        m = w.level
+        if m == 0:
+            return self.unitary
+        um = self.u_k(m)
+        conj = U.multiply(U.multiply(um, w), U.inverse(um))
+        return U.reduce(U.multiply(conj, self.unitary))
 
     def cylinder_images(self, level: int) -> list:
         """Images of every level-`level` cylinder, cached."""
@@ -189,9 +198,14 @@ def is_in_ign(e: PermutativeEndomorphism, max_k: int) -> Optional[int]:
     Callers should hold an automorphism certificate for e; each k-test is
     exact either way, and absence merely means no k within the budget.
     """
+    letters = [W.cylinder(e.n, (i,)) for i in range(1, e.n + 1)]
     for k in range(max_k + 1):
+        # necessary condition, cheap: lambda_u fixes phi^k of every letter
+        shifted = [W.shift_diag(p, k) for p in letters]
+        if any(apply_diag(e, q) != q for q in shifted):
+            continue
         rot = U.shift_power_unitary(e.n, k)
-        if agree_on_diagonal(convolution(e.unitary, rot), rot):
+        if agree_on_diagonal(e.convolve(rot), rot):
             return k
     return None
 

@@ -88,6 +88,67 @@ def test_inner_automorphisms_eventually_commute_with_the_shift():
             assert E.agree_on_diagonal(E.convolution(E.ad_unitary(w), rot), rot)
 
 
+def is_in_ign_reference(e, max_k):
+    # the exact test at every k, without the letter filter
+    for k in range(max_k + 1):
+        rot = U.shift_power_unitary(e.n, k)
+        if E.agree_on_diagonal(E.convolution(e.unitary, rot), rot):
+            return k
+    return None
+
+
+def convolution_reference(u, w):
+    # lambda_u(w) u with u_m built from scratch
+    if w.level == 0:
+        return U.reduce(u)
+    um = U.u_k_product(u, w.level)
+    return U.reduce(U.multiply(U.multiply(U.multiply(um, w), U.inverse(um)), u))
+
+
+def test_cached_cocycle_products_match_the_direct_product():
+    rng = random.Random(23)
+    for n, level in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        perm = list(range(n**level))
+        rng.shuffle(perm)
+        e = E.endomorphism(U.PermutationUnitary(n, level, tuple(perm)))
+        for k in (4, 1, 3, 2, 5):  # out of order: later k reuse earlier ones
+            assert e.u_k(k).ranks == U.u_k_product(e.unitary, k).ranks
+
+
+def test_convolve_matches_the_composition_formula():
+    rng = random.Random(29)
+    for n in (2, 3):
+        pool = [U.kitchens_unitary()] if n == 3 else [U.flip_unitary(2)]
+        for level in (1, 2):
+            perm = list(range(n**level))
+            rng.shuffle(perm)
+            pool.append(U.PermutationUnitary(n, level, tuple(perm)))
+        pool += [U.shift_power_unitary(n, k) for k in range(3)]
+        for u in pool:
+            e = E.endomorphism(u)
+            for w in pool:
+                assert e.convolve(w) == convolution_reference(u, w)
+                assert E.convolution(u, w) == convolution_reference(u, w)
+
+
+def test_is_in_ign_matches_the_unfiltered_search():
+    rng = random.Random(37)
+    cases = [U.identity(2), U.flip_unitary(2), U.kitchens_unitary()]
+    for n, level in ((2, 2), (2, 3), (3, 1), (3, 2)):
+        for _ in range(3):
+            perm = list(range(n**level))
+            rng.shuffle(perm)
+            w = U.PermutationUnitary(n, level, tuple(perm))
+            cases += [w, E.ad_unitary(w), E.convolution(E.ad_unitary(w), U.flip_unitary(n))]
+    found = set()
+    for u in cases:
+        e = E.endomorphism(u)
+        k = E.is_in_ign(e, 4)
+        assert k == is_in_ign_reference(e, 4)
+        found.add(k)
+    assert None in found and len(found) > 2  # both outcomes, several k
+
+
 def test_is_in_ign_identity_and_flip():
     assert E.is_in_ign(E.endomorphism(U.identity(2)), 3) == 0
     # lambda_theta = phi is not inner-after-any-shift within this budget
