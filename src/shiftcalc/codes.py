@@ -377,6 +377,8 @@ def enumerate_one_sided_automorphisms(n: int, max_radius: int, max_window: int =
     two-sided inverse verification.  Results are deduplicated by induced
     map and sorted by (radius, table).
     """
+    if max_radius < 0:
+        raise ValueError("max_radius must be nonnegative")
     if max_window <= 0:
         max_window = 2 * max_radius + 2
     _check_capacity(n, n**max_radius)  # guard the n^(n^r) table space

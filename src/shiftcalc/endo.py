@@ -6,6 +6,10 @@ product u_k = u phi(u) ... phi^{k-1}(u).  Composition is carried by the
 convolution product of unitaries, so every identity here is an exact
 statement about finite permutations.
 
+On the diagonal lambda_u(x) = x o T_u for a homeomorphism T_u of the
+one-sided n-shift, read at level k off one owner table over ranks:
+lambda_u(x)[q] = x[owner[q]], with owner[q] the first k letters of T_u(q).
+
 The workhorse `agree_on_diagonal` decides exactly whether two permutative
 endomorphisms have the same restriction to the diagonal: the restrictions
 agree iff for every k the unitary b_k^* a_k fixes the first k letters of
@@ -40,12 +44,12 @@ def ad_unitary(w: PermutationUnitary) -> PermutationUnitary:
 
 @dataclass(frozen=True)
 class PermutativeEndomorphism:
-    """lambda_u for a permutation unitary u, with cached cocycle products."""
+    """lambda_u for a permutation unitary u, with cached cocycle products
+    and owner tables."""
 
     unitary: PermutationUnitary
     _uk: dict = field(default_factory=dict, compare=False, repr=False)
-    _images: dict = field(default_factory=dict, compare=False, repr=False)
-    _supports: dict = field(default_factory=dict, compare=False, repr=False)
+    _owners: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -72,24 +76,22 @@ class PermutativeEndomorphism:
         conj = U.multiply(U.multiply(um, w), U.inverse(um))
         return U.reduce(U.multiply(conj, self.unitary))
 
-    def cylinder_images(self, level: int) -> list:
-        """Images of every level-`level` cylinder, cached."""
-        if level not in self._images:
-            self._images[level] = [
-                apply_diag(self, W.cylinder(self.n, w))
-                for w in W.enumerate_words(self.n, level)
-            ]
-        return self._images[level]
+    def cylinder_owners(self, k: int) -> tuple:
+        """(level, owner) with lambda_u(x)[q] = x[owner[q]] for x of level k >= 1.
 
-    def image_supports(self, level: int, at: int) -> list:
-        """Rank supports of the level-`level` cylinder images, written at
-        level `at` (at least every image's level), cached."""
-        if (level, at) not in self._supports:
-            self._supports[level, at] = [
-                [r for r, c in enumerate(W.refine(img, at).coeffs) if c]
-                for img in self.cylinder_images(level)
-            ]
-        return self._supports[level, at]
+        Cached.  u_k sends the rank-src word to q, so owner[q] is the first k
+        letters of src; `level` is the least that keeps the table, which is
+        the largest level among the level-k cylinder images.
+        """
+        if k not in self._owners:
+            uk = self.u_k(k)
+            top = max(uk.level, k)
+            drop = self.n ** (top - k)
+            owner = [0] * self.n**top
+            for src, dst in enumerate(U.embed(uk, top).ranks):
+                owner[dst] = src // drop
+            self._owners[k] = W.strip_table(tuple(owner), self.n, top)
+        return self._owners[k]
 
 
 def endomorphism(u: PermutationUnitary) -> PermutativeEndomorphism:
@@ -97,13 +99,14 @@ def endomorphism(u: PermutationUnitary) -> PermutativeEndomorphism:
 
 
 def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElement:
-    """lambda_u(x) for diagonal x: conjugation by u_k at the level of x."""
+    """lambda_u(x) for diagonal x: x read through the owner table at its level."""
     if e.n != x.n:
         raise ValueError("alphabet sizes differ")
     x = W.reduce(x)
     if x.level == 0:
         return x
-    return U.adjoint_action(e.u_k(x.level), x)
+    level, owner = e.cylinder_owners(x.level)
+    return W.reduce(DiagonalElement(x.n, level, tuple(x.coeffs[w] for w in owner)))
 
 
 def compose(e1: PermutativeEndomorphism, e2: PermutativeEndomorphism) -> PermutativeEndomorphism:
@@ -226,23 +229,19 @@ def preimage(
 ) -> Optional[DiagonalElement]:
     """Solve lambda_u(x) = y for diagonal x, searching source levels <= max_depth.
 
-    Returns None when no solution shows up within the budget; any returned
-    x is verified exactly before being handed back.
+    Level s scatters x[owner[q]] = y[q]; the exact check lambda_u(x) == y
+    keeps x iff y is constant on every owner fiber.  None if no level passes.
     """
     n = e.n
     for s in range(1, max_depth + 1):
-        level = max(y.level, max(img.level for img in e.cylinder_images(s)))
-        ye = W.refine(y, level).coeffs
-        coeffs = []
-        for supp in e.image_supports(s, level):
-            vals = {ye[r] for r in supp}
-            if len(vals) != 1:
-                break
-            coeffs.append(vals.pop())
-        else:
-            x = W.reduce(DiagonalElement(n, s, tuple(coeffs)))
-            if apply_diag(e, x) == y:
-                return x
+        owner_level, owner = e.cylinder_owners(s)
+        level = max(y.level, owner_level)
+        coeffs = [None] * n**s
+        for w, c in zip(W.lift_table(owner, n, level), W.refine(y, level).coeffs):
+            coeffs[w] = c
+        x = W.reduce(DiagonalElement(n, s, tuple(coeffs)))
+        if apply_diag(e, x) == y:
+            return x
     return None
 
 
@@ -333,10 +332,9 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
         # and the permutation is the conjugating unitary.
         if k == 0:
             return AutomorphismVerdict("automorphism", inverse=U.identity(u.n))
-        r = max([k] + [img.level for img in e.cylinder_images(k)])
-        images = e.cylinder_images(r)
+        r = max(k, e.cylinder_owners(k)[0])
         w = _unitary_from_images(
-            u.n, (r,), lambda word: images[W.word_rank(word, u.n)]
+            u.n, (r,), lambda word: apply_diag(e, W.cylinder(u.n, word))
         )
         if w is None:
             raise AssertionError("inner action fails to permute cylinders")
@@ -389,11 +387,10 @@ def property_p_data(
     letters = [W.cylinder(e.n, (i,)) for i in range(1, e.n + 1)]
 
     def holds(m: int) -> bool:
+        images = [apply_diag(e, W.shift_diag(p, m)) for p in letters]
         for k in range(m, window + 1):
-            for p in letters:
-                lhs = apply_diag(e, W.shift_diag(p, k))
-                rhs = W.shift_diag(apply_diag(e, W.shift_diag(p, m)), k - m)
-                if lhs != rhs:
+            for p, img in zip(letters, images):
+                if apply_diag(e, W.shift_diag(p, k)) != W.shift_diag(img, k - m):
                     return False
         return True
 

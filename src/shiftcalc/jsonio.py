@@ -12,6 +12,7 @@ from fractions import Fraction
 from . import codes as C
 from . import unitaries as U
 from . import words as W
+from .capacity import check as _check_capacity
 from .codes import SlidingBlockCode
 from .endo import AutomorphismVerdict
 from .unitaries import PermutationUnitary
@@ -65,7 +66,7 @@ def diag_from_dict(data: dict) -> DiagonalElement:
             raise ValueError("support words do not match the stated level")
         return W.projection(n, words) if words else W.zero(n)
     level = int(data["level"])
-    coeffs = [Fraction(0)] * (n**level)
+    coeffs = [Fraction(0)] * _check_capacity(n, level)
     for text, value in _table(data, "coeffs").items():
         word = W.parse_word(text, n)
         if len(word) != level:
@@ -116,7 +117,7 @@ def code_to_dict(c: SlidingBlockCode) -> dict:
 def code_from_dict(data: dict) -> SlidingBlockCode:
     n = int(data["n"])
     radius = int(data["radius"])
-    rule = [0] * (n**radius)
+    rule = [0] * _check_capacity(n, radius)
     entries = _table(data, "rule")
     if len(entries) != n**radius:
         raise ValueError("rule table must cover every window exactly once")

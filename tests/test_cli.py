@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from shiftcalc import codes as C
 from shiftcalc import jsonio
@@ -120,6 +122,26 @@ def test_enumerate_streams_exactly_two_lines(runner):
     assert {"1": 1, "2": 2} in rules and {"1": 2, "2": 1} in rules
 
 
+def test_enumerate_rejects_a_negative_radius(runner):
+    result = runner.invoke(main, ["enumerate", "--n", "2", "--max-radius", "-1"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("input error:")
+
+
+def test_enumerate_radius_zero_streams_nothing(runner):
+    result = runner.invoke(main, ["enumerate", "--n", "2", "--max-radius", "0"])
+    assert result.exit_code == 0
+    assert result.output == ""
+
+
+def test_oversized_tables_exit_four_before_allocating(runner, tmp_path):
+    u = write(tmp_path / "u.json", jsonio.unitary_to_dict(U.flip_unitary(2)))
+    x = write(tmp_path / "x.json", {"n": 2, "level": 23, "coeffs": {}})
+    c = write(tmp_path / "c.json", {"n": 2, "radius": 23, "rule": {}})
+    assert runner.invoke(main, ["apply", u, x]).exit_code == 4
+    assert runner.invoke(main, ["degree", "--code", c]).exit_code == 4
+
+
 def test_capacity_limit_exits_four(runner, tmp_path):
     from shiftcalc import capacity
 
@@ -165,3 +187,111 @@ def test_malformed_diagonal_is_an_input_error(runner, tmp_path, diag):
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("input error:")
     assert len(result.stderr.splitlines()) == 1
+
+
+# --- fuzzing: every subcommand is total on small documents -----------------
+
+# Bounded scalars only: a large n or level would ask for a huge table.
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.sampled_from([0.5, 1e999, float("nan")]),
+    st.text("0123/-x", max_size=3),
+)
+JUNK = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("123", max_size=2), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _words(n, k):
+    return [W.format_word(w) for w in W.enumerate_words(n, k)]
+
+
+@st.composite
+def unitary_docs(draw):
+    n, level = draw(st.integers(2, 3)), draw(st.integers(0, 2))
+    words = _words(n, level)
+    images = draw(st.permutations(words))
+    return {"n": n, "level": level, "map": [list(p) for p in zip(words, images)]}
+
+
+@st.composite
+def code_docs(draw):
+    n, radius = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    rule = {w: draw(st.integers(1, n)) for w in _words(n, radius)}
+    return {"n": n, "radius": radius, "rule": rule}
+
+
+@st.composite
+def diag_docs(draw):
+    n, level = draw(st.integers(2, 3)), draw(st.integers(0, 2))
+    words = _words(n, level)
+    if draw(st.booleans()):
+        support = draw(st.lists(st.sampled_from(words), unique=True))
+        return {"n": n, "level": level, "support": support}
+    values = st.sampled_from(["1/2", "-3", "0", 2])
+    coeffs = {w: draw(values) for w in words if draw(st.booleans())}
+    return {"n": n, "level": level, "coeffs": coeffs}
+
+
+@st.composite
+def _malformed(draw, valid):
+    """A valid document with one key dropped or replaced, or one entry of
+    its table replaced."""
+    doc = draw(valid)
+    key = draw(st.sampled_from(sorted(doc)))
+    table = doc[key]
+    if isinstance(table, (list, dict)) and table and draw(st.booleans()):
+        if isinstance(table, list):
+            table[draw(st.integers(0, len(table) - 1))] = draw(JUNK)
+        else:
+            table[draw(st.sampled_from(sorted(table)))] = draw(JUNK)
+    elif draw(st.booleans()):
+        del doc[key]
+    else:
+        doc[key] = draw(JUNK)
+    return doc
+
+
+def _documents(*valid):
+    docs = st.one_of(*valid)
+    return st.one_of(docs, _malformed(docs), JUNK)
+
+
+UNITARIES = _documents(unitary_docs())
+CODES = _documents(code_docs())
+OPERATORS = _documents(unitary_docs(), code_docs())
+DIAGONALS = _documents(diag_docs())
+
+NO_ARGS = st.just([])
+PERIOD = st.integers(-1, 3).map(lambda r: ["--r", str(r)])
+SMALL_SEARCH = ["--max-m", "2", "--max-window", "4"]
+
+# subcommand -> (arguments before the files, documents, arguments after)
+FUZZED = {
+    "certify": (["--budget-depth", "2", "certify"], [UNITARIES], NO_ARGS),
+    "apply": (["apply"], [OPERATORS, DIAGONALS], NO_ARGS),
+    "compose": (["compose"], [OPERATORS, OPERATORS], NO_ARGS),
+    "degree": (SMALL_SEARCH + ["degree", "--code"], [CODES], NO_ARGS),
+    "orbits": (["orbits", "--code"], [CODES], PERIOD),
+}
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(command=st.sampled_from(sorted(FUZZED)), data=st.data())
+def test_cli_is_total_on_small_documents(command, data):
+    head, kinds, tail = FUZZED[command]
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        files = [
+            write(Path("doc%d.json" % i), data.draw(kind)) for i, kind in enumerate(kinds)
+        ]
+        result = runner.invoke(main, head + files + data.draw(tail))
+    assert result.exit_code in range(5), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(
+        result.exception
+    )

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -198,22 +199,68 @@ def test_preimage_inverts_kitchens():
     assert E.preimage(e, W.cylinder(3, (3,)), 4) == W.cylinder(3, (3,))
 
 
-def test_image_supports_match_the_cylinder_images():
-    rng = random.Random(31)
-    perm = list(range(9))
+def random_unitary(rng, n, level):
+    perm = list(range(n**level))
     rng.shuffle(perm)
-    inner = E.ad_unitary(U.PermutationUnitary(3, 2, tuple(perm)))
-    for u in (U.kitchens_unitary(), U.flip_unitary(2), inner):
-        e = E.endomorphism(u)
-        for s in (1, 2, 3):
-            images = e.cylinder_images(s)
-            top = max(img.level for img in images)
-            for at in (top, top + 1):
-                expected = [
-                    [W.word_rank(w, e.n) for w in W.refine(img, at).support()]
-                    for img in images
+    return U.PermutationUnitary(n, level, tuple(perm))
+
+
+def random_element(rng, n, level):
+    values = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n**level)]
+    return W.diagonal(n, level, values)
+
+
+def test_owner_table_matches_the_adjoint_action():
+    rng = random.Random(41)
+    for n in (2, 3):
+        pool = [U.flip_unitary(n), U.identity(n)]
+        pool += [random_unitary(rng, n, level) for level in (2, 2, 3)]
+        pool.append(E.ad_unitary(random_unitary(rng, n, 2)))  # images below u_k's level
+        if n == 3:
+            pool.append(U.kitchens_unitary())
+        for u in pool:
+            e = E.endomorphism(u)
+            for k in range(1, 5):
+                uk = U.u_k_product(e.unitary, k)
+                levels = [
+                    U.adjoint_action(uk, W.cylinder(n, w)).level
+                    for w in W.enumerate_words(n, k)
                 ]
-                assert e.image_supports(s, at) == expected
+                assert e.cylinder_owners(k)[0] == max(levels)
+                for _ in range(3):
+                    x = random_element(rng, n, k)
+                    assert E.apply_diag(e, x) == U.adjoint_action(uk, x)
+
+
+def test_preimage_inverts_certified_automorphisms():
+    rng = random.Random(43)
+    kitchens = U.kitchens_unitary()
+    cases = [kitchens, U.letter_permutation(3, (2, 3, 1))]
+    for n in (2, 3):
+        swap = U.letter_permutation(n, (2, 1) + tuple(range(3, n + 1)))
+        for _ in range(2):
+            w = E.ad_unitary(random_unitary(rng, n, 2))
+            cases += [w, E.convolution(w, swap)]
+    cases.append(E.convolution(E.ad_unitary(random_unitary(rng, 3, 2)), kitchens))
+    certified = [
+        e
+        for e in map(E.endomorphism, cases)
+        if E.certify_automorphism(e, budget=5).verdict == "automorphism"
+    ]
+    assert len(certified) >= 8
+    for e in certified:
+        for k in range(1, 4):
+            x = random_element(rng, e.n, k)
+            assert E.preimage(e, E.apply_diag(e, x), 4) == W.reduce(x)
+
+
+def test_preimage_rejects_elements_outside_the_range():
+    # lambda_flip is phi, whose range ignores the first letter: the scatter
+    # still builds a candidate, and the exact check must turn it down
+    e = E.endomorphism(U.flip_unitary(2))
+    assert E.preimage(e, W.cylinder(2, (1,)), 4) is None
+    p = W.cylinder(2, (1,))
+    assert E.preimage(e, W.shift_diag(p), 4) == p
 
 
 def test_property_p_data_kitchens():
