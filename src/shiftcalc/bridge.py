@@ -92,9 +92,10 @@ def extract_code(
     """The sliding block code of lambda_u o phi^m on the diagonal.
 
     Requires that the composite commutes with the shift (checked exactly;
-    the caller's m is too small otherwise).  The local rule has radius
-    level(u) + m and is minimized afterwards.  With certify=True the result
-    must admit an E_n certificate within the window budget.
+    the caller's m is too small otherwise).  The local rule is the owner
+    table of the level-1 cylinders, minimized, and it is checked against the
+    owner table at `verify_depth`.  With certify=True the result must admit
+    an E_n certificate within the window budget.
     """
     n = e.n
     if m < 0:
@@ -103,21 +104,18 @@ def extract_code(
     comp = E.endomorphism(E.convolution(e.unitary, rot))
     if not E.commutes_with_shift_on_diagonal(comp):
         raise ValueError("lambda_u phi^m does not commute with the shift; m too small")
-    radius = max(comp.unitary.level, 1)
-    images = [E.apply_diag(comp, W.cylinder(n, (j,))) for j in range(1, n + 1)]
-    rule = [0] * n**radius
-    for j, img in enumerate(images, start=1):
-        for mu in W.refine(img, radius).support():
-            rule[W.word_rank(mu, n)] = j
-    if 0 in rule:
-        raise AssertionError("cylinder images do not partition the level")
-    code = C.minimize(SlidingBlockCode(n, radius, tuple(rule)))
+    # lambda(P_j) is the set of windows whose owner is j: that is the rule
+    level, owner = comp.cylinder_owners(1)
+    code = C.minimize(SlidingBlockCode(n, level, tuple(j + 1 for j in owner)))
+    # both sides read level-`depth` cylinders through one table each
     depth = verify_depth if verify_depth is not None else e.unitary.level + m + 2
-    for w in W.enumerate_words(n, depth):
-        p = W.cylinder(n, w)
-        if C.code_apply_diag(code, p) != E.apply_diag(comp, p):
-            raise AssertionError("extracted rule disagrees with the endomorphism")
+    level, owner = comp.cylinder_owners(depth)
+    length = depth + code.radius - 1
+    top = max(level, length)
+    if W.lift_table(owner, n, top) != W.lift_table(code.output_ranks(length), n, top):
+        raise AssertionError("extracted rule disagrees with the endomorphism")
     if certify:
+        radius = max(comp.unitary.level, 1)
         window = max_window if max_window else 2 * radius + 2 * m + 2
         if C.en_inverse_search(code, m + radius, window) is None:
             raise ValueError("extracted code admits no inverse certificate in budget")

@@ -9,6 +9,10 @@ statement about finite permutations.
 On the diagonal lambda_u(x) = x o T_u for a homeomorphism T_u of the
 one-sided n-shift, read at level k off one owner table over ranks:
 lambda_u(x)[q] = x[owner[q]], with owner[q] the first k letters of T_u(q).
+T_u is also a finite transducer (`point_map`) whose state is the last
+level(u) - 1 letters read.  Property (P) and the cheap filter of `is_in_ign`
+compare T_u(z) with T_u(sigma^d z), so both are decided on the pairs of
+states the two runs can be in after d letters, never on cylinders.
 
 The workhorse `agree_on_diagonal` decides exactly whether two permutative
 endomorphisms have the same restriction to the diagonal: the restrictions
@@ -98,6 +102,30 @@ def endomorphism(u: PermutationUnitary) -> PermutativeEndomorphism:
     return PermutativeEndomorphism(U.reduce(u))
 
 
+def point_map(e: PermutativeEndomorphism) -> tuple:
+    """T_u as a transducer (tail, step) over 0-based letters.
+
+    The state is the rank of the last level(u) - 1 letters read and not yet
+    emitted, one of `tail` = n^(level(u) - 1).  step[p n + a] = (emitted
+    letter, next state) splits u^{-1} of the window p a into its first letter
+    and the rest: T_u(z)_1 is that letter of the first window, and so on.
+    """
+    u = e.unitary
+    src = U.inverse(U.embed(u, max(u.level, 1))).ranks
+    tail = len(src) // e.n
+    return tail, [divmod(s, tail) for s in src]
+
+
+def _lag_pairs(n: int, tail: int, step: list, pairs: set) -> set:
+    """R_{d+1} from R_d.
+
+    R_d holds the pairs (p, q) with p the state of T_u after d letters of z
+    and q the state T_u starts from on sigma^d z, the last level(u) - 1
+    letters read; from there on both runs read the same input.
+    """
+    return {(step[p * n + a][1], (q * n + a) % tail) for p, q in pairs for a in range(n)}
+
+
 def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElement:
     """lambda_u(x) for diagonal x: x read through the owner table at its level."""
     if e.n != x.n:
@@ -165,12 +193,12 @@ def is_identity_on_diagonal(u: PermutationUnitary) -> bool:
     """
     result = U.reduce(u).is_identity()
     if result:
-        e = endomorphism(u)
         depth = u.level + 2
-        for w in W.enumerate_words(u.n, depth):
-            p = W.cylinder(u.n, w)
-            if apply_diag(e, p) != p:
-                raise AssertionError("reduction and cylinder tests disagree")
+        level, owner = endomorphism(u).cylinder_owners(depth)
+        top = max(level, depth)
+        identity = tuple(range(u.n**depth))
+        if W.lift_table(owner, u.n, top) != W.lift_table(identity, u.n, top):
+            raise AssertionError("reduction and cylinder tests disagree")
     return result
 
 
@@ -201,13 +229,19 @@ def is_in_ign(e: PermutativeEndomorphism, max_k: int) -> Optional[int]:
     Callers should hold an automorphism certificate for e; each k-test is
     exact either way, and absence merely means no k within the budget.
     """
-    letters = [W.cylinder(e.n, (i,)) for i in range(1, e.n + 1)]
+    n = e.n
+    tail, step = point_map(e)
+    pairs = {(s, s) for s in range(tail)}
     for k in range(max_k + 1):
-        # necessary condition, cheap: lambda_u fixes phi^k of every letter
-        shifted = [W.shift_diag(p, k) for p in letters]
-        if any(apply_diag(e, q) != q for q in shifted):
+        if k:
+            pairs = _lag_pairs(n, tail, step, pairs)
+        # necessary condition, cheap: lambda_u fixes phi^k(P_i) for every
+        # letter i, that is T_u(z)_{k+1} = z_{k+1} from every pair of R_k
+        if any(
+            step[p * n + a][0] != (q * n + a) // tail for p, q in pairs for a in range(n)
+        ):
             continue
-        rot = U.shift_power_unitary(e.n, k)
+        rot = U.shift_power_unitary(n, k)
         if agree_on_diagonal(e.convolve(rot), rot):
             return k
     return None
@@ -381,18 +415,28 @@ def property_p_data(
     m_upper = level(inverse) - 1 is guaranteed; m_min_verified is the least
     m <= m_upper for which alpha phi^k(x) = phi^{k-m} alpha phi^m(x) holds
     for all level-1 x over the finite window m <= k <= m_upper + level(u) + 1.
+
+    On points that is T_u(z)_{k+1} = T_u(sigma^{k-m} z)_{m+1}: for every pair
+    (p, q) of R_d, d = k - m, the (m+1)-th letters T_u emits from p and from q
+    agree on every input.
     """
     m_upper = max(U.reduce(inverse).level - 1, 0)
     window = m_upper + e.unitary.level + 1
-    letters = [W.cylinder(e.n, (i,)) for i in range(1, e.n + 1)]
+    n = e.n
+    tail, step = point_map(e)
+    lags = [{(s, s) for s in range(tail)}]
+    for _ in range(window):
+        lags.append(_lag_pairs(n, tail, step, lags[-1]))
 
     def holds(m: int) -> bool:
-        images = [apply_diag(e, W.shift_diag(p, m)) for p in letters]
-        for k in range(m, window + 1):
-            for p, img in zip(letters, images):
-                if apply_diag(e, W.shift_diag(p, k)) != W.shift_diag(img, k - m):
-                    return False
-        return True
+        pairs = set().union(*lags[: window - m + 1])
+        for _ in range(m):
+            pairs = {
+                (step[p * n + a][1], step[q * n + a][1]) for p, q in pairs for a in range(n)
+            }
+        return all(
+            step[p * n + a][0] == step[q * n + a][0] for p, q in pairs for a in range(n)
+        )
 
     if not holds(m_upper):
         raise ValueError("inverse certificate violates the guaranteed property-(P) bound")

@@ -57,6 +57,13 @@ class PermutationUnitary:
         return reduce(self).level == 0
 
 
+def _trusted(n: int, level: int, ranks: tuple) -> PermutationUnitary:
+    """A unitary from ranks already known to permute 0..n^level-1, unchecked."""
+    u = object.__new__(PermutationUnitary)
+    u.__dict__.update(n=n, level=level, ranks=ranks)
+    return u
+
+
 def identity(n: int) -> PermutationUnitary:
     return PermutationUnitary(n, 0, (0,))
 
@@ -82,7 +89,7 @@ def embed(u: PermutationUnitary, level: int) -> PermutationUnitary:
         return u
     tail = _check_capacity(u.n, level) // len(u.ranks)
     ranks = tuple(q * tail + s for q in u.ranks for s in range(tail))
-    return PermutationUnitary(u.n, level, ranks)
+    return _trusted(u.n, level, ranks)
 
 
 def reduce(u: PermutationUnitary) -> PermutationUnitary:
@@ -103,7 +110,7 @@ def reduce(u: PermutationUnitary) -> PermutationUnitary:
         level -= 1
     if level == u.level:
         return u
-    return PermutationUnitary(n, level, ranks)
+    return _trusted(n, level, ranks)
 
 
 def _common(u: PermutationUnitary, v: PermutationUnitary):
@@ -116,14 +123,14 @@ def _common(u: PermutationUnitary, v: PermutationUnitary):
 def multiply(u: PermutationUnitary, v: PermutationUnitary) -> PermutationUnitary:
     """Product unitary u v; its permutation is sigma_u o sigma_v."""
     a, b = _common(u, v)
-    return PermutationUnitary(a.n, a.level, tuple(a.ranks[r] for r in b.ranks))
+    return _trusted(a.n, a.level, tuple(a.ranks[r] for r in b.ranks))
 
 
 def inverse(u: PermutationUnitary) -> PermutationUnitary:
     out = [0] * len(u.ranks)
     for src, dst in enumerate(u.ranks):
         out[dst] = src
-    return PermutationUnitary(u.n, u.level, tuple(out))
+    return _trusted(u.n, u.level, tuple(out))
 
 
 def phi_shift(u: PermutationUnitary, j: int = 1) -> PermutationUnitary:
@@ -135,7 +142,7 @@ def phi_shift(u: PermutationUnitary, j: int = 1) -> PermutationUnitary:
     block = len(u.ranks)
     copies = _check_capacity(u.n, u.level + j) // block
     ranks = tuple(g * block + r for g in range(copies) for r in u.ranks)
-    return PermutationUnitary(u.n, u.level + j, ranks)
+    return _trusted(u.n, u.level + j, ranks)
 
 
 def u_k_product(u: PermutationUnitary, k: int) -> PermutationUnitary:

@@ -55,6 +55,58 @@ def test_extract_requires_commutation():
     assert code.radius >= 1
 
 
+def extract_code_reference(e, m, depth):
+    # the rule read off the supports of the level-1 cylinder images, checked
+    # cylinder by cylinder
+    n = e.n
+    comp = E.endomorphism(E.convolution(e.unitary, U.shift_power_unitary(n, m)))
+    radius = max(comp.unitary.level, 1)
+    rule = [0] * n**radius
+    for j in range(1, n + 1):
+        for mu in W.refine(E.apply_diag(comp, W.cylinder(n, (j,))), radius).support():
+            rule[W.word_rank(mu, n)] = j
+    assert 0 not in rule
+    code = C.minimize(C.SlidingBlockCode(n, radius, tuple(rule)))
+    for w in W.enumerate_words(n, depth):
+        p = W.cylinder(n, w)
+        assert C.code_apply_diag(code, p) == E.apply_diag(comp, p)
+    return code
+
+
+def test_extract_code_matches_the_cylinder_read_off():
+    rng = random.Random(59)
+    cases = [(U.identity(2), 1), (U.identity(3), 2), (U.flip_unitary(2), 0)]
+    cases.append((E.ad_unitary(U.letter_permutation(2, (2, 1))), 1))
+    kit = C.kitchens_code()
+    for _ in range(3):
+        letters = C.letter_code(3, rng.sample((1, 2, 3), 3))
+        for code in (letters, C.code_compose(kit, letters), C.code_compose(letters, kit)):
+            cases.append((B.unitary_from_shift_automorphism(code), 0))
+        v = E.ad_unitary(U.letter_permutation(3, rng.sample((1, 2, 3), 3)))
+        e = E.endomorphism(E.convolution(v, U.kitchens_unitary()))
+        verdict = E.certify_automorphism(e, budget=5)
+        cases.append((e.unitary, E.property_p_data(e, verdict.inverse)[0]))
+    for u, m in cases:
+        e = E.endomorphism(u)
+        depth = e.unitary.level + m
+        got = B.extract_code(e, m, verify_depth=depth, certify=False)
+        want = extract_code_reference(e, m, depth)
+        assert (got.radius, got.rule) == (want.radius, want.rule)
+
+
+def test_a_wrong_extracted_rule_is_caught(monkeypatch):
+    minimize = C.minimize
+
+    def one_entry_off(c):
+        c = minimize(c)
+        rule = (c.rule[0] % c.n + 1,) + c.rule[1:]
+        return C.SlidingBlockCode(c.n, c.radius, rule)
+
+    monkeypatch.setattr(C, "minimize", one_entry_off)
+    with pytest.raises(AssertionError, match="extracted rule disagrees"):
+        B.extract_code(E.endomorphism(U.kitchens_unitary()), 0)
+
+
 def test_en_class_equal_modulo_shift_powers():
     kit = C.kitchens_code()
     assert B.en_class_equal(kit, C.code_compose(kit, C.shift_code(3)), 3)

@@ -141,6 +141,7 @@ def test_is_in_ign_matches_the_unfiltered_search():
             rng.shuffle(perm)
             w = U.PermutationUnitary(n, level, tuple(perm))
             cases += [w, E.ad_unitary(w), E.convolution(E.ad_unitary(w), U.flip_unitary(n))]
+    cases += [e.unitary for e in census()[0]]
     found = set()
     for u in cases:
         e = E.endomorphism(u)
@@ -296,3 +297,127 @@ def test_braiding_of_kitchens():
             lhs = E.apply_diag(e, W.shift_diag(p))
             rhs = result.apply(W.shift_diag(E.apply_diag(e, p)))
             assert lhs == rhs
+
+
+def census():
+    """(endomorphisms, certified automorphisms with their inverses): all of
+    P_2^1, P_2^2 and P_3^1, seeded unitaries up to level 3, and seeded
+    Ad(v) o swap and Ad(v) o Kitchens."""
+    rng = random.Random(53)
+    cases = []
+    for n, level in ((2, 1), (2, 2), (3, 1)):
+        cases += U.all_unitaries(n, level)
+    for n, level, count in ((2, 3, 12), (3, 2, 12), (3, 3, 3)):
+        cases += [random_unitary(rng, n, level) for _ in range(count)]
+    for n in (2, 3):
+        bases = [U.letter_permutation(n, (2, 1) + tuple(range(3, n + 1)))]
+        if n == 3:
+            bases.append(U.kitchens_unitary())
+        for base in bases:
+            for level in (1, 1, 2, 2, 2, 2):
+                w = E.ad_unitary(random_unitary(rng, n, level))
+                cases.append(E.convolution(w, base))
+    maps = [E.endomorphism(u) for u in cases]
+    certified = []
+    for e in maps:
+        verdict = E.certify_automorphism(e, budget=5)
+        if verdict.verdict == "automorphism":
+            certified.append((e, verdict.inverse))
+    return maps, certified
+
+
+def property_p_reference(e, inverse):
+    # property (P) on cylinders: lambda_u applied to phi^k(P_i)
+    m_upper = max(U.reduce(inverse).level - 1, 0)
+    window = m_upper + e.unitary.level + 1
+    letters = [W.cylinder(e.n, (i,)) for i in range(1, e.n + 1)]
+
+    def holds(m):
+        images = [E.apply_diag(e, W.shift_diag(p, m)) for p in letters]
+        return all(
+            E.apply_diag(e, W.shift_diag(p, k)) == W.shift_diag(img, k - m)
+            for k in range(m, window + 1)
+            for p, img in zip(letters, images)
+        )
+
+    if not holds(m_upper):
+        raise ValueError("inverse certificate violates the guaranteed property-(P) bound")
+    return m_upper, next((m for m in range(m_upper) if holds(m)), m_upper)
+
+
+def property_p_outcome(data, e, inverse):
+    try:
+        return data(e, inverse)
+    except ValueError:
+        return "refused"
+
+
+def test_property_p_on_the_point_map_matches_the_cylinder_test():
+    maps, certified = census()
+    assert len(certified) >= 20
+    results = []
+    for e, inverse in certified:
+        got = E.property_p_data(e, inverse)
+        assert got == property_p_reference(e, inverse)
+        results.append(got)
+    assert any(m_min < m_upper for m_upper, m_min in results)
+    # an identity certificate claims m_upper = 0, too small for these
+    wrong = [e for (e, _), (_, m_min) in zip(certified, results) if m_min > 0]
+    assert wrong
+    for e in wrong:
+        with pytest.raises(ValueError):
+            property_p_reference(e, U.identity(e.n))
+        with pytest.raises(ValueError):
+            E.property_p_data(e, U.identity(e.n))
+    # claimed certificates of levels 0-2 on every map, automorphism or not
+    for e in maps:
+        for j in range(3):
+            claim = U.shift_power_unitary(e.n, j)
+            got = property_p_outcome(E.property_p_data, e, claim)
+            assert got == property_p_outcome(property_p_reference, e, claim)
+
+
+def run_point_map(e, z):
+    """T_u on a finite word z of 0-based letters: the letters it emits."""
+    _, step = E.point_map(e)
+    held = max(e.unitary.level, 1) - 1
+    state = 0
+    for a in z[:held]:
+        state = state * e.n + a
+    out = []
+    for a in z[held:]:
+        letter, state = step[state * e.n + a]
+        out.append(letter)
+    return tuple(out)
+
+
+def test_point_map_preimages_are_the_cylinder_images():
+    maps, _ = census()
+    for e in maps:
+        n, level = e.n, max(e.unitary.level, 1)
+        for k in range(1, level + 3):
+            preimages = {}
+            for z in W.enumerate_words(n, k + level - 1):
+                word = tuple(a + 1 for a in run_point_map(e, [a - 1 for a in z]))
+                preimages.setdefault(word, []).append(z)
+            for w in W.enumerate_words(n, k):
+                expected = W.projection(n, preimages.get(w, []))
+                assert E.apply_diag(e, W.cylinder(n, w)) == expected
+
+
+def test_is_identity_on_diagonal_matches_the_cylinder_loop():
+    maps, _ = census()
+    units = [U.embed(U.identity(n), level) for n in (2, 3) for level in (0, 1, 3)]
+    for u in units + [e.unitary for e in maps]:
+        e = E.endomorphism(u)
+        fixed = all(
+            E.apply_diag(e, W.cylinder(u.n, w)) == W.cylinder(u.n, w)
+            for w in W.enumerate_words(u.n, u.level + 2)
+        )
+        assert E.is_identity_on_diagonal(u) == fixed
+
+
+def test_a_wrong_reduction_verdict_is_caught(monkeypatch):
+    monkeypatch.setattr(U.PermutationUnitary, "is_identity", lambda self: True)
+    with pytest.raises(AssertionError, match="reduction and cylinder tests disagree"):
+        E.is_identity_on_diagonal(U.flip_unitary(2))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from shiftcalc import jsonio
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
 
@@ -120,3 +121,30 @@ def test_is_bogolubov():
     assert U.is_bogolubov(U.letter_permutation(3, (3, 1, 2)))
     assert U.is_bogolubov(U.embed(U.identity(2), 2))
     assert not U.is_bogolubov(U.kitchens_unitary())
+
+
+def test_ranks_from_outside_the_module_are_validated():
+    with pytest.raises(ValueError):
+        U.PermutationUnitary(2, 1, (0, 0))
+    with pytest.raises(ValueError):
+        U.from_mapping(2, 1, {(1,): (1,), (2,): (1,)})
+    with pytest.raises(ValueError):
+        jsonio.unitary_from_dict({"n": 2, "level": 1, "map": [["1", "2"], ["2", "2"]]})
+
+
+def test_unchecked_constructions_give_valid_permutations():
+    rng = random.Random(61)
+    for n, level in ((2, 2), (3, 1), (3, 2)):
+        perm = list(range(n**level))
+        rng.shuffle(perm)
+        u = U.PermutationUnitary(n, level, tuple(perm))
+        v = U.embed(U.PermutationUnitary(n, 1, tuple(rng.sample(range(n), n))), level)
+        built = (
+            U.multiply(u, v),
+            U.embed(u, level + 1),
+            U.phi_shift(u, 2),
+            U.inverse(u),
+            U.reduce(U.embed(u, level + 2)),
+        )
+        for w in built:  # the validating constructor accepts each
+            assert U.PermutationUnitary(w.n, w.level, w.ranks) == w
