@@ -73,9 +73,28 @@ def _run(body) -> None:
 
 
 @click.group()
-@click.option("--budget-depth", default=8, envvar="BUDGET_DEPTH", show_default=True)
-@click.option("--max-m", default=4, envvar="MAX_M", show_default=True)
-@click.option("--max-window", default=12, envvar="MAX_WINDOW", show_default=True)
+@click.option(
+    "--budget-depth",
+    default=8,
+    envvar="BUDGET_DEPTH",
+    show_default=True,
+    help="certify: largest inverse level tried; also the shift power and least "
+    "window of the degree route",
+)
+@click.option(
+    "--max-m",
+    default=4,
+    envvar="MAX_M",
+    show_default=True,
+    help="degree: largest m searched for an inverse up to the shift power m",
+)
+@click.option(
+    "--max-window",
+    default=12,
+    envvar="MAX_WINDOW",
+    show_default=True,
+    help="degree, enumerate: widest inverse code window searched",
+)
 @click.option("--capacity", default=0, envvar="CAPACITY", help="index-set size limit")
 @click.option(
     "--format",

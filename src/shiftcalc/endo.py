@@ -14,6 +14,13 @@ level(u) - 1 letters read.  Property (P) and the cheap filter of `is_in_ign`
 compare T_u(z) with T_u(sigma^d z), so both are decided on the pairs of
 states the two runs can be in after d letters, never on cylinders.
 
+Certification builds the inverse by algebra, not by search: lambda_u has a
+permutative inverse v exactly when lambda_u(v) = u^*, and then v is
+u_s^* u^* u_s for every s >= level(v).  So at budget b, "automorphism" is the
+verdict on exactly the automorphisms of O_n whose inverse has level <= b,
+and on the shift automorphisms that the degree route finds an inverse code
+for.
+
 The workhorse `agree_on_diagonal` decides exactly whether two permutative
 endomorphisms have the same restriction to the diagonal: the restrictions
 agree iff for every k the unitary b_k^* a_k fixes the first k letters of
@@ -255,131 +262,36 @@ class AutomorphismVerdict:
     inverse: Optional[PermutationUnitary] = None
     degree: Optional[int] = None
     budget: Optional[int] = None
-    evidence: Optional[str] = None
-
-
-def preimage(
-    e: PermutativeEndomorphism, y: DiagonalElement, max_depth: int
-) -> Optional[DiagonalElement]:
-    """Solve lambda_u(x) = y for diagonal x, searching source levels <= max_depth.
-
-    Level s scatters x[owner[q]] = y[q]; the exact check lambda_u(x) == y
-    keeps x iff y is constant on every owner fiber.  None if no level passes.
-    """
-    n = e.n
-    for s in range(1, max_depth + 1):
-        owner_level, owner = e.cylinder_owners(s)
-        level = max(y.level, owner_level)
-        coeffs = [None] * n**s
-        for w, c in zip(W.lift_table(owner, n, level), W.refine(y, level).coeffs):
-            coeffs[w] = c
-        x = W.reduce(DiagonalElement(n, s, tuple(coeffs)))
-        if apply_diag(e, x) == y:
-            return x
-    return None
-
-
-def _braid(n: int, outer: Callable, inner: Callable, x: DiagonalElement):
-    """The braiding formula outer( sum_j P_j phi(inner(x_j)) ).
-
-    With outer = alpha and inner = alpha^{-1} this is the braiding
-    automorphism of alpha; swapping the roles gives that of alpha^{-1}.
-    Returns None when `outer` does.
-    """
-    parts = W.decompose(x)
-    return outer(W.recompose(n, [inner(p) for p in parts]))
-
-
-def _unitary_from_images(
-    n: int, levels, image: Callable
-) -> Optional[PermutationUnitary]:
-    """The unitary v with image(w) = P_{v(w)} for every word w of one level.
-
-    Takes the first level in `levels` at which the images of the level's
-    words are distinct single cylinders of that level; None if no level
-    qualifies, and at once if `image` gives up by returning None.
-    """
-    for rho in levels:
-        mapping = {}
-        for w in W.enumerate_words(n, rho):
-            img = image(w)
-            if img is None:
-                return None
-            img = W.reduce(img)
-            supp = img.support()
-            if not (img.is_projection() and img.level == rho and len(supp) == 1):
-                break
-            mapping[w] = supp[0]
-        else:
-            if len(set(mapping.values())) == len(mapping):
-                return U.reduce(U.from_mapping(n, rho, mapping))
-    return None
-
-
-def candidate_inverse(
-    e: PermutativeEndomorphism, budget: int
-) -> Optional[PermutationUnitary]:
-    """Heuristic inverse extraction via the braiding automorphism of alpha^{-1}.
-
-    When alpha = lambda_u restricts to an automorphism of the diagonal, the
-    braiding automorphism of alpha^{-1} is Ad(v) for a permutation v with
-    lambda_v = alpha^{-1} on the diagonal; v is read off cylinder images at
-    the first level where they become single cylinders.  The outer inverse
-    goes through `preimage`.  The caller must verify the returned candidate
-    exactly.
-    """
-    n = e.n
-    return _unitary_from_images(
-        n,
-        range(1, budget + 1),
-        lambda w: _braid(
-            n,
-            lambda z: preimage(e, z, budget),
-            lambda p: apply_diag(e, p),
-            W.cylinder(n, w),
-        ),
-    )
 
 
 def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> AutomorphismVerdict:
-    """Semi-decide whether lambda_u restricts to an automorphism of the diagonal.
+    """Decide whether lambda_u is an automorphism, with a verified certificate.
 
-    Acceptance is by exact verification of a candidate inverse (both
-    convolution compositions must be the identity on the diagonal).
-    Rejection is exact in the shift-commuting case, where a degree greater
-    than one is a proof of non-injectivity of the induced point map.
-    Everything else is Unknown at the given budget.
+    O_n is simple, so lambda_u is an automorphism with a permutative inverse
+    v exactly when lambda_u(v) = u^*.  For every s >= level(v) that v is
+    w_s = u_s^* u^* u_s, and a w_s of level <= s always solves it.  So the
+    first s <= budget with level(w_s) <= s gives the inverse, and there is
+    one exactly when lambda_u is an automorphism whose inverse has level
+    <= budget; both convolution compositions are still checked to be the
+    identity.  Otherwise, in the shift-commuting case, a degree greater than
+    one is an exact proof of non-injectivity of the induced point map, and a
+    degree of one with an inverse code found within the window certifies a
+    shift automorphism whose inverse lies beyond the budget.  Everything
+    else is Unknown at the given budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     u = e.unitary
-    cand = candidate_inverse(e, budget)
-    if cand is not None:
-        if is_identity_on_diagonal(convolution(cand, u)) and is_identity_on_diagonal(
-            convolution(u, cand)
-        ):
-            return AutomorphismVerdict("automorphism", inverse=cand)
-    k = is_in_ign(e, budget)
-    if k is not None:
-        # inner case: lambda_u phi^k = phi^k forces lambda_u to permute the
-        # level-r cylinders once r dominates k and the level-k image levels,
-        # and the permutation is the conjugating unitary.
-        if k == 0:
-            return AutomorphismVerdict("automorphism", inverse=U.identity(u.n))
-        r = max(k, e.cylinder_owners(k)[0])
-        w = _unitary_from_images(
-            u.n, (r,), lambda word: apply_diag(e, W.cylinder(u.n, word))
-        )
-        if w is None:
-            raise AssertionError("inner action fails to permute cylinders")
-        if not agree_on_diagonal(u, ad_unitary(w)):
-            raise AssertionError("recovered conjugator disagrees with the action")
-        v = U.reduce(ad_unitary(U.inverse(w)))
-        if is_identity_on_diagonal(convolution(v, u)) and is_identity_on_diagonal(
-            convolution(u, v)
-        ):
-            return AutomorphismVerdict("automorphism", inverse=v)
-        raise AssertionError("recovered inner inverse fails verification")
+    u_star = U.inverse(u)
+    for s in range(1, budget + 1):
+        us = e.u_k(s)
+        w = U.reduce(U.multiply(U.multiply(U.inverse(us), u_star), us))
+        if w.level <= s:
+            if is_identity_on_diagonal(convolution(w, u)) and is_identity_on_diagonal(
+                convolution(u, w)
+            ):
+                return AutomorphismVerdict("automorphism", inverse=w)
+            raise AssertionError("the direct inverse fails verification")
     if commutes_with_shift_on_diagonal(e):
         from . import bridge, codes
 
@@ -400,11 +312,7 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
                     convolution(v, u)
                 ) and is_identity_on_diagonal(convolution(u, v)):
                     return AutomorphismVerdict("automorphism", inverse=v)
-    return AutomorphismVerdict(
-        "unknown",
-        budget=budget,
-        evidence="no inverse candidate separated within budget %d" % budget,
-    )
+    return AutomorphismVerdict("unknown", budget=budget)
 
 
 def property_p_data(
@@ -446,6 +354,39 @@ def property_p_data(
             m_min = m
             break
     return m_upper, m_min
+
+
+def _braid(n: int, outer: Callable, inner: Callable, x: DiagonalElement):
+    """The braiding formula outer( sum_j P_j phi(inner(x_j)) ).
+
+    With outer = alpha and inner = alpha^{-1} this is the braiding
+    automorphism of alpha; swapping the roles gives that of alpha^{-1}.
+    """
+    parts = W.decompose(x)
+    return outer(W.recompose(n, [inner(p) for p in parts]))
+
+
+def _unitary_from_images(
+    n: int, levels, image: Callable
+) -> Optional[PermutationUnitary]:
+    """The unitary v with image(w) = P_{v(w)} for every word w of one level.
+
+    Takes the first level in `levels` at which the images of the level's
+    words are distinct single cylinders of that level; None if no level
+    qualifies.
+    """
+    for rho in levels:
+        mapping = {}
+        for w in W.enumerate_words(n, rho):
+            img = W.reduce(image(w))
+            supp = img.support()
+            if not (img.is_projection() and img.level == rho and len(supp) == 1):
+                break
+            mapping[w] = supp[0]
+        else:
+            if len(set(mapping.values())) == len(mapping):
+                return U.reduce(U.from_mapping(n, rho, mapping))
+    return None
 
 
 @dataclass(frozen=True)

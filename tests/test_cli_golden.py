@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from shiftcalc import codes as C
+from shiftcalc import endo as E
 from shiftcalc import jsonio
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
@@ -25,6 +26,13 @@ INPUTS = {
     "kitchens_u": lambda: jsonio.unitary_to_dict(U.kitchens_unitary()),
     "flip_u": lambda: jsonio.unitary_to_dict(U.flip_unitary(2)),
     "swap_u": lambda: jsonio.unitary_to_dict(U.letter_permutation(3, (2, 1, 3))),
+    # Ad(v) o lambda_swap for the level-2 v exchanging the words 21 and 22
+    "ad_swap_u": lambda: jsonio.unitary_to_dict(
+        E.convolution(
+            E.ad_unitary(U.PermutationUnitary(2, 2, (0, 1, 3, 2))),
+            U.letter_permutation(2, (2, 1)),
+        )
+    ),
     "kitchens_c": lambda: jsonio.code_to_dict(C.kitchens_code()),
     "shift3_c": lambda: jsonio.code_to_dict(C.shift_code(3)),
     "shift2_c": lambda: jsonio.code_to_dict(C.shift_code(2)),
@@ -39,6 +47,7 @@ INPUTS = {
 CASES = {
     "certify_kitchens": ["certify", "{kitchens_u}"],
     "certify_flip": ["certify", "{flip_u}"],
+    "certify_ad_swap": ["certify", "{ad_swap_u}"],
     "compose_unitaries": ["compose", "{kitchens_u}", "{swap_u}"],
     "compose_codes": ["compose", "{kitchens_c}", "{shift3_c}"],
     "apply_unitary": ["apply", "{kitchens_u}", "{x}"],

@@ -194,10 +194,18 @@ def test_certify_inner_automorphism():
 
 
 def test_preimage_inverts_kitchens():
+    # the certified inverse of Kitchens' map takes lambda(x) back to x
+    rng = random.Random(47)
     e = E.endomorphism(U.kitchens_unitary())
+    verdict = E.certify_automorphism(e, budget=4)
+    assert verdict.verdict == "automorphism"
+    inv = E.endomorphism(verdict.inverse)
     y = W.projection(3, [(1, 1), (1, 2), (2, 3)])
-    assert E.preimage(e, y, 4) == W.cylinder(3, (1,))
-    assert E.preimage(e, W.cylinder(3, (3,)), 4) == W.cylinder(3, (3,))
+    assert E.apply_diag(inv, y) == W.cylinder(3, (1,))
+    assert E.apply_diag(inv, W.cylinder(3, (3,))) == W.cylinder(3, (3,))
+    for k in range(1, 4):
+        x = random_element(rng, 3, k)
+        assert E.apply_diag(inv, E.apply_diag(e, x)) == W.reduce(x)
 
 
 def random_unitary(rng, n, level):
@@ -243,25 +251,26 @@ def test_preimage_inverts_certified_automorphisms():
             w = E.ad_unitary(random_unitary(rng, n, 2))
             cases += [w, E.convolution(w, swap)]
     cases.append(E.convolution(E.ad_unitary(random_unitary(rng, 3, 2)), kitchens))
-    certified = [
-        e
-        for e in map(E.endomorphism, cases)
-        if E.certify_automorphism(e, budget=5).verdict == "automorphism"
-    ]
-    assert len(certified) >= 8
-    for e in certified:
+    certified = []
+    for e in map(E.endomorphism, cases):
+        verdict = E.certify_automorphism(e, budget=5)
+        if verdict.verdict == "automorphism":
+            certified.append((e, E.endomorphism(verdict.inverse)))
+    assert len(certified) == len(cases)
+    for e, inv in certified:
         for k in range(1, 4):
             x = random_element(rng, e.n, k)
-            assert E.preimage(e, E.apply_diag(e, x), 4) == W.reduce(x)
+            assert E.apply_diag(inv, E.apply_diag(e, x)) == W.reduce(x)
 
 
 def test_preimage_rejects_elements_outside_the_range():
-    # lambda_flip is phi, whose range ignores the first letter: the scatter
-    # still builds a candidate, and the exact check must turn it down
-    e = E.endomorphism(U.flip_unitary(2))
-    assert E.preimage(e, W.cylinder(2, (1,)), 4) is None
-    p = W.cylinder(2, (1,))
-    assert E.preimage(e, W.shift_diag(p), 4) == p
+    # lambda_flip is phi, whose range misses P_1: no budget certifies it,
+    # and the shift-commuting route refutes it with degree n
+    for n in (2, 3):
+        for budget in (1, 3, 6):
+            verdict = E.certify_automorphism(E.endomorphism(U.flip_unitary(n)), budget)
+            assert verdict.verdict == "not_automorphism" and verdict.inverse is None
+            assert verdict.degree == n
 
 
 def test_property_p_data_kitchens():
@@ -415,6 +424,156 @@ def test_is_identity_on_diagonal_matches_the_cylinder_loop():
             for w in W.enumerate_words(u.n, u.level + 2)
         )
         assert E.is_identity_on_diagonal(u) == fixed
+
+
+def preimage_reference(e, y, max_depth):
+    # lambda_u(x) = y solved by scattering y through the owner table of each
+    # source level s <= max_depth; the exact check keeps x iff y is constant
+    # on every owner fiber
+    n = e.n
+    for s in range(1, max_depth + 1):
+        owner_level, owner = e.cylinder_owners(s)
+        level = max(y.level, owner_level)
+        coeffs = [None] * n**s
+        for w, c in zip(W.lift_table(owner, n, level), W.refine(y, level).coeffs):
+            coeffs[w] = c
+        x = W.reduce(W.diagonal(n, s, coeffs))
+        if E.apply_diag(e, x) == y:
+            return x
+    return None
+
+
+def unitary_from_images_reference(n, levels, image):
+    # the unitary v with image(w) = P_{v(w)} at the first level of `levels`
+    # where the images are distinct single cylinders of that level
+    for rho in levels:
+        mapping = {}
+        for w in W.enumerate_words(n, rho):
+            img = image(w)
+            if img is None:
+                return None
+            img = W.reduce(img)
+            supp = img.support()
+            if not (img.is_projection() and img.level == rho and len(supp) == 1):
+                break
+            mapping[w] = supp[0]
+        else:
+            if len(set(mapping.values())) == len(mapping):
+                return U.reduce(U.from_mapping(n, rho, mapping))
+    return None
+
+
+def certify_reference(e, budget):
+    """The inverse found by searching cylinder images, or None.
+
+    The braiding automorphism of alpha^{-1} is read off cylinder images with
+    alpha^{-1} evaluated through `preimage_reference`; failing that, an inner
+    action found by `is_in_ign` gives its conjugator.  Each candidate is
+    verified on both sides.
+    """
+    n, u = e.n, e.unitary
+
+    def braid(z):
+        parts = [E.apply_diag(e, p) for p in W.decompose(z)]
+        return preimage_reference(e, W.recompose(n, parts), budget)
+
+    def verified(v):
+        both = (E.convolution(v, u), E.convolution(u, v))
+        return v if all(map(E.is_identity_on_diagonal, both)) else None
+
+    cand = unitary_from_images_reference(
+        n, range(1, budget + 1), lambda w: braid(W.cylinder(n, w))
+    )
+    if cand is not None and verified(cand) is not None:
+        return cand
+    k = E.is_in_ign(e, budget)
+    if k is None:
+        return None
+    if k == 0:
+        return U.identity(n)
+    r = max(k, e.cylinder_owners(k)[0])
+    w = unitary_from_images_reference(
+        n, (r,), lambda word: E.apply_diag(e, W.cylinder(n, word))
+    )
+    return verified(U.reduce(E.ad_unitary(U.inverse(w))))
+
+
+def point_map_reference(u):
+    """(window, step) of T_u read straight off the ranks of u: the pending
+    state is the rank of the last window - 1 letters, 0-based."""
+    window = max(u.level, 1)
+    ranks = u.ranks if u.level else tuple(range(u.n))
+    src = [0] * len(ranks)
+    for s, d in enumerate(ranks):
+        src[d] = s
+    tail = u.n ** (window - 1)
+    return window, [divmod(src[block], tail) for block in range(u.n**window)]
+
+
+def run_point_map_reference(t, n, z):
+    window, step = t
+    state, out = 0, []
+    for a in z[: window - 1]:
+        state = state * n + a
+    for a in z[window - 1 :]:
+        letter, state = step[state * n + a]
+        out.append(letter)
+    return out
+
+
+def inverse_on_points(u, v, depth):
+    """Do T_u o T_v and T_v o T_u keep the first `depth` letters of every
+    point?  On the diagonal that is lambda_v lambda_u = lambda_u lambda_v = 1
+    up to level `depth`."""
+    maps = (point_map_reference(u), point_map_reference(v))
+    length = depth + maps[0][0] + maps[1][0] - 2
+    for z in itertools.product(range(u.n), repeat=length):
+        for outer, inner in (maps, maps[::-1]):
+            image = run_point_map_reference(
+                outer, u.n, run_point_map_reference(inner, u.n, list(z))
+            )
+            if image != list(z[:depth]):
+                return False
+    return True
+
+
+def certify_census():
+    """All of P_2^1, P_2^2 and P_3^1; seeded samples of P_2^3, P_3^2 and
+    P_3^3; seeded Ad(v) o swap and Ad(v) o Kitchens."""
+    rng = random.Random(59)
+    cases = []
+    for n, level in ((2, 1), (2, 2), (3, 1)):
+        cases += U.all_unitaries(n, level)
+    for n, level, count in ((2, 3, 200), (3, 2, 100), (3, 3, 8)):
+        cases += [random_unitary(rng, n, level) for _ in range(count)]
+    for n in (2, 3):
+        bases = [U.letter_permutation(n, (2, 1) + tuple(range(3, n + 1)))]
+        if n == 3:
+            bases.append(U.kitchens_unitary())
+        for base in bases:
+            for level in (1,) * 6 + (2,) * 18:
+                cases.append(E.convolution(E.ad_unitary(random_unitary(rng, n, level)), base))
+    return [E.endomorphism(u) for u in cases]
+
+
+def test_the_direct_inverse_matches_the_search():
+    budget = 5
+    agreed = found = 0
+    for e in certify_census():
+        verdict = E.certify_automorphism(e, budget)
+        expected = certify_reference(e, budget)
+        if expected is not None:
+            assert verdict.verdict == "automorphism"
+            assert verdict.inverse == expected
+            agreed += 1
+        elif verdict.verdict == "automorphism":
+            # a certification the search missed: check it on points
+            assert inverse_on_points(e.unitary, verdict.inverse, 3)
+            assert U.reduce(convolution_reference(e.unitary, verdict.inverse)).is_identity()
+            found += 1
+        if verdict.verdict == "automorphism":
+            assert U.reduce(verdict.inverse).level <= budget
+    assert agreed >= 60 and found >= 15
 
 
 def test_a_wrong_reduction_verdict_is_caught(monkeypatch):
