@@ -152,7 +152,7 @@ def code_compose(c1: SlidingBlockCode, c2: SlidingBlockCode) -> SlidingBlockCode
         raise ValueError("alphabet sizes differ")
     n = c1.n
     radius = c1.radius + c2.radius - 1
-    rule = tuple(c1.local(c2.output(w)) for w in W.enumerate_words(n, radius))
+    rule = tuple(c1.rule[y] for y in c2.output_ranks(radius))
     return SlidingBlockCode(n, radius, rule)
 
 
@@ -184,6 +184,20 @@ def trace_necessary_check(c: SlidingBlockCode, max_level: int) -> bool:
     return True
 
 
+def shift_exponent(c: SlidingBlockCode) -> int:
+    """The largest j < radius with c = c' o sigma^j: the rule ignores x_1 ... x_j.
+
+    Strips leading letters while the n blocks of the table are all equal.
+    """
+    rule, j = c.rule, 0
+    while j < c.radius - 1:
+        head = rule[: len(rule) // c.n]
+        if rule != head * c.n:
+            break
+        rule, j = head, j + 1
+    return j
+
+
 def en_inverse_search(
     c: SlidingBlockCode, max_m: int, max_window: int, fixed_m: Optional[int] = None
 ) -> Optional[tuple]:
@@ -193,10 +207,15 @@ def en_inverse_search(
     window of the output; every candidate is verified by rule-table
     composition against the shift power before being returned.  Absence
     within the bounds is inconclusive, not a disproof.
+
+    Every m below j = shift_exponent(c) is skipped, exactly: the output
+    ignores x_1 ... x_j, so for m < j two words differing only at x_{m+1}
+    share an output but not a target, and every window s would fail.
     """
     n, r = c.n, c.radius
     m_values = [fixed_m] if fixed_m is not None else list(range(max_m + 1))
-    for m in m_values:
+    j = shift_exponent(c)
+    for m in (m for m in m_values if m >= j):
         for s in range(1, max_window + 1):
             if m + 1 > s + r - 1:
                 continue

@@ -35,6 +35,9 @@ INPUTS = {
     ),
     "kitchens_c": lambda: jsonio.code_to_dict(C.kitchens_code()),
     "shift3_c": lambda: jsonio.code_to_dict(C.shift_code(3)),
+    "kitchens_shift2_c": lambda: jsonio.code_to_dict(
+        C.code_compose(C.kitchens_code(), C.shift_power_code(3, 2))
+    ),
     "shift2_c": lambda: jsonio.code_to_dict(C.shift_code(2)),
     "shift2sq_c": lambda: jsonio.code_to_dict(C.shift_power_code(2, 2)),
     "p1": lambda: jsonio.diag_to_dict(W.cylinder(3, (1,))),
@@ -55,6 +58,9 @@ CASES = {
     "orbits_r3": ["orbits", "--code", "{kitchens_c}", "--r", "3"],
     "degree_shift": ["degree", "--code", "{shift2_c}"],
     "degree_shift_squared": ["degree", "--code", "{shift2sq_c}"],
+    # codes that ignore their first letters: no inverse is sought below that shift
+    "degree_shift3": ["degree", "--code", "{shift3_c}"],
+    "degree_kitchens_shift2": ["degree", "--code", "{kitchens_shift2_c}"],
     "enumerate_n2_r2": ["enumerate", "--n", "2", "--max-radius", "2"],
     "fixtures": ["fixtures"],
 }

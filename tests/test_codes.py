@@ -220,3 +220,105 @@ def test_enumerate_three_letter_automorphisms_contains_kitchens():
 def test_is_shift_power():
     assert C.is_shift_power(C.shift_power_code(2, 2)) == 2
     assert C.is_shift_power(C.kitchens_code()) is None
+
+
+def code_compose_reference(c1, c2):
+    """Oracle: the word-tuple composition, c1's rule on c2's output words."""
+    radius = c1.radius + c2.radius - 1
+    rule = tuple(c1.local(c2.output(w)) for w in W.enumerate_words(c1.n, radius))
+    return C.SlidingBlockCode(c1.n, radius, rule)
+
+
+def en_inverse_search_reference(c, max_m, max_window, fixed_m=None):
+    """Oracle: the inverse search that tries every m, from the shift on."""
+    n, r = c.n, c.radius
+    m_values = [fixed_m] if fixed_m is not None else list(range(max_m + 1))
+    for m in m_values:
+        for s in range(1, max_window + 1):
+            if m + 1 > s + r - 1:
+                continue
+            table = {}
+            determined = True
+            for x in W.enumerate_words(n, s + r - 1):
+                y = c.output(x)
+                target = x[m]
+                if table.setdefault(y, target) != target:
+                    determined = False
+                    break
+            if not determined:
+                continue
+            rule = tuple(table.get(y, 1) for y in W.enumerate_words(n, s))
+            beta = C.SlidingBlockCode(n, s, rule)
+            sigma_m = C.shift_power_code(n, m)
+            if C.code_equal(code_compose_reference(beta, c), sigma_m) and C.code_equal(
+                code_compose_reference(c, beta), sigma_m
+            ):
+                return C.minimize(beta), m
+    return None
+
+
+def letter_and_kitchens_codes():
+    """Every letter permutation over 2 and 3 letters, Kitchens, and Kitchens
+    composed with each 3-letter permutation on either side."""
+    kit = C.kitchens_code()
+    codes = [C.letter_code(n, p) for n in (2, 3) for p in itertools.permutations(range(1, n + 1))]
+    codes.append(kit)
+    for p in itertools.permutations((1, 2, 3)):
+        codes += [C.code_compose(kit, C.letter_code(3, p)), C.code_compose(C.letter_code(3, p), kit)]
+    return codes
+
+
+def census_codes():
+    """(codes, budgets): every 2-letter table up to radius 3, 200 seeded
+    3-letter radius-2 tables, and the codes above times sigma^m, m = 0..3."""
+    tables = [
+        C.SlidingBlockCode(2, r, rule)
+        for r in (1, 2, 3)
+        for rule in itertools.product((1, 2), repeat=2**r)
+    ]
+    rng = random.Random(8)
+    tables += [C.SlidingBlockCode(3, 2, tuple(rng.randint(1, 3) for _ in range(9))) for _ in range(200)]
+    shifted = [
+        C.code_compose(a, C.shift_power_code(a.n, m))
+        for a in letter_and_kitchens_codes()
+        for m in range(4)
+    ]
+    return [(tables, [(2, 3), (3, 4)]), (shifted, [(3, 2), (4, 3)])]
+
+
+def test_en_inverse_search_matches_the_reference_on_a_census():
+    found = 0
+    for codes, budgets in census_codes():
+        for c in codes:
+            for max_m, max_window in budgets:
+                expected = en_inverse_search_reference(c, max_m, max_window)
+                assert C.en_inverse_search(c, max_m, max_window) == expected
+                found += expected is not None
+            for fixed_m in (0, 1):
+                expected = en_inverse_search_reference(c, 0, budgets[0][1], fixed_m)
+                assert C.en_inverse_search(c, 0, budgets[0][1], fixed_m) == expected
+    assert found > 100
+
+
+def test_shift_exponent_factors_the_code():
+    kit = C.kitchens_code()
+    for a in letter_and_kitchens_codes():
+        assert C.shift_exponent(a) == 0
+        for m in range(4):
+            assert C.shift_exponent(C.code_compose(a, C.shift_power_code(a.n, m))) == m
+    for n, r in ((2, 1), (2, 4), (3, 3)):
+        assert C.shift_exponent(C.SlidingBlockCode(n, r, (2,) * n**r)) == r - 1
+    codes, _ = census_codes()[0]
+    for c in codes + [C.code_compose(kit, C.shift_power_code(3, 2))]:
+        j = C.shift_exponent(c)
+        head = C.SlidingBlockCode(c.n, c.radius - j, c.rule[: c.n ** (c.radius - j)])
+        assert C.code_compose(head, C.shift_power_code(c.n, j)) == c
+        # j is the largest: the head reads its first letter, unless it is radius 1
+        assert head.radius == 1 or C.shift_exponent(head) == 0
+
+
+def test_code_compose_matches_the_word_tuple_reference():
+    codes = sample_codes() + letter_and_kitchens_codes()
+    for c1, c2 in itertools.product(codes, repeat=2):
+        if c1.n == c2.n and c1.radius + c2.radius <= 6:
+            assert C.code_compose(c1, c2).rule == code_compose_reference(c1, c2).rule
