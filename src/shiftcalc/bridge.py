@@ -26,55 +26,28 @@ def unitary_from_shift_automorphism(
     """The permutation unitary u with lambda_u = alpha on the diagonal.
 
     `c` must be (certified as) an automorphism of the one-sided shift.  The
-    construction: with W(j) the level-r support of alpha(P_j), each tail in
-    W_n^{r-1} occurs exactly once inside each W(j), and sigma keeps the tail
-    while the new head letter is read off W(mu_1).  The hypotheses that make
-    the cocycle products implement alpha at every depth are checked exactly
-    before returning.
+    construction keeps the tail: u^* sends the window h t (t of length r - 1)
+    to rule(h t) t, so T_u = F_c.  That is a permutation exactly when c is
+    tail-bijective, which every automorphism is.  u fixes the shifted
+    diagonal, so lambda_u = alpha at every depth once the owner table of
+    the level-1 cylinders is the rule, which is checked exactly.
     """
     n, r = c.n, c.radius
-    images = [C.code_apply_diag(c, W.cylinder(n, (j,))) for j in range(1, n + 1)]
-    supports = [set(W.refine(img, r).support()) for img in images]
-    if sorted(len(s) for s in supports) != [n ** (r - 1)] * n:
-        raise ValueError("image supports are not balanced; input is not certified")
-    mapping = {}
-    for j in range(1, n + 1):
-        by_tail = {}
-        for mu in supports[j - 1]:
-            if mu[1:] in by_tail:
-                raise ValueError(
-                    "tail condition violated for letter %d; input is not a "
-                    "certified shift automorphism" % j
-                )
-            by_tail[mu[1:]] = mu
-        if len(by_tail) != n ** (r - 1):
-            raise ValueError("tail condition violated for letter %d" % j)
-        for tail, target in by_tail.items():
-            mapping[(j,) + tail] = target
-    u = U.from_mapping(n, r, mapping)
-
-    # structural form: tails are preserved and heads permute for each fixed tail
-    for src, dst in mapping.items():
-        if src[1:] != dst[1:]:
-            raise AssertionError("constructed unitary does not preserve tails")
-    for tail in W.enumerate_words(n, r - 1):
-        heads = {mapping[(j,) + tuple(tail)][0] for j in range(1, n + 1)}
-        if len(heads) != n:
-            raise AssertionError("head maps are not letter permutations")
-
-    # exactness: u implements alpha on level-1 elements and fixes the shifted
-    # images up to level r-1, which propagates to every depth.
-    for j in range(1, n + 1):
-        if U.adjoint_action(u, W.cylinder(n, (j,))) != images[j - 1]:
-            raise AssertionError("constructed unitary misses a level-1 image")
-    for j in range(1, r):
-        for img in images:
-            shifted = W.shift_diag(img, j)
-            if U.adjoint_action(u, shifted) != shifted:
-                raise AssertionError("constructed unitary moves a shifted image")
+    tails = n ** (r - 1)
+    size = capacity.check(n, r)
+    star = tuple((c.rule[w] - 1) * tails + w % tails for w in range(size))
+    if len(set(star)) != size:
+        raise ValueError(
+            "rule is not tail-bijective; input is not a certified shift automorphism"
+        )
+    u = U.inverse(PermutationUnitary(n, r, star))
+    e = E.endomorphism(u)
+    level, owner = e.cylinder_owners(1)
+    top = max(level, r)
+    if W.lift_table(owner, n, top) != W.lift_table(tuple(j - 1 for j in c.rule), n, top):
+        raise AssertionError("constructed unitary misses a level-1 image")
 
     if verify_depth:
-        e = E.endomorphism(u)
         for w in W.enumerate_words(n, verify_depth):
             p = W.cylinder(n, w)
             if E.apply_diag(e, p) != C.code_apply_diag(c, p):
@@ -87,7 +60,6 @@ def extract_code(
     m: int,
     verify_depth: Optional[int] = None,
     certify: bool = True,
-    max_window: int = 0,
 ) -> SlidingBlockCode:
     """The sliding block code of lambda_u o phi^m on the diagonal.
 
@@ -116,15 +88,13 @@ def extract_code(
         raise AssertionError("extracted rule disagrees with the endomorphism")
     if certify:
         radius = max(comp.unitary.level, 1)
-        window = max_window if max_window else 2 * radius + 2 * m + 2
+        window = 2 * radius + 2 * m + 2
         if C.en_inverse_search(code, m + radius, window) is None:
             raise ValueError("extracted code admits no inverse certificate in budget")
     return code
 
 
-def phi_commuting_automorphism_unitaries(
-    n: int, max_level: int, max_window: int = 0
-) -> list:
+def phi_commuting_automorphism_unitaries(n: int, max_level: int) -> list:
     """Reduced unitaries u <= max_level with lambda_u a shift-commuting
     diagonal automorphism.
 
@@ -135,9 +105,7 @@ def phi_commuting_automorphism_unitaries(
     capacity.check(n, max_level)
     lifts = {
         unitary_from_shift_automorphism(code)
-        for code, _ in C.enumerate_one_sided_automorphisms(
-            n, max(max_level, 1), max_window
-        )
+        for code, _ in C.enumerate_one_sided_automorphisms(n, max(max_level, 1))
     }
     return sorted(
         (v for v in lifts if v.level <= max_level), key=lambda v: (v.level, v.ranks)

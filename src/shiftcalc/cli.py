@@ -93,7 +93,8 @@ def _run(body) -> None:
     default=12,
     envvar="MAX_WINDOW",
     show_default=True,
-    help="degree, enumerate: widest inverse code window searched",
+    help="degree: widest inverse code window searched (enumerate decides "
+    "exactly and needs no window)",
 )
 @click.option("--capacity", default=0, envvar="CAPACITY", help="index-set size limit")
 @click.option(
@@ -233,9 +234,7 @@ def enumerate(cfg: RunConfig, n, max_radius):
     """Stream every automorphism of the one-sided n-shift up to a radius."""
 
     def body():
-        for code, inv in C.enumerate_one_sided_automorphisms(
-            n, max_radius, cfg.max_window
-        ):
+        for code, inv in C.enumerate_one_sided_automorphisms(n, max_radius):
             record = {
                 "code": jsonio.code_to_dict(code),
                 "inverse": jsonio.code_to_dict(inv),

@@ -12,7 +12,8 @@ with code_compose(c1, c2) returning the code of F_{c1} o F_{c2}.
 
 Inverse-to-shift-power search, degree, periodic orbits and the
 orbit-permutation separations all live here; every returned certificate is
-verified exactly against rule tables before it escapes.
+verified exactly against rule tables before it escapes.  One-sided shift
+automorphisms are decided exactly on a pair graph, with no window bound.
 """
 from __future__ import annotations
 
@@ -239,12 +240,61 @@ def en_inverse_search(
     return None
 
 
-def one_sided_automorphism_check(
-    c: SlidingBlockCode, max_window: int
-) -> Optional[SlidingBlockCode]:
-    """Two-sided inverse code, if c is an automorphism of the one-sided shift."""
-    found = en_inverse_search(c, 0, max_window, fixed_m=0)
-    return found[0] if found is not None else None
+def automorphism_window(c: SlidingBlockCode) -> Optional[int]:
+    """The least s at which F(x)_1 ... F(x)_s determines x_1, or None if F_c is
+    not injective (an injective F_c is an automorphism of the one-sided shift).
+
+    Decided on the pair graph of c, padded to radius r >= 2: a node is a pair
+    of states (the last r - 1 letters read), an edge reads one letter on each
+    side with equal output letters, and the start pairs are those whose first
+    letters differ.  F_c is injective iff no cycle is reachable from a start
+    pair; then the longest path from one, plus one, is the window.
+    """
+    c = pad(c, max(c.radius, 2))
+    n = c.n
+    states = _check_capacity(n, c.radius - 1)
+    _check_capacity(n, 2 * c.radius - 2)  # the pair graph's nodes
+    head = states // n
+    starts = [(p, q) for p in range(states) for q in range(states) if p // head != q // head]
+    succ, todo = {}, list(starts)
+    while todo:
+        p, q = node = todo.pop()
+        if node not in succ:
+            succ[node] = [
+                ((p * n + a) % states, (q * n + b) % states)
+                for a, x in enumerate(c.rule[p * n : p * n + n])
+                for b, y in enumerate(c.rule[q * n : q * n + n])
+                if x == y
+            ]
+            todo += succ[node]
+    # topological order of the reachable nodes; one left out lies on a cycle
+    indegree = dict.fromkeys(succ, 0)
+    for nxt in itertools.chain(*succ.values()):
+        indegree[nxt] += 1
+    order = [node for node in succ if not indegree[node]]
+    for node in order:
+        for nxt in succ[node]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                order.append(nxt)
+    if len(order) < len(succ):
+        return None
+    height = {}
+    for node in reversed(order):
+        height[node] = max((height[nxt] + 1 for nxt in succ[node]), default=0)
+    return 1 + max(height[node] for node in starts)
+
+
+def one_sided_automorphism_check(c: SlidingBlockCode) -> Optional[SlidingBlockCode]:
+    """Two-sided inverse code if c is an automorphism of the one-sided shift,
+    else None; decided exactly by automorphism_window."""
+    window = automorphism_window(c)
+    if window is None:
+        return None
+    found = en_inverse_search(c, 0, window, fixed_m=0)
+    if found is None:
+        raise AssertionError("no inverse at the pair-graph window %d" % window)
+    return found[0]
 
 
 def degree(c: SlidingBlockCode, beta: SlidingBlockCode, m: int) -> int:
@@ -383,47 +433,28 @@ def residual_separation(c: SlidingBlockCode, max_r: int) -> Optional[int]:
     return None
 
 
-def _balanced(rule: tuple, n: int, r: int) -> bool:
-    quota = n ** (r - 1)
-    return all(rule.count(letter) == quota for letter in range(1, n + 1))
-
-
-def enumerate_one_sided_automorphisms(n: int, max_radius: int, max_window: int = 0):
+def enumerate_one_sided_automorphisms(n: int, max_radius: int):
     """All automorphisms of the one-sided n-shift of radius <= max_radius.
 
-    Brute force over rule tables with cheap necessary filters (balanced
-    tables, injectivity on short periodic orbits) before the exact
-    two-sided inverse verification.  Results are deduplicated by induced
+    Exact over the tail-bijective tables, those where h -> rule(h t) permutes
+    the letters for each tail t: points differing only in x_1 share
+    F(x)_2 F(x)_3 ..., so their first letters must differ.  Each is decided
+    by one_sided_automorphism_check.  Results are deduplicated by induced
     map and sorted by (radius, table).
     """
+    if n < 2:
+        raise ValueError("alphabet size must be at least 2")
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
-    if max_window <= 0:
-        max_window = 2 * max_radius + 2
     _check_capacity(n, n**max_radius)  # guard the n^(n^r) table space
+    perms = list(itertools.permutations(range(1, n + 1)))
     found = {}  # (radius, rule) of the minimized code -> (code, inverse)
     for r in range(1, max_radius + 1):
-        for rule in itertools.product(range(1, n + 1), repeat=n**r):
-            if not _balanced(rule, n, r):
-                continue
-            c = SlidingBlockCode(n, r, rule)
-            if not _injective_on_periodics(c, min(3, max(2, r))):
-                continue
-            inv = one_sided_automorphism_check(c, max_window)
-            if inv is None:
-                continue
-            cm = minimize(c)
-            found.setdefault((cm.radius, cm.rule), (cm, inv))
+        for columns in itertools.product(perms, repeat=n ** (r - 1)):
+            # columns[t][h] = rule(h t): the table lists heads outermost
+            c = SlidingBlockCode(n, r, tuple(itertools.chain(*zip(*columns))))
+            inv = one_sided_automorphism_check(c)
+            if inv is not None:
+                cm = minimize(c)
+                found.setdefault((cm.radius, cm.rule), (cm, inv))
     return [found[key] for key in sorted(found)]
-
-
-def _injective_on_periodics(c: SlidingBlockCode, max_r: int) -> bool:
-    for r in range(1, max_r + 1):
-        seen = set()
-        for w in W.enumerate_words(c.n, r):
-            p = code_on_periodic(c, periodic_point(c.n, w))
-            expanded = p.word * (r // p.period)
-            if expanded in seen:
-                return False
-            seen.add(expanded)
-    return True

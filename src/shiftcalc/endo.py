@@ -303,15 +303,14 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
             deg = codes.degree(code, beta, m)
             if deg > 1:
                 return AutomorphismVerdict("not_automorphism", degree=deg)
-            # degree one and shift-commuting: a one-sided shift automorphism;
-            # build the inverse unitary from the inverse code.
-            inv_code = codes.one_sided_automorphism_check(code, window)
-            if inv_code is not None:
-                v = bridge.unitary_from_shift_automorphism(inv_code)
-                if is_identity_on_diagonal(
-                    convolution(v, u)
-                ) and is_identity_on_diagonal(convolution(u, v)):
-                    return AutomorphismVerdict("automorphism", inverse=v)
+            # degree one: F_code is injective, and any m > 0 would need a
+            # wider window than m = 0 does, so m = 0 and beta is the two-sided
+            # inverse of a one-sided shift automorphism.  Lift it.
+            v = bridge.unitary_from_shift_automorphism(beta)
+            if is_identity_on_diagonal(convolution(v, u)) and is_identity_on_diagonal(
+                convolution(u, v)
+            ):
+                return AutomorphismVerdict("automorphism", inverse=v)
     return AutomorphismVerdict("unknown", budget=budget)
 
 

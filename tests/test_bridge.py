@@ -164,7 +164,7 @@ def sweep_reference(n, max_level):
         if 0 in rule:
             continue
         code = C.minimize(C.SlidingBlockCode(n, radius, tuple(rule)))
-        if C.one_sided_automorphism_check(code, window) is None:
+        if C.en_inverse_search(code, 0, window, fixed_m=0) is None:
             continue
         found.add(U.reduce(u))
     return sorted(found, key=lambda v: (v.level, v.ranks))

@@ -128,6 +128,13 @@ def test_enumerate_rejects_a_negative_radius(runner):
     assert result.stderr.startswith("input error:")
 
 
+@pytest.mark.parametrize("n", ["1", "-3"])
+def test_enumerate_rejects_a_small_alphabet(runner, n):
+    result = runner.invoke(main, ["enumerate", "--n", n, "--max-radius", "2"])
+    assert result.exit_code == 1
+    assert result.stderr == "input error: alphabet size must be at least 2\n"
+
+
 def test_enumerate_radius_zero_streams_nothing(runner):
     result = runner.invoke(main, ["enumerate", "--n", "2", "--max-radius", "0"])
     assert result.exit_code == 0

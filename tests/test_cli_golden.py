@@ -62,6 +62,8 @@ CASES = {
     "degree_shift3": ["degree", "--code", "{shift3_c}"],
     "degree_kitchens_shift2": ["degree", "--code", "{kitchens_shift2_c}"],
     "enumerate_n2_r2": ["enumerate", "--n", "2", "--max-radius", "2"],
+    # all 24 automorphisms of the one-sided 3-shift up to radius 2 (Kitchens' among them)
+    "enumerate_n3_r2": ["enumerate", "--n", "3", "--max-radius", "2"],
     "fixtures": ["fixtures"],
 }
 

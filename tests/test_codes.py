@@ -217,6 +217,94 @@ def test_enumerate_three_letter_automorphisms_contains_kitchens():
         assert C.code_equal(C.code_compose(inv, c), C.identity_code(3))
 
 
+def injective_on_periodics(c, max_r):
+    for r in range(1, max_r + 1):
+        seen = set()
+        for w in W.enumerate_words(c.n, r):
+            p = C.code_on_periodic(c, C.periodic_point(c.n, w))
+            expanded = p.word * (r // p.period)
+            if expanded in seen:
+                return False
+            seen.add(expanded)
+    return True
+
+
+def enumerate_reference(n, max_radius):
+    """Oracle: the brute-force table scan, with cheap necessary filters
+    (balanced tables, injectivity on short periodic orbits) in front of the
+    inverse search at window 2 max_radius + 2."""
+    window = 2 * max_radius + 2
+    found = {}
+    for r in range(1, max_radius + 1):
+        for rule in itertools.product(range(1, n + 1), repeat=n**r):
+            if any(rule.count(a) != n ** (r - 1) for a in range(1, n + 1)):
+                continue
+            c = C.SlidingBlockCode(n, r, rule)
+            if not injective_on_periodics(c, min(3, max(2, r))):
+                continue
+            inv = en_inverse_search_reference(c, 0, window, fixed_m=0)
+            if inv is not None:
+                cm = C.minimize(c)
+                found.setdefault((cm.radius, cm.rule), (cm, inv[0]))
+    return [found[key] for key in sorted(found)]
+
+
+@pytest.mark.parametrize("n, max_radius", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_enumeration_matches_the_brute_force_table_scan(n, max_radius):
+    def fields(pairs):
+        return [(c.radius, c.rule, inv.radius, inv.rule) for c, inv in pairs]
+
+    got = C.enumerate_one_sided_automorphisms(n, max_radius)
+    assert fields(got) == fields(enumerate_reference(n, max_radius))
+
+
+def automorphism_census():
+    """Every 2-letter table up to radius 3, every tail-bijective 3-letter
+    radius-2 table and 200 seeded random ones."""
+    tables = [
+        C.SlidingBlockCode(2, r, rule)
+        for r in (1, 2, 3)
+        for rule in itertools.product((1, 2), repeat=2**r)
+    ]
+    tables += [
+        C.SlidingBlockCode(3, 2, rule)
+        for rule in itertools.product((1, 2, 3), repeat=9)
+        if all(len({rule[3 * h + t] for h in range(3)}) == 3 for t in range(3))
+    ]
+    rng = random.Random(23)
+    tables += [C.SlidingBlockCode(3, 2, tuple(rng.randint(1, 3) for _ in range(9))) for _ in range(200)]
+    return tables
+
+
+def test_automorphism_check_matches_the_windowed_reference():
+    accepted = 0
+    for c in automorphism_census():
+        expected = en_inverse_search_reference(c, 0, 2 * c.radius + 2, fixed_m=0)
+        got = C.one_sided_automorphism_check(c)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert (got.radius, got.rule) == (expected[0].radius, expected[0].rule)
+            accepted += 1
+    assert accepted == 2 + 2 + 2 + 24
+
+
+def test_the_pair_graph_window_is_the_least_that_determines_x1():
+    kit = C.kitchens_code()
+    letters = [C.letter_code(3, p) for p in itertools.permutations((1, 2, 3))]
+    products = [C.code_compose(C.code_compose(p, kit), q) for p in letters for q in letters]
+    codes = automorphism_census() + products + [C.code_compose(kit, k) for k in products]
+    windows = set()
+    for c in codes:
+        s = C.automorphism_window(c)
+        if s is None:
+            assert C.one_sided_automorphism_check(c) is None
+            continue
+        windows.add(s)
+        assert en_inverse_search_reference(c, 0, s, fixed_m=0) is not None
+        assert en_inverse_search_reference(c, 0, s - 1, fixed_m=0) is None
+    assert {1, 2, 3} <= windows
+
+
 def test_is_shift_power():
     assert C.is_shift_power(C.shift_power_code(2, 2)) == 2
     assert C.is_shift_power(C.kitchens_code()) is None
