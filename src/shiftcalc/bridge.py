@@ -55,6 +55,25 @@ def unitary_from_shift_automorphism(
     return U.reduce(u)
 
 
+def read_code(e: PermutativeEndomorphism, depth: int) -> SlidingBlockCode:
+    """The sliding block code of a lambda_u known to commute with the shift.
+
+    The local rule is the owner table of the level-1 cylinders, minimized,
+    and it is checked against the owner table at `depth`.
+    """
+    n = e.n
+    # lambda(P_j) is the set of windows whose owner is j: that is the rule
+    level, owner = e.cylinder_owners(1)
+    code = C.minimize(SlidingBlockCode(n, level, tuple(j + 1 for j in owner)))
+    # both sides read level-`depth` cylinders through one table each
+    level, owner = e.cylinder_owners(depth)
+    length = depth + code.radius - 1
+    top = max(level, length)
+    if W.lift_table(owner, n, top) != W.lift_table(code.output_ranks(length), n, top):
+        raise AssertionError("extracted rule disagrees with the endomorphism")
+    return code
+
+
 def extract_code(
     e: PermutativeEndomorphism,
     m: int,
@@ -64,28 +83,17 @@ def extract_code(
     """The sliding block code of lambda_u o phi^m on the diagonal.
 
     Requires that the composite commutes with the shift (checked exactly;
-    the caller's m is too small otherwise).  The local rule is the owner
-    table of the level-1 cylinders, minimized, and it is checked against the
-    owner table at `verify_depth`.  With certify=True the result must admit
-    an E_n certificate within the window budget.
+    the caller's m is too small otherwise).  The code is `read_code` of the
+    composite, checked at `verify_depth`.  With certify=True the result must
+    admit an E_n certificate within the window budget.
     """
-    n = e.n
     if m < 0:
         raise ValueError("m must be nonnegative")
-    rot = U.shift_power_unitary(n, m)
-    comp = E.endomorphism(E.convolution(e.unitary, rot))
+    comp = e if m == 0 else E.endomorphism(e.convolve(U.shift_power_unitary(e.n, m)))
     if not E.commutes_with_shift_on_diagonal(comp):
         raise ValueError("lambda_u phi^m does not commute with the shift; m too small")
-    # lambda(P_j) is the set of windows whose owner is j: that is the rule
-    level, owner = comp.cylinder_owners(1)
-    code = C.minimize(SlidingBlockCode(n, level, tuple(j + 1 for j in owner)))
-    # both sides read level-`depth` cylinders through one table each
     depth = verify_depth if verify_depth is not None else e.unitary.level + m + 2
-    level, owner = comp.cylinder_owners(depth)
-    length = depth + code.radius - 1
-    top = max(level, length)
-    if W.lift_table(owner, n, top) != W.lift_table(code.output_ranks(length), n, top):
-        raise AssertionError("extracted rule disagrees with the endomorphism")
+    code = read_code(comp, depth)
     if certify:
         radius = max(comp.unitary.level, 1)
         window = 2 * radius + 2 * m + 2

@@ -240,30 +240,24 @@ def en_inverse_search(
     return None
 
 
-def automorphism_window(c: SlidingBlockCode) -> Optional[int]:
-    """The least s at which F(x)_1 ... F(x)_s determines x_1, or None if F_c is
-    not injective (an injective F_c is an automorphism of the one-sided shift).
+def pair_graph_height(n: int, step: Sequence, starts) -> Optional[int]:
+    """Longest path from a start pair in the pair graph of a transducer, or
+    None if a cycle is reachable from one.
 
-    Decided on the pair graph of c, padded to radius r >= 2: a node is a pair
-    of states (the last r - 1 letters read), an edge reads one letter on each
-    side with equal output letters, and the start pairs are those whose first
-    letters differ.  F_c is injective iff no cycle is reachable from a start
-    pair; then the longest path from one, plus one, is the window.
+    step[p n + a] = (emitted letter, next state) for state p and input letter
+    a.  A node is a pair of states, and an edge reads one letter on each side
+    with equal emitted letters.  An infinite path from a start pair is two
+    inputs with one output; the graph is finite, so there is one exactly when
+    a cycle is reachable.
     """
-    c = pad(c, max(c.radius, 2))
-    n = c.n
-    states = _check_capacity(n, c.radius - 1)
-    _check_capacity(n, 2 * c.radius - 2)  # the pair graph's nodes
-    head = states // n
-    starts = [(p, q) for p in range(states) for q in range(states) if p // head != q // head]
     succ, todo = {}, list(starts)
     while todo:
         p, q = node = todo.pop()
         if node not in succ:
             succ[node] = [
-                ((p * n + a) % states, (q * n + b) % states)
-                for a, x in enumerate(c.rule[p * n : p * n + n])
-                for b, y in enumerate(c.rule[q * n : q * n + n])
+                (s, t)
+                for x, s in step[p * n : p * n + n]
+                for y, t in step[q * n : q * n + n]
                 if x == y
             ]
             todo += succ[node]
@@ -282,7 +276,27 @@ def automorphism_window(c: SlidingBlockCode) -> Optional[int]:
     height = {}
     for node in reversed(order):
         height[node] = max((height[nxt] + 1 for nxt in succ[node]), default=0)
-    return 1 + max(height[node] for node in starts)
+    return max((height[node] for node in starts), default=0)
+
+
+def automorphism_window(c: SlidingBlockCode) -> Optional[int]:
+    """The least s at which F(x)_1 ... F(x)_s determines x_1, or None if F_c is
+    not injective (an injective F_c is an automorphism of the one-sided shift).
+
+    Decided on the pair graph of c, padded to radius r >= 2: the state is the
+    last r - 1 letters read, and the start pairs are those whose first
+    letters differ.  F_c is injective iff no cycle is reachable from a start
+    pair; then the longest path from one, plus one, is the window.
+    """
+    c = pad(c, max(c.radius, 2))
+    n = c.n
+    states = _check_capacity(n, c.radius - 1)
+    _check_capacity(n, 2 * c.radius - 2)  # the pair graph's nodes
+    head = states // n
+    starts = [(p, q) for p in range(states) for q in range(states) if p // head != q // head]
+    step = [(x, w % states) for w, x in enumerate(c.rule)]
+    height = pair_graph_height(n, step, starts)
+    return None if height is None else height + 1
 
 
 def one_sided_automorphism_check(c: SlidingBlockCode) -> Optional[SlidingBlockCode]:

@@ -19,7 +19,12 @@ permutative inverse v exactly when lambda_u(v) = u^*, and then v is
 u_s^* u^* u_s for every s >= level(v).  So at budget b, "automorphism" is the
 verdict on exactly the automorphisms of O_n whose inverse has level <= b,
 and on the shift automorphisms that the degree route finds an inverse code
-for.
+for.  The stages run in this order: the levels s <= level(u), then the
+collision test on T_u, then the levels up to b, then the degree route.  A
+permutative inverse v gives T_u o T_v = T_v o T_u = id on points, so when
+T_u collides (`point_map_is_injective` is false, decided on the pair graph of
+T_u) no level can return and certification goes straight to the degree
+route.
 
 The workhorse `agree_on_diagonal` decides exactly whether two permutative
 endomorphisms have the same restriction to the diagonal: the restrictions
@@ -33,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from . import codes as C
 from . import unitaries as U
 from . import words as W
 from .unitaries import PermutationUnitary
@@ -123,6 +129,20 @@ def point_map(e: PermutativeEndomorphism) -> tuple:
     return tail, [divmod(s, tail) for s in src]
 
 
+def point_map_is_injective(e: PermutativeEndomorphism) -> bool:
+    """Is T_u injective?  Exact, on the pair graph of T_u.
+
+    Two points with one image either start from distinct states or reach a
+    pair of distinct states when they first read different letters (u^{-1}
+    permutes the windows, so equal emitted letters leave distinct rests).
+    Every pair of states is a start, so T_u collides iff a cycle is reachable
+    from a pair of distinct states.
+    """
+    tail, step = point_map(e)
+    starts = [(p, q) for p in range(tail) for q in range(tail) if p != q]
+    return C.pair_graph_height(e.n, step, starts) is not None
+
+
 def _lag_pairs(n: int, tail: int, step: list, pairs: set) -> set:
     """R_{d+1} from R_d.
 
@@ -210,11 +230,12 @@ def is_identity_on_diagonal(u: PermutationUnitary) -> bool:
 
 
 def commutes_with_shift_on_diagonal(e: PermutativeEndomorphism) -> bool:
-    """Does lambda_u commute with the canonical shift on the diagonal?"""
+    """Does lambda_u commute with the canonical shift on the diagonal?
+
+    lambda_theta is phi, so convolution(theta, u) is phi(u) theta.
+    """
     theta = U.flip_unitary(e.n)
-    return agree_on_diagonal(
-        convolution(e.unitary, theta), convolution(theta, e.unitary)
-    )
+    return agree_on_diagonal(e.convolve(theta), U.multiply(U.phi_shift(e.unitary), theta))
 
 
 def phi_commutation_identity(v: PermutationUnitary) -> bool:
@@ -273,34 +294,40 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
     first s <= budget with level(w_s) <= s gives the inverse, and there is
     one exactly when lambda_u is an automorphism whose inverse has level
     <= budget; both convolution compositions are still checked to be the
-    identity.  Otherwise, in the shift-commuting case, a degree greater than
-    one is an exact proof of non-injectivity of the induced point map, and a
-    degree of one with an inverse code found within the window certifies a
-    shift automorphism whose inverse lies beyond the budget.  Everything
-    else is Unknown at the given budget.
+    identity.  Before the levels s > level(u), the largest ones, the point
+    map T_u is tested for injectivity: a permutative inverse v makes T_u o T_v
+    the identity on points, so a colliding T_u has none, and the remaining
+    levels are skipped without changing the verdict.  Otherwise, in the
+    shift-commuting case, a degree greater than one is an exact proof of
+    non-injectivity of the induced point map, and a degree of one with an
+    inverse code found within the window certifies a shift automorphism whose
+    inverse lies beyond the budget.  Everything else is Unknown at the given
+    budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     u = e.unitary
     u_star = U.inverse(u)
     for s in range(1, budget + 1):
+        if s == u.level + 1 and not point_map_is_injective(e):
+            break
         us = e.u_k(s)
         w = U.reduce(U.multiply(U.multiply(U.inverse(us), u_star), us))
         if w.level <= s:
             if is_identity_on_diagonal(convolution(w, u)) and is_identity_on_diagonal(
-                convolution(u, w)
+                e.convolve(w)
             ):
                 return AutomorphismVerdict("automorphism", inverse=w)
             raise AssertionError("the direct inverse fails verification")
     if commutes_with_shift_on_diagonal(e):
-        from . import bridge, codes
+        from . import bridge
 
-        code = bridge.extract_code(e, 0, verify_depth=u.level + 2, certify=False)
+        code = bridge.read_code(e, u.level + 2)
         window = max(budget, 2 * max(code.radius, 1))
-        found = codes.en_inverse_search(code, budget, window)
+        found = C.en_inverse_search(code, budget, window)
         if found is not None:
             beta, m = found
-            deg = codes.degree(code, beta, m)
+            deg = C.degree(code, beta, m)
             if deg > 1:
                 return AutomorphismVerdict("not_automorphism", degree=deg)
             # degree one: F_code is injective, and any m > 0 would need a
@@ -308,7 +335,7 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
             # inverse of a one-sided shift automorphism.  Lift it.
             v = bridge.unitary_from_shift_automorphism(beta)
             if is_identity_on_diagonal(convolution(v, u)) and is_identity_on_diagonal(
-                convolution(u, v)
+                e.convolve(v)
             ):
                 return AutomorphismVerdict("automorphism", inverse=v)
     return AutomorphismVerdict("unknown", budget=budget)

@@ -6,6 +6,8 @@ are byte-stable.
 """
 from __future__ import annotations
 
+import functools
+import json
 import math
 from fractions import Fraction
 
@@ -17,6 +19,23 @@ from .codes import SlidingBlockCode
 from .endo import AutomorphismVerdict
 from .unitaries import PermutationUnitary
 from .words import DiagonalElement
+
+
+@functools.lru_cache(maxsize=32)
+def _names(n: int, level: int) -> tuple:
+    """The digit strings of the words of W_n^level, in rank order."""
+    names = [""]
+    digits = [str(d) for d in range(1, n + 1)]
+    for _ in range(level):
+        names = [w + d for w in names for d in digits]
+    return tuple(names)
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; floats, bools and strings are refused, not coerced."""
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, not %s" % (what, json.dumps(value)))
+    return value
 
 
 def diag_to_dict(x: DiagonalElement) -> dict:
@@ -31,9 +50,7 @@ def diag_to_dict(x: DiagonalElement) -> dict:
         "n": x.n,
         "level": x.level,
         "coeffs": {
-            W.format_word(W.word_unrank(r, x.n, x.level)): str(c)
-            for r, c in enumerate(x.coeffs)
-            if c
+            name: str(c) for name, c in zip(_names(x.n, x.level), x.coeffs) if c
         },
     }
 
@@ -56,16 +73,16 @@ def _rational(value) -> Fraction:
 
 
 def diag_from_dict(data: dict) -> DiagonalElement:
-    n = int(data["n"])
+    n = _integer(data["n"], "n")
     if "support" in data:
         words = [W.parse_word(s, n) for s in data["support"]]
-        level = int(data.get("level", len(words[0]) if words else 0))
+        level = _integer(data.get("level", len(words[0]) if words else 0), "level")
         if level < 0:
             raise ValueError("level must be nonnegative")
         if words and level != len(words[0]):
             raise ValueError("support words do not match the stated level")
         return W.projection(n, words) if words else W.zero(n)
-    level = int(data["level"])
+    level = _integer(data["level"], "level")
     coeffs = [Fraction(0)] * _check_capacity(n, level)
     for text, value in _table(data, "coeffs").items():
         word = W.parse_word(text, n)
@@ -77,22 +94,17 @@ def diag_from_dict(data: dict) -> DiagonalElement:
 
 def unitary_to_dict(u: PermutationUnitary) -> dict:
     u = U.reduce(u)
+    names = _names(u.n, u.level)
     return {
         "n": u.n,
         "level": u.level,
-        "map": [
-            [
-                W.format_word(W.word_unrank(src, u.n, u.level)),
-                W.format_word(W.word_unrank(dst, u.n, u.level)),
-            ]
-            for src, dst in enumerate(u.ranks)
-        ],
+        "map": [[names[src], names[dst]] for src, dst in enumerate(u.ranks)],
     }
 
 
 def unitary_from_dict(data: dict) -> PermutationUnitary:
-    n = int(data["n"])
-    level = int(data["level"])
+    n = _integer(data["n"], "n")
+    level = _integer(data["level"], "level")
     mapping = {}
     for src, dst in data["map"]:
         key = W.parse_word(src, n)
@@ -107,16 +119,13 @@ def code_to_dict(c: SlidingBlockCode) -> dict:
     return {
         "n": c.n,
         "radius": c.radius,
-        "rule": {
-            W.format_word(w): c.rule[i]
-            for i, w in enumerate(W.enumerate_words(c.n, c.radius))
-        },
+        "rule": dict(zip(_names(c.n, c.radius), c.rule)),
     }
 
 
 def code_from_dict(data: dict) -> SlidingBlockCode:
-    n = int(data["n"])
-    radius = int(data["radius"])
+    n = _integer(data["n"], "n")
+    radius = _integer(data["radius"], "radius")
     rule = [0] * _check_capacity(n, radius)
     entries = _table(data, "rule")
     if len(entries) != n**radius:
@@ -125,7 +134,7 @@ def code_from_dict(data: dict) -> SlidingBlockCode:
         word = W.parse_word(text, n)
         if len(word) != radius:
             raise ValueError("window %r does not have the stated radius" % text)
-        rule[W.word_rank(word, n)] = int(letter)
+        rule[W.word_rank(word, n)] = _integer(letter, "rule letter")
     return SlidingBlockCode(n, radius, tuple(rule))
 
 

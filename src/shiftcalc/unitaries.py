@@ -88,8 +88,10 @@ def embed(u: PermutationUnitary, level: int) -> PermutationUnitary:
     if level == u.level:
         return u
     tail = _check_capacity(u.n, level) // len(u.ranks)
-    ranks = tuple(q * tail + s for q in u.ranks for s in range(tail))
-    return _trusted(u.n, level, ranks)
+    ranks = []
+    for q in u.ranks:
+        ranks.extend(range(q * tail, q * tail + tail))
+    return _trusted(u.n, level, tuple(ranks))
 
 
 def reduce(u: PermutationUnitary) -> PermutationUnitary:
@@ -113,17 +115,16 @@ def reduce(u: PermutationUnitary) -> PermutationUnitary:
     return _trusted(n, level, ranks)
 
 
-def _common(u: PermutationUnitary, v: PermutationUnitary):
+def multiply(u: PermutationUnitary, v: PermutationUnitary) -> PermutationUnitary:
+    """Product unitary u v; its permutation is sigma_u o sigma_v, a gather of
+    u's ranks through v's after the lower-level operand is embedded."""
     if u.n != v.n:
         raise ValueError("alphabet sizes differ")
-    level = max(u.level, v.level)
-    return embed(u, level), embed(v, level)
-
-
-def multiply(u: PermutationUnitary, v: PermutationUnitary) -> PermutationUnitary:
-    """Product unitary u v; its permutation is sigma_u o sigma_v."""
-    a, b = _common(u, v)
-    return _trusted(a.n, a.level, tuple(a.ranks[r] for r in b.ranks))
+    if u.level < v.level:
+        u = embed(u, v.level)
+    elif v.level < u.level:
+        v = embed(v, u.level)
+    return _trusted(u.n, u.level, tuple(map(u.ranks.__getitem__, v.ranks)))
 
 
 def inverse(u: PermutationUnitary) -> PermutationUnitary:
@@ -140,9 +141,11 @@ def phi_shift(u: PermutationUnitary, j: int = 1) -> PermutationUnitary:
     if j == 0:
         return u
     block = len(u.ranks)
-    copies = _check_capacity(u.n, u.level + j) // block
-    ranks = tuple(g * block + r for g in range(copies) for r in u.ranks)
-    return _trusted(u.n, u.level + j, ranks)
+    size = _check_capacity(u.n, u.level + j)
+    ranks = []
+    for g in range(0, size, block):
+        ranks.extend(map(g.__add__, u.ranks))
+    return _trusted(u.n, u.level + j, tuple(ranks))
 
 
 def u_k_product(u: PermutationUnitary, k: int) -> PermutationUnitary:

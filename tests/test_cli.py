@@ -196,6 +196,33 @@ def test_malformed_diagonal_is_an_input_error(runner, tmp_path, diag):
     assert len(result.stderr.splitlines()) == 1
 
 
+FLIP = {"n": 2, "level": 2, "map": [["11", "11"], ["12", "21"], ["21", "12"], ["22", "22"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["certify", "{doc}"], {"n": 2.9, "level": 1.5, "map": [["1", "2"], ["2", "1"]]}),
+        (["certify", "{doc}"], {"n": 2, "level": True, "map": [["1", "2"], ["2", "1"]]}),
+        (["orbits", "--code", "{doc}", "--r", "2"], {"n": 2, "radius": 1, "rule": {"1": 2.7, "2": 1}}),
+        (["orbits", "--code", "{doc}", "--r", "2"], {"n": 2, "radius": 1, "rule": {"1": True, "2": 2}}),
+        (["orbits", "--code", "{doc}", "--r", "2"], {"n": 2, "radius": 1.0, "rule": {"1": 2, "2": 1}}),
+        (["apply", "{flip}", "{doc}"], {"n": 2, "level": 1.0, "coeffs": {"1": "1/2"}}),
+        (["apply", "{flip}", "{doc}"], {"n": "2", "level": 1, "support": ["1"]}),
+    ],
+    ids=[
+        "float-n-and-level", "bool-level", "float-letter", "bool-letter", "float-radius",
+        "float-diag-level", "string-n",
+    ],
+)
+def test_numbers_must_be_json_integers(runner, tmp_path, argv, doc):
+    files = {"doc": write(tmp_path / "doc.json", doc), "flip": write(tmp_path / "u.json", FLIP)}
+    result = runner.invoke(main, [arg.format(**files) for arg in argv])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("input error:") and "must be an integer" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+
+
 # --- fuzzing: every subcommand is total on small documents -----------------
 
 # Bounded scalars only: a large n or level would ask for a huge table.

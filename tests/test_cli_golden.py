@@ -33,6 +33,10 @@ INPUTS = {
             U.letter_permutation(2, (2, 1)),
         )
     ),
+    # its point map collides, and it does not commute with the shift
+    "collision_u": lambda: jsonio.unitary_to_dict(
+        U.PermutationUnitary(3, 2, (1, 5, 6, 0, 8, 4, 7, 2, 3))
+    ),
     "kitchens_c": lambda: jsonio.code_to_dict(C.kitchens_code()),
     "shift3_c": lambda: jsonio.code_to_dict(C.shift_code(3)),
     "kitchens_shift2_c": lambda: jsonio.code_to_dict(
@@ -51,6 +55,7 @@ CASES = {
     "certify_kitchens": ["certify", "{kitchens_u}"],
     "certify_flip": ["certify", "{flip_u}"],
     "certify_ad_swap": ["certify", "{ad_swap_u}"],
+    "certify_collision_unknown": ["certify", "{collision_u}"],
     "compose_unitaries": ["compose", "{kitchens_u}", "{swap_u}"],
     "compose_codes": ["compose", "{kitchens_c}", "{shift3_c}"],
     "apply_unitary": ["apply", "{kitchens_u}", "{x}"],

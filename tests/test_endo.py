@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from shiftcalc import bridge as B
+from shiftcalc import codes as C
 from shiftcalc import endo as E
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
@@ -130,6 +132,9 @@ def test_convolve_matches_the_composition_formula():
             for w in pool:
                 assert e.convolve(w) == convolution_reference(u, w)
                 assert E.convolution(u, w) == convolution_reference(u, w)
+            # lambda_theta is phi
+            theta = U.flip_unitary(n)
+            assert U.multiply(U.phi_shift(u), theta) == convolution_reference(theta, u)
 
 
 def test_is_in_ign_matches_the_unfiltered_search():
@@ -583,3 +588,96 @@ def test_a_wrong_reduction_verdict_is_caught(monkeypatch):
     monkeypatch.setattr(U.PermutationUnitary, "is_identity", lambda self: True)
     with pytest.raises(AssertionError, match="reduction and cylinder tests disagree"):
         E.is_identity_on_diagonal(U.flip_unitary(2))
+
+
+def certify_ungated(e, budget):
+    """The certification loop with no collision test: every level s <= budget,
+    then the degree route, with cocycles built afresh for every convolution."""
+    u = e.unitary
+    u_star = U.inverse(u)
+    for s in range(1, budget + 1):
+        us = e.u_k(s)
+        w = U.reduce(U.multiply(U.multiply(U.inverse(us), u_star), us))
+        if w.level <= s:
+            both = (E.convolution(w, u), E.convolution(u, w))
+            if all(map(E.is_identity_on_diagonal, both)):
+                return E.AutomorphismVerdict("automorphism", inverse=w)
+            raise AssertionError("the direct inverse fails verification")
+    if E.commutes_with_shift_on_diagonal(e):
+        code = B.extract_code(e, 0, verify_depth=u.level + 2, certify=False)
+        window = max(budget, 2 * max(code.radius, 1))
+        found = C.en_inverse_search(code, budget, window)
+        if found is not None:
+            beta, m = found
+            deg = C.degree(code, beta, m)
+            if deg > 1:
+                return E.AutomorphismVerdict("not_automorphism", degree=deg)
+            v = B.unitary_from_shift_automorphism(beta)
+            both = (E.convolution(v, u), E.convolution(u, v))
+            if all(map(E.is_identity_on_diagonal, both)):
+                return E.AutomorphismVerdict("automorphism", inverse=v)
+    return E.AutomorphismVerdict("unknown", budget=budget)
+
+
+def test_point_map_injectivity_census():
+    # T_u is a bijection for 8 of P_2^2 and 384 of P_2^3; level <= 1 always
+    for n, level, injective in ((2, 1, 2), (3, 1, 6), (2, 2, 8), (2, 3, 384)):
+        count = sum(
+            E.point_map_is_injective(E.endomorphism(u)) for u in U.all_unitaries(n, level)
+        )
+        assert count == injective
+
+
+def test_point_map_collisions_are_two_points_with_one_image():
+    # at level 2 the start state is the first letter, so a colliding T_u maps
+    # two points that differ in their first letter to one image, and so two
+    # words, once they are long enough; an injective one never does
+    for u in U.all_unitaries(2, 2):
+        e = E.endomorphism(u)
+        images = {}
+        for z in itertools.product(range(2), repeat=7):
+            images.setdefault(run_point_map(e, z), set()).add(z[0])
+        merged = any(len(firsts) > 1 for firsts in images.values())
+        assert merged != E.point_map_is_injective(e)
+
+
+def test_the_collision_gate_keeps_every_verdict():
+    budget = 5
+    for cases, automorphisms in (
+        (certify_census(), 84),
+        (map(E.endomorphism, U.all_unitaries(2, 3)), 48),
+    ):
+        found = 0
+        for e in cases:
+            verdict = E.certify_automorphism(e, budget)
+            assert verdict == certify_ungated(E.endomorphism(e.unitary), budget)
+            if verdict.verdict == "automorphism":
+                assert E.point_map_is_injective(e)
+                found += 1
+        assert found == automorphisms
+
+
+def counted(monkeypatch, name):
+    """Count the calls of endo.<name> made through the module."""
+    calls = []
+    fn = getattr(E, name)
+    monkeypatch.setattr(E, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_certify_builds_no_cocycle_past_the_verification_depth(monkeypatch):
+    # a refutation: T_u collides, so no level above level(u) is tried, and the
+    # degree route reads the code off e without a second commutation test
+    pi, pi2 = U.letter_permutation(3, (2, 3, 1)), U.letter_permutation(3, (2, 1, 3))
+    u = E.convolution(E.convolution(pi, U.shift_power_unitary(3, 2)), pi2)
+    e = E.endomorphism(u)
+    agree = counted(monkeypatch, "agree_on_diagonal")
+    collision_tests = counted(monkeypatch, "point_map_is_injective")
+    verdict = E.certify_automorphism(e, budget=8)
+    assert verdict == E.AutomorphismVerdict("not_automorphism", degree=9)
+    assert max(e._uk) <= e.unitary.level + 2
+    assert len(agree) == len(collision_tests) == 1
+    # an inverse found at s <= level(u) needs no collision test
+    verdict = E.certify_automorphism(E.endomorphism(U.kitchens_unitary()), budget=8)
+    assert verdict.inverse == U.kitchens_unitary()
+    assert len(collision_tests) == 1
