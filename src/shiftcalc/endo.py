@@ -73,13 +73,16 @@ class PermutativeEndomorphism:
         return self.unitary.n
 
     def u_k(self, k: int) -> PermutationUnitary:
-        """The cocycle product u_k, cached, built as u_{k-1} phi^{k-1}(u)."""
+        """The cocycle product u_k, cached, built as u phi(u_{k-1}).
+
+        Shifting the larger factor and embedding the smaller one copies long
+        runs, where u_{k-1} phi^{k-1}(u) would embed u_{k-1} rank by rank.
+        """
         if k not in self._uk:
             if k <= 1:
                 self._uk[k] = U.u_k_product(self.unitary, k)
             else:
-                tail = U.phi_shift(self.unitary, k - 1)
-                self._uk[k] = U.multiply(self.u_k(k - 1), tail)
+                self._uk[k] = U.multiply(self.unitary, U.phi_shift(self.u_k(k - 1), 1))
         return self._uk[k]
 
     def convolve(self, w: PermutationUnitary) -> PermutationUnitary:
@@ -143,14 +146,23 @@ def point_map_is_injective(e: PermutativeEndomorphism) -> bool:
     return C.pair_graph_height(e.n, step, starts) is not None
 
 
-def _lag_pairs(n: int, tail: int, step: list, pairs: set) -> set:
-    """R_{d+1} from R_d.
+def _pair_moves(n: int, tail: int, step: list) -> list:
+    """Per letter a, the lists (nxt, shift) that step pairs of states of T_u.
 
     R_d holds the pairs (p, q) with p the state of T_u after d letters of z
     and q the state T_u starts from on sigma^d z, the last level(u) - 1
-    letters read; from there on both runs read the same input.
+    letters read; from there on both runs read the same input.  On the letter
+    a, T_u goes from p to nxt[p] and the window goes from q to shift[q].
     """
-    return {(step[p * n + a][1], (q * n + a) % tail) for p, q in pairs for a in range(n)}
+    return [
+        ([step[p * n + a][1] for p in range(tail)], [(q * n + a) % tail for q in range(tail)])
+        for a in range(n)
+    ]
+
+
+def _lag_pairs(moves: list, pairs: set) -> set:
+    """R_{d+1} from R_d."""
+    return {(nxt[p], shift[q]) for p, q in pairs for nxt, shift in moves}
 
 
 def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElement:
@@ -259,10 +271,11 @@ def is_in_ign(e: PermutativeEndomorphism, max_k: int) -> Optional[int]:
     """
     n = e.n
     tail, step = point_map(e)
+    moves = _pair_moves(n, tail, step)
     pairs = {(s, s) for s in range(tail)}
     for k in range(max_k + 1):
         if k:
-            pairs = _lag_pairs(n, tail, step, pairs)
+            pairs = _lag_pairs(moves, pairs)
         # necessary condition, cheap: lambda_u fixes phi^k(P_i) for every
         # letter i, that is T_u(z)_{k+1} = z_{k+1} from every pair of R_k
         if any(
@@ -358,19 +371,17 @@ def property_p_data(
     window = m_upper + e.unitary.level + 1
     n = e.n
     tail, step = point_map(e)
+    moves = _pair_moves(n, tail, step)
     lags = [{(s, s) for s in range(tail)}]
     for _ in range(window):
-        lags.append(_lag_pairs(n, tail, step, lags[-1]))
+        lags.append(_lag_pairs(moves, lags[-1]))
+    emitted = [tuple(step[p * n + a][0] for a in range(n)) for p in range(tail)]
 
     def holds(m: int) -> bool:
         pairs = set().union(*lags[: window - m + 1])
         for _ in range(m):
-            pairs = {
-                (step[p * n + a][1], step[q * n + a][1]) for p, q in pairs for a in range(n)
-            }
-        return all(
-            step[p * n + a][0] == step[q * n + a][0] for p, q in pairs for a in range(n)
-        )
+            pairs = {(nxt[p], nxt[q]) for p, q in pairs for nxt, _ in moves}
+        return all(emitted[p] == emitted[q] for p, q in pairs)
 
     if not holds(m_upper):
         raise ValueError("inverse certificate violates the guaranteed property-(P) bound")
