@@ -14,23 +14,19 @@ from . import capacity
 from . import codes as C
 from . import endo as E
 from . import unitaries as U
-from . import words as W
 from .codes import SlidingBlockCode
 from .endo import PermutativeEndomorphism
 from .unitaries import PermutationUnitary
 
 
-def unitary_from_shift_automorphism(
-    c: SlidingBlockCode, verify_depth: int = 0
-) -> PermutationUnitary:
+def unitary_from_shift_automorphism(c: SlidingBlockCode) -> PermutationUnitary:
     """The permutation unitary u with lambda_u = alpha on the diagonal.
 
     `c` must be (certified as) an automorphism of the one-sided shift.  The
     construction keeps the tail: u^* sends the window h t (t of length r - 1)
     to rule(h t) t, so T_u = F_c.  That is a permutation exactly when c is
-    tail-bijective, which every automorphism is.  u fixes the shifted
-    diagonal, so lambda_u = alpha at every depth once the owner table of
-    the level-1 cylinders is the rule, which is checked exactly.
+    tail-bijective, which every automorphism is.  T_u = F_c is checked
+    exactly, on the two transducers.
     """
     n, r = c.n, c.radius
     tails = n ** (r - 1)
@@ -41,59 +37,44 @@ def unitary_from_shift_automorphism(
             "rule is not tail-bijective; input is not a certified shift automorphism"
         )
     u = U.inverse(PermutationUnitary(n, r, star))
-    e = E.endomorphism(u)
-    level, owner = e.cylinder_owners(1)
-    top = max(level, r)
-    if W.lift_table(owner, n, top) != W.lift_table(tuple(j - 1 for j in c.rule), n, top):
-        raise AssertionError("constructed unitary misses a level-1 image")
-
-    if verify_depth:
-        for w in W.enumerate_words(n, verify_depth):
-            p = W.cylinder(n, w)
-            if E.apply_diag(e, p) != C.code_apply_diag(c, p):
-                raise AssertionError("roundtrip mismatch at depth %d" % verify_depth)
+    tail, step = E.PermutativeEndomorphism(u).point_map
+    if not E.transducers_agree(n, step, C.transducer(c), [(p, p) for p in range(tail)]):
+        raise AssertionError("constructed unitary disagrees with the code")
     return U.reduce(u)
 
 
-def read_code(e: PermutativeEndomorphism, depth: int) -> SlidingBlockCode:
+def read_code(e: PermutativeEndomorphism) -> SlidingBlockCode:
     """The sliding block code of a lambda_u known to commute with the shift.
 
     The local rule is the owner table of the level-1 cylinders, minimized,
-    and it is checked against the owner table at `depth`.
+    checked exactly: padded to radius level(u), the code's transducer runs in
+    lockstep with T_u from every pair (p, p).
     """
     n = e.n
     # lambda(P_j) is the set of windows whose owner is j: that is the rule
     level, owner = e.cylinder_owners(1)
     code = C.minimize(SlidingBlockCode(n, level, tuple(j + 1 for j in owner)))
-    # both sides read level-`depth` cylinders through one table each
-    level, owner = e.cylinder_owners(depth)
-    length = depth + code.radius - 1
-    top = max(level, length)
-    if W.lift_table(owner, n, top) != W.lift_table(code.output_ranks(length), n, top):
+    tail, step = e.point_map
+    padded = C.transducer(C.pad(code, max(e.unitary.level, 1)))
+    if not E.transducers_agree(n, step, padded, [(p, p) for p in range(tail)]):
         raise AssertionError("extracted rule disagrees with the endomorphism")
     return code
 
 
-def extract_code(
-    e: PermutativeEndomorphism,
-    m: int,
-    verify_depth: Optional[int] = None,
-    certify: bool = True,
-) -> SlidingBlockCode:
+def extract_code(e: PermutativeEndomorphism, m: int, certify: bool = True) -> SlidingBlockCode:
     """The sliding block code of lambda_u o phi^m on the diagonal.
 
     Requires that the composite commutes with the shift (checked exactly;
     the caller's m is too small otherwise).  The code is `read_code` of the
-    composite, checked at `verify_depth`.  With certify=True the result must
-    admit an E_n certificate within the window budget.
+    composite.  With certify=True the result must admit an E_n certificate
+    within the window budget.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     comp = e if m == 0 else E.endomorphism(e.convolve(U.shift_power_unitary(e.n, m)))
     if not E.commutes_with_shift_on_diagonal(comp):
         raise ValueError("lambda_u phi^m does not commute with the shift; m too small")
-    depth = verify_depth if verify_depth is not None else e.unitary.level + m + 2
-    code = read_code(comp, depth)
+    code = read_code(comp)
     if certify:
         radius = max(comp.unitary.level, 1)
         window = 2 * radius + 2 * m + 2

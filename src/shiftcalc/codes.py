@@ -240,6 +240,13 @@ def en_inverse_search(
     return None
 
 
+def transducer(c: SlidingBlockCode) -> list:
+    """F_c as a transducer over 0-based letters, its state the last r - 1
+    letters read: step[p n + a] = (rule(p a) - 1, the last r - 1 of p a)."""
+    states = len(c.rule) // c.n
+    return [(x - 1, w % states) for w, x in enumerate(c.rule)]
+
+
 def pair_graph_height(n: int, step: Sequence, starts) -> Optional[int]:
     """Longest path from a start pair in the pair graph of a transducer, or
     None if a cycle is reachable from one.
@@ -248,34 +255,29 @@ def pair_graph_height(n: int, step: Sequence, starts) -> Optional[int]:
     a.  A node is a pair of states, and an edge reads one letter on each side
     with equal emitted letters.  An infinite path from a start pair is two
     inputs with one output; the graph is finite, so there is one exactly when
-    a cycle is reachable.
+    a cycle is reachable.  One depth-first search: a node met again while
+    on the current path closes a cycle, and heights are set in post-order.
     """
-    succ, todo = {}, list(starts)
-    while todo:
-        p, q = node = todo.pop()
-        if node not in succ:
+    height, succ, on_path = {}, {}, set()
+    stack = [(node, False) for node in starts]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            on_path.remove(node)
+            height[node] = max((height[nxt] + 1 for nxt in succ.pop(node)), default=0)
+        elif node not in height:
+            if node in on_path:
+                return None
+            p, q = node
             succ[node] = [
                 (s, t)
                 for x, s in step[p * n : p * n + n]
                 for y, t in step[q * n : q * n + n]
                 if x == y
             ]
-            todo += succ[node]
-    # topological order of the reachable nodes; one left out lies on a cycle
-    indegree = dict.fromkeys(succ, 0)
-    for nxt in itertools.chain(*succ.values()):
-        indegree[nxt] += 1
-    order = [node for node in succ if not indegree[node]]
-    for node in order:
-        for nxt in succ[node]:
-            indegree[nxt] -= 1
-            if not indegree[nxt]:
-                order.append(nxt)
-    if len(order) < len(succ):
-        return None
-    height = {}
-    for node in reversed(order):
-        height[node] = max((height[nxt] + 1 for nxt in succ[node]), default=0)
+            on_path.add(node)
+            stack.append((node, True))
+            stack += [(nxt, False) for nxt in succ[node]]
     return max((height[node] for node in starts), default=0)
 
 
@@ -294,8 +296,7 @@ def automorphism_window(c: SlidingBlockCode) -> Optional[int]:
     _check_capacity(n, 2 * c.radius - 2)  # the pair graph's nodes
     head = states // n
     starts = [(p, q) for p in range(states) for q in range(states) if p // head != q // head]
-    step = [(x, w % states) for w, x in enumerate(c.rule)]
-    height = pair_graph_height(n, step, starts)
+    height = pair_graph_height(n, transducer(c), starts)
     return None if height is None else height + 1
 
 

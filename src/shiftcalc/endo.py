@@ -9,10 +9,14 @@ statement about finite permutations.
 On the diagonal lambda_u(x) = x o T_u for a homeomorphism T_u of the
 one-sided n-shift, read at level k off one owner table over ranks:
 lambda_u(x)[q] = x[owner[q]], with owner[q] the first k letters of T_u(q).
-T_u is also a finite transducer (`point_map`) whose state is the last
-level(u) - 1 letters read.  Property (P) and the cheap filter of `is_in_ign`
-compare T_u(z) with T_u(sigma^d z), so both are decided on the pairs of
-states the two runs can be in after d letters, never on cylinders.
+T_u is also a finite transducer (`point_map`, cached) whose state is the
+last level(u) - 1 letters read.  So every equality on the diagonal is an
+equality of transducers, decided by running two of them in lockstep on one
+input (`transducers_agree`): T_a against T_b (`agree_on_diagonal`), T_u
+against itself one letter later (`commutes_with_shift_on_diagonal`),
+against the identity k letters later (`is_in_ign`) and against a code
+(`bridge.read_code`).  Property (P) compares T_u(z) with T_u(sigma^d z) on
+the same pairs of states.  None of them builds a cocycle product.
 
 Certification builds the inverse by algebra, not by search: lambda_u has a
 permutative inverse v exactly when lambda_u(v) = u^*, and then v is
@@ -25,17 +29,11 @@ permutative inverse v gives T_u o T_v = T_v o T_u = id on points, so when
 T_u collides (`point_map_is_injective` is false, decided on the pair graph of
 T_u) no level can return and certification goes straight to the degree
 route.
-
-The workhorse `agree_on_diagonal` decides exactly whether two permutative
-endomorphisms have the same restriction to the diagonal: the restrictions
-agree iff for every k the unitary b_k^* a_k fixes the first k letters of
-every word, and that infinite family of conditions closes up into a finite
-search over tail-block permutations (the blocks live at one fixed level, so
-the reachable set is finite and memoizable).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from . import codes as C
@@ -61,8 +59,8 @@ def ad_unitary(w: PermutationUnitary) -> PermutationUnitary:
 
 @dataclass(frozen=True)
 class PermutativeEndomorphism:
-    """lambda_u for a permutation unitary u, with cached cocycle products
-    and owner tables."""
+    """lambda_u for a permutation unitary u, with cached cocycle products,
+    owner tables and point maps."""
 
     unitary: PermutationUnitary
     _uk: dict = field(default_factory=dict, compare=False, repr=False)
@@ -113,23 +111,19 @@ class PermutativeEndomorphism:
             self._owners[k] = W.strip_table(tuple(owner), self.n, top)
         return self._owners[k]
 
+    @cached_property
+    def point_map(self) -> tuple:
+        """T_u as a transducer (tail, step) over 0-based letters, cached: the
+        state is the rank of the last L - 1 letters read, L = max(level(u), 1),
+        one of tail = n^(L-1), and step[p n + a] = (emitted letter, next state)
+        splits u^{-1} of the window p a into its first letter and the rest."""
+        src = U.inverse(U.embed(self.unitary, max(self.unitary.level, 1))).ranks
+        tail = len(src) // self.n
+        return tail, [divmod(s, tail) for s in src]
+
 
 def endomorphism(u: PermutationUnitary) -> PermutativeEndomorphism:
     return PermutativeEndomorphism(U.reduce(u))
-
-
-def point_map(e: PermutativeEndomorphism) -> tuple:
-    """T_u as a transducer (tail, step) over 0-based letters.
-
-    The state is the rank of the last level(u) - 1 letters read and not yet
-    emitted, one of `tail` = n^(level(u) - 1).  step[p n + a] = (emitted
-    letter, next state) splits u^{-1} of the window p a into its first letter
-    and the rest: T_u(z)_1 is that letter of the first window, and so on.
-    """
-    u = e.unitary
-    src = U.inverse(U.embed(u, max(u.level, 1))).ranks
-    tail = len(src) // e.n
-    return tail, [divmod(s, tail) for s in src]
 
 
 def point_map_is_injective(e: PermutativeEndomorphism) -> bool:
@@ -141,7 +135,7 @@ def point_map_is_injective(e: PermutativeEndomorphism) -> bool:
     Every pair of states is a start, so T_u collides iff a cycle is reachable
     from a pair of distinct states.
     """
-    tail, step = point_map(e)
+    tail, step = e.point_map
     starts = [(p, q) for p in range(tail) for q in range(tail) if p != q]
     return C.pair_graph_height(e.n, step, starts) is not None
 
@@ -165,6 +159,24 @@ def _lag_pairs(moves: list, pairs: set) -> set:
     return {(nxt[p], shift[q]) for p, q in pairs for nxt, shift in moves}
 
 
+def transducers_agree(n: int, step_a: list, step_b: list, starts) -> bool:
+    """Do two transducers, step[p n + a] = (emitted letter, next state), run
+    in lockstep on one input from any pair in `starts`, emit the same letters?
+
+    Exact, over the finitely many reachable pairs; breadth first, so the
+    start pairs are checked first."""
+    seen = set(starts)
+    todo = list(seen)
+    for p, q in todo:
+        for (x, s), (y, t) in zip(step_a[p * n : p * n + n], step_b[q * n : q * n + n]):
+            if x != y:
+                return False
+            if (s, t) not in seen:
+                seen.add((s, t))
+                todo.append((s, t))
+    return True
+
+
 def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElement:
     """lambda_u(x) for diagonal x: x read through the owner table at its level."""
     if e.n != x.n:
@@ -182,72 +194,41 @@ def compose(e1: PermutativeEndomorphism, e2: PermutativeEndomorphism) -> Permuta
 
 
 def agree_on_diagonal(a: PermutationUnitary, b: PermutationUnitary) -> bool:
-    """Exact test: do lambda_a and lambda_b restrict to the same map on D_n?"""
+    """Exact test: do lambda_a and lambda_b restrict to the same map on D_n?
+    That is T_a = T_b, both written at one level, in lockstep from every (p, p)."""
     if a.n != b.n:
         raise ValueError("alphabet sizes differ")
-    n = a.n
     level = max(a.level, b.level, 1)
-    ar = U.embed(a, level).ranks
-    binv = U.inverse(U.embed(b, level)).ranks
-    size = n**level
-    block = size // n
-
-    def fixes_first_letter(node) -> bool:
-        return all(node[r] // block == r // block for r in range(size))
-
-    def blocks_of(node):
-        return [
-            tuple(node[i * block + t] - i * block for t in range(block))
-            for i in range(n)
-        ]
-
-    def conjugate(tail_perm):
-        # ranks of b^* s a, with s acting on the leading level-1 tail blocks
-        mid = [tail_perm[r // n] * n + r % n for r in range(size)]
-        return tuple(binv[mid[ar[r]]] for r in range(size))
-
-    root = tuple(binv[ar[r]] for r in range(size))
-    if not fixes_first_letter(root):
-        return False
-    stack = blocks_of(root)
-    seen = set()
-    while stack:
-        s = stack.pop()
-        if s in seen:
-            continue
-        seen.add(s)
-        node = conjugate(s)
-        if not fixes_first_letter(node):
-            return False
-        stack.extend(blocks_of(node))
-    return True
+    tail, step_a = PermutativeEndomorphism(U.embed(a, level)).point_map
+    _, step_b = PermutativeEndomorphism(U.embed(b, level)).point_map
+    return transducers_agree(a.n, step_a, step_b, [(p, p) for p in range(tail)])
 
 
 def is_identity_on_diagonal(u: PermutationUnitary) -> bool:
     """Is lambda_u the identity on the diagonal?
 
     Exact by the reduction test (the diagonal restriction determines a
-    permutative unitary); cross-checked on cylinders two levels past the
-    unitary as defense in depth.
+    permutative unitary); cross-checked as defense in depth, exactly, by
+    running T_u in lockstep with the identity transducer.
     """
     result = U.reduce(u).is_identity()
     if result:
-        depth = u.level + 2
-        level, owner = endomorphism(u).cylinder_owners(depth)
-        top = max(level, depth)
-        identity = tuple(range(u.n**depth))
-        if W.lift_table(owner, u.n, top) != W.lift_table(identity, u.n, top):
-            raise AssertionError("reduction and cylinder tests disagree")
+        tail, step = PermutativeEndomorphism(u).point_map
+        identity = [divmod(w, tail) for w in range(len(step))]
+        if not transducers_agree(u.n, step, identity, [(p, p) for p in range(tail)]):
+            raise AssertionError("reduction and point-map tests disagree")
     return result
 
 
 def commutes_with_shift_on_diagonal(e: PermutativeEndomorphism) -> bool:
     """Does lambda_u commute with the canonical shift on the diagonal?
 
-    lambda_theta is phi, so convolution(theta, u) is phi(u) theta.
+    phi(x) = x o sigma there, so that is T_u o sigma = sigma o T_u on points:
+    T_u runs in lockstep with itself from every pair of R_1.
     """
-    theta = U.flip_unitary(e.n)
-    return agree_on_diagonal(e.convolve(theta), U.multiply(U.phi_shift(e.unitary), theta))
+    tail, step = e.point_map
+    pairs = _lag_pairs(_pair_moves(e.n, tail, step), {(s, s) for s in range(tail)})
+    return transducers_agree(e.n, step, step, pairs)
 
 
 def phi_commutation_identity(v: PermutationUnitary) -> bool:
@@ -266,24 +247,20 @@ def phi_commutation_identity(v: PermutationUnitary) -> bool:
 def is_in_ign(e: PermutativeEndomorphism, max_k: int) -> Optional[int]:
     """Least k <= max_k with (lambda_u o phi^k) = phi^k on the diagonal.
 
-    Callers should hold an automorphism certificate for e; each k-test is
-    exact either way, and absence merely means no k within the budget.
+    On points that is sigma^k o T_u = sigma^k: from every pair of R_k, T_u
+    runs in lockstep with the identity transducer (whose first step is the
+    cheap test that lambda_u fixes every phi^k(P_i)).  Each k-test is exact;
+    absence merely means no k within the budget.
     """
     n = e.n
-    tail, step = point_map(e)
+    tail, step = e.point_map
+    identity = [divmod(w, tail) for w in range(tail * n)]
     moves = _pair_moves(n, tail, step)
     pairs = {(s, s) for s in range(tail)}
     for k in range(max_k + 1):
         if k:
             pairs = _lag_pairs(moves, pairs)
-        # necessary condition, cheap: lambda_u fixes phi^k(P_i) for every
-        # letter i, that is T_u(z)_{k+1} = z_{k+1} from every pair of R_k
-        if any(
-            step[p * n + a][0] != (q * n + a) // tail for p, q in pairs for a in range(n)
-        ):
-            continue
-        rot = U.shift_power_unitary(n, k)
-        if agree_on_diagonal(e.convolve(rot), rot):
+        if transducers_agree(n, step, identity, pairs):
             return k
     return None
 
@@ -324,8 +301,7 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
     for s in range(1, budget + 1):
         if s == u.level + 1 and not point_map_is_injective(e):
             break
-        us = e.u_k(s)
-        w = U.reduce(U.multiply(U.multiply(U.inverse(us), u_star), us))
+        w = U.reduce(U.conjugate(u_star, e.u_k(s)))
         if w.level <= s:
             if is_identity_on_diagonal(convolution(w, u)) and is_identity_on_diagonal(
                 e.convolve(w)
@@ -335,7 +311,7 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
     if commutes_with_shift_on_diagonal(e):
         from . import bridge
 
-        code = bridge.read_code(e, u.level + 2)
+        code = bridge.read_code(e)
         window = max(budget, 2 * max(code.radius, 1))
         found = C.en_inverse_search(code, budget, window)
         if found is not None:
@@ -370,7 +346,7 @@ def property_p_data(
     m_upper = max(U.reduce(inverse).level - 1, 0)
     window = m_upper + e.unitary.level + 1
     n = e.n
-    tail, step = point_map(e)
+    tail, step = e.point_map
     moves = _pair_moves(n, tail, step)
     lags = [{(s, s) for s in range(tail)}]
     for _ in range(window):

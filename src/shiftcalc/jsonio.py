@@ -31,6 +31,28 @@ def _names(n: int, level: int) -> tuple:
     return tuple(names)
 
 
+@functools.lru_cache(maxsize=32)
+def _name_ranks(n: int, level: int) -> dict:
+    """{name: rank}, the inverse of `_names`."""
+    return {name: rank for rank, name in enumerate(_names(n, level))}
+
+
+def _rank_map(entries, n: int, level: int):
+    """The map as {rank: rank} when it lists n^level names of `_name_ranks`,
+    no domain name twice; else None, for parse_word to read or refuse (every
+    name, for n > 9).  A map of another size never builds the table."""
+    size = len(entries) if isinstance(entries, list) else None
+    if size is None or n > 9 or not 0 <= level <= size.bit_length() or size != n**level:
+        return None
+    table, mapping = _name_ranks(n, level), {}
+    for src, dst in entries:
+        known = type(src) is str and type(dst) is str and src in table and dst in table
+        if not known or table[src] in mapping:
+            return None
+        mapping[table[src]] = table[dst]
+    return mapping
+
+
 def _integer(value, what: str) -> int:
     """A JSON integer; floats, bools and strings are refused, not coerced."""
     if type(value) is not int:
@@ -105,6 +127,9 @@ def unitary_to_dict(u: PermutationUnitary) -> dict:
 def unitary_from_dict(data: dict) -> PermutationUnitary:
     n = _integer(data["n"], "n")
     level = _integer(data["level"], "level")
+    ranks = _rank_map(data["map"], n, level)
+    if ranks is not None:
+        return U.from_rank_mapping(n, level, ranks)
     mapping = {}
     for src, dst in data["map"]:
         key = W.parse_word(src, n)

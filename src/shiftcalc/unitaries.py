@@ -82,6 +82,14 @@ def from_mapping(n: int, level: int, mapping) -> PermutationUnitary:
     return PermutationUnitary(n, level, tuple(ranks))
 
 
+def from_rank_mapping(n: int, level: int, mapping: dict) -> PermutationUnitary:
+    """Build from a {rank: rank} dict; a rank out of range leaves a -1, refused."""
+    size = _check_capacity(n, level)
+    if len(mapping) != size:
+        raise ValueError("mapping must list every domain word exactly once")
+    return PermutationUnitary(n, level, tuple(mapping.get(r, -1) for r in range(size)))
+
+
 def embed(u: PermutationUnitary, level: int) -> PermutationUnitary:
     """The same algebra element written at a level >= level(u)."""
     if level < u.level:
@@ -143,6 +151,14 @@ def inverse(u: PermutationUnitary) -> PermutationUnitary:
     for src, dst in enumerate(u.ranks):
         out[dst] = src
     return _trusted(u.n, u.level, tuple(out))
+
+
+def conjugate(u: PermutationUnitary, v: PermutationUnitary) -> PermutationUnitary:
+    """v^* u v for level(v) >= level(u), in one gather: v sends a rank to
+    h tail + t, with h its first level(u) letters, and v^* reads u(h) tail + t."""
+    tail, back, ranks = len(v.ranks) // len(u.ranks), inverse(v).ranks, u.ranks
+    out = [back[ranks[q // tail] * tail + q % tail] for q in v.ranks]
+    return _trusted(v.n, v.level, tuple(out))
 
 
 def phi_shift(u: PermutationUnitary, j: int = 1) -> PermutationUnitary:

@@ -29,8 +29,12 @@ def test_lift_rejects_non_automorphisms():
 
 def test_lift_then_extract_roundtrip():
     for code, _ in C.enumerate_one_sided_automorphisms(3, 2):
-        u = B.unitary_from_shift_automorphism(code, verify_depth=3)
-        back = B.extract_code(E.endomorphism(u), 0)
+        u = B.unitary_from_shift_automorphism(code)
+        e = E.endomorphism(u)
+        for w in W.enumerate_words(3, 3):
+            p = W.cylinder(3, w)
+            assert E.apply_diag(e, p) == C.code_apply_diag(code, p)
+        back = B.extract_code(e, 0)
         assert C.code_equal(back, code)
 
 
@@ -89,7 +93,7 @@ def test_extract_code_matches_the_cylinder_read_off():
     for u, m in cases:
         e = E.endomorphism(u)
         depth = e.unitary.level + m
-        got = B.extract_code(e, m, verify_depth=depth, certify=False)
+        got = B.extract_code(e, m, certify=False)
         want = extract_code_reference(e, m, depth)
         assert (got.radius, got.rule) == (want.radius, want.rule)
 

@@ -305,6 +305,75 @@ def test_the_pair_graph_window_is_the_least_that_determines_x1():
     assert {1, 2, 3} <= windows
 
 
+def pair_graph_height_reference(n, step, starts):
+    """Every reachable node's successors, then a topological order (a node
+    left out of it lies on a cycle), then the heights in reverse order."""
+    succ, todo = {}, list(starts)
+    while todo:
+        p, q = node = todo.pop()
+        if node not in succ:
+            succ[node] = [
+                (s, t)
+                for x, s in step[p * n : p * n + n]
+                for y, t in step[q * n : q * n + n]
+                if x == y
+            ]
+            todo += succ[node]
+    indegree = dict.fromkeys(succ, 0)
+    for nxt in itertools.chain(*succ.values()):
+        indegree[nxt] += 1
+    order = [node for node in succ if not indegree[node]]
+    for node in order:
+        for nxt in succ[node]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                order.append(nxt)
+    if len(order) < len(succ):
+        return None
+    height = {}
+    for node in reversed(order):
+        height[node] = max((height[nxt] + 1 for nxt in succ[node]), default=0)
+    return max((height[node] for node in starts), default=0)
+
+
+def test_the_depth_first_pair_graph_matches_the_topological_order():
+    # the transducers of codes (automorphisms of windows 1 to 3 among them),
+    # the point maps T_u of all of P_2^2 and of seeded P_2^3 and P_3^2, and
+    # seeded step tables, cyclic or not
+    rng = random.Random(71)
+    kit = C.kitchens_code()
+    letters = [C.letter_code(3, p) for p in itertools.permutations((1, 2, 3))]
+    products = [C.code_compose(C.code_compose(p, kit), q) for p in letters for q in letters]
+    cases = []
+    products = products[::4] + [C.code_compose(kit, k) for k in products[::4]]
+    for c in automorphism_census()[::7] + sample_codes() + products:
+        c = C.pad(c, max(c.radius, 2))
+        states = len(c.rule) // c.n
+        head = states // c.n  # the starts of automorphism_window
+        starts = [(p, q) for p in range(states) for q in range(states) if p // head != q // head]
+        cases.append((c.n, C.transducer(c), starts))
+    units = list(U.all_unitaries(2, 2))
+    for n, level in ((2, 3), (3, 2)):
+        for _ in range(40):
+            perm = list(range(n**level))
+            rng.shuffle(perm)
+            units.append(U.PermutationUnitary(n, level, tuple(perm)))
+    for u in units:
+        tail, step = E.endomorphism(u).point_map
+        cases.append((u.n, step, [(p, q) for p in range(tail) for q in range(tail) if p != q]))
+    for _ in range(300):
+        n, states = rng.choice((2, 3)), rng.randint(1, 6)
+        step = [(rng.randrange(n), rng.randrange(states)) for _ in range(states * n)]
+        starts = rng.sample([(p, q) for p in range(states) for q in range(states)], states)
+        cases.append((n, step, starts))
+    heights = []
+    for n, step, starts in cases:
+        got = C.pair_graph_height(n, step, starts)
+        assert got == pair_graph_height_reference(n, step, starts)
+        heights.append(got)
+    assert heights.count(None) >= 100 and {None, 0, 1, 2} <= set(heights)
+
+
 def test_is_shift_power():
     assert C.is_shift_power(C.shift_power_code(2, 2)) == 2
     assert C.is_shift_power(C.kitchens_code()) is None

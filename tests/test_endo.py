@@ -91,11 +91,58 @@ def test_inner_automorphisms_eventually_commute_with_the_shift():
             assert E.agree_on_diagonal(E.convolution(E.ad_unitary(w), rot), rot)
 
 
+def agree_reference(a, b):
+    """The closure search over tail-block permutations.
+
+    lambda_a = lambda_b on the diagonal iff for every k the unitary b_k^* a_k
+    fixes the first k letters of every word; those conditions close up into
+    a finite search over permutations of the level-1 tail blocks.
+    """
+    n = a.n
+    level = max(a.level, b.level, 1)
+    ar = U.embed(a, level).ranks
+    binv = U.inverse(U.embed(b, level)).ranks
+    size = n**level
+    block = size // n
+
+    def fixes_first_letter(node):
+        return all(node[r] // block == r // block for r in range(size))
+
+    def blocks_of(node):
+        return [tuple(node[i * block + t] - i * block for t in range(block)) for i in range(n)]
+
+    def conjugate(tail_perm):
+        # ranks of b^* s a, with s acting on the leading level-1 tail blocks
+        mid = [tail_perm[r // n] * n + r % n for r in range(size)]
+        return tuple(binv[mid[ar[r]]] for r in range(size))
+
+    root = tuple(binv[ar[r]] for r in range(size))
+    if not fixes_first_letter(root):
+        return False
+    stack, seen = blocks_of(root), set()
+    while stack:
+        s = stack.pop()
+        if s in seen:
+            continue
+        seen.add(s)
+        node = conjugate(s)
+        if not fixes_first_letter(node):
+            return False
+        stack.extend(blocks_of(node))
+    return True
+
+
+def commutes_reference(e):
+    # lambda_theta is phi, so convolution(theta, u) is phi(u) theta
+    theta = U.flip_unitary(e.n)
+    return agree_reference(e.convolve(theta), U.multiply(U.phi_shift(e.unitary), theta))
+
+
 def is_in_ign_reference(e, max_k):
-    # the exact test at every k, without the letter filter
+    # the closure search at every k, on the convolution, without the filter
     for k in range(max_k + 1):
         rot = U.shift_power_unitary(e.n, k)
-        if E.agree_on_diagonal(E.convolution(e.unitary, rot), rot):
+        if agree_reference(E.convolution(e.unitary, rot), rot):
             return k
     return None
 
@@ -154,6 +201,96 @@ def test_is_in_ign_matches_the_unfiltered_search():
         assert k == is_in_ign_reference(e, 4)
         found.add(k)
     assert None in found and len(found) > 2  # both outcomes, several k
+
+
+def agree_census():
+    """Pairs (a, b): all of P_2^2 x P_2^2 and P_2^1 x P_2^3; seeded pairs from
+    P_2^3 and P_3^2, each also against its own embedding one level up and in
+    the shape of the inner test, (lambda_u o phi^k, phi^k); and the pairs
+    among the Ad(v) o swap and Ad(v) o Kitchens maps of `certify_census`."""
+    rng = random.Random(61)
+    pairs = list(itertools.product(U.all_unitaries(2, 2), repeat=2))
+    pairs += itertools.product(U.all_unitaries(2, 1), U.all_unitaries(2, 3))
+    for n, level in ((2, 3), (3, 2)):
+        for _ in range(150):
+            a, b = random_unitary(rng, n, level), random_unitary(rng, n, level)
+            rot = U.shift_power_unitary(n, rng.randrange(3))
+            inner = E.ad_unitary(random_unitary(rng, n, rng.choice((1, 2))))
+            pairs += [(a, b), (a, U.embed(a, level + 1)), (E.convolution(inner, rot), rot)]
+    maps = [e.unitary for e in certify_census()[-72:]]
+    pairs += [(a, b) for a in maps for b in maps if a.n == b.n]
+    return pairs
+
+
+def test_the_lockstep_agreement_matches_the_closure_search():
+    outcomes = []
+    for a, b in agree_census():
+        got = E.agree_on_diagonal(a, b)
+        assert got == agree_reference(a, b)
+        outcomes.append(got)
+    assert outcomes.count(True) >= 300 and outcomes.count(False) >= 80000
+
+
+def test_the_point_map_tests_match_their_cylinder_oracles():
+    rng = random.Random(67)
+    inner_maps = [
+        E.endomorphism(E.ad_unitary(random_unitary(rng, n, level)))
+        for n, level in ((2, 2), (2, 3), (3, 2))
+        for _ in range(10)
+    ]
+    commuting = inner = 0
+    for e in certify_census() + inner_maps:
+        fresh = E.endomorphism(e.unitary)
+        commutes = E.commutes_with_shift_on_diagonal(e)
+        assert commutes == commutes_reference(fresh)
+        k = E.is_in_ign(e, 3)
+        assert k == is_in_ign_reference(fresh, 3)
+        commuting += commutes
+        inner += k is not None
+    assert commuting >= 30 and inner >= 30
+
+
+def read_code_reference(e):
+    """The rule off the level-1 owner table, checked against the owner table
+    at depth level(u) + 2; None where the two disagree."""
+    n = e.n
+    level, owner = e.cylinder_owners(1)
+    code = C.minimize(C.SlidingBlockCode(n, level, tuple(j + 1 for j in owner)))
+    depth = e.unitary.level + 2
+    level, owner = e.cylinder_owners(depth)
+    length = depth + code.radius - 1
+    top = max(level, length)
+    if W.lift_table(owner, n, top) != W.lift_table(code.output_ranks(length), n, top):
+        return None
+    return code
+
+
+def test_the_lockstep_rule_check_matches_the_owner_table_check():
+    # on maps that do not commute with the shift the rule read off the level-1
+    # images is wrong, and both checks refuse it
+    read = 0
+    for e in certify_census():
+        try:
+            got = B.read_code(e)
+        except AssertionError:
+            got = None
+        want = read_code_reference(E.endomorphism(e.unitary))
+        assert (got is None) == (want is None) == (not E.commutes_with_shift_on_diagonal(e))
+        if got is not None:
+            assert (got.radius, got.rule) == (want.radius, want.rule)
+            read += 1
+    assert read >= 30
+
+
+def test_the_census_catches_a_commutation_closure_started_at_r0():
+    # T_u against itself from the pairs (s, s) passes every map: the census
+    # holds maps on which that mutant and the flip-convolution oracle differ
+    def started_at_r0(e):
+        tail, step = e.point_map
+        return E.transducers_agree(e.n, step, step, [(s, s) for s in range(tail)])
+
+    missed = [e for e in certify_census() if started_at_r0(e) != commutes_reference(e)]
+    assert len(missed) >= 100
 
 
 def test_is_in_ign_identity_and_flip():
@@ -396,7 +533,7 @@ def test_property_p_on_the_point_map_matches_the_cylinder_test():
 
 def run_point_map(e, z):
     """T_u on a finite word z of 0-based letters: the letters it emits."""
-    _, step = E.point_map(e)
+    _, step = e.point_map
     held = max(e.unitary.level, 1) - 1
     state = 0
     for a in z[:held]:
@@ -586,7 +723,7 @@ def test_the_direct_inverse_matches_the_search():
 
 def test_a_wrong_reduction_verdict_is_caught(monkeypatch):
     monkeypatch.setattr(U.PermutationUnitary, "is_identity", lambda self: True)
-    with pytest.raises(AssertionError, match="reduction and cylinder tests disagree"):
+    with pytest.raises(AssertionError, match="reduction and point-map tests disagree"):
         E.is_identity_on_diagonal(U.flip_unitary(2))
 
 
@@ -604,7 +741,7 @@ def certify_ungated(e, budget):
                 return E.AutomorphismVerdict("automorphism", inverse=w)
             raise AssertionError("the direct inverse fails verification")
     if E.commutes_with_shift_on_diagonal(e):
-        code = B.extract_code(e, 0, verify_depth=u.level + 2, certify=False)
+        code = B.extract_code(e, 0, certify=False)
         window = max(budget, 2 * max(code.radius, 1))
         found = C.en_inverse_search(code, budget, window)
         if found is not None:
@@ -667,16 +804,17 @@ def counted(monkeypatch, name):
 
 def test_certify_builds_no_cocycle_past_the_verification_depth(monkeypatch):
     # a refutation: T_u collides, so no level above level(u) is tried, and the
-    # degree route reads the code off e without a second commutation test
+    # degree route tests shift-commutation once and reads the code off e,
+    # checking it on the point map, so no cocycle past u_{level(u)} is built
     pi, pi2 = U.letter_permutation(3, (2, 3, 1)), U.letter_permutation(3, (2, 1, 3))
     u = E.convolution(E.convolution(pi, U.shift_power_unitary(3, 2)), pi2)
     e = E.endomorphism(u)
-    agree = counted(monkeypatch, "agree_on_diagonal")
+    commutation_tests = counted(monkeypatch, "commutes_with_shift_on_diagonal")
     collision_tests = counted(monkeypatch, "point_map_is_injective")
     verdict = E.certify_automorphism(e, budget=8)
     assert verdict == E.AutomorphismVerdict("not_automorphism", degree=9)
-    assert max(e._uk) <= e.unitary.level + 2
-    assert len(agree) == len(collision_tests) == 1
+    assert max(e._uk) <= e.unitary.level
+    assert len(commutation_tests) == len(collision_tests) == 1
     # an inverse found at s <= level(u) needs no collision test
     verdict = E.certify_automorphism(E.endomorphism(U.kitchens_unitary()), budget=8)
     assert verdict.inverse == U.kitchens_unitary()

@@ -49,6 +49,50 @@ def test_unitary_rejects_non_bijective_maps():
         jsonio.unitary_from_dict({"n": 2, "level": 1, "map": [["1", "1"]]})
 
 
+@pytest.mark.parametrize(
+    "entries, error, message",
+    [
+        ([["1", "2"], ["1", "1"]], ValueError, "domain word '1' listed twice"),
+        ([["1", "2"]], ValueError, "mapping must list every domain word exactly once"),
+        ([["1", "3"], ["2", "1"]], ValueError, "symbol 3 outside alphabet {1..2}"),
+        ([["1", "21"], ["2", "1"]], ValueError, "mapping words must have the unitary's level"),
+        (
+            [["1", "2"], ["2", "1"], ["11", "12"]],
+            ValueError,
+            "mapping must list every domain word exactly once",
+        ),
+        ([["1", "x"], ["2", "1"]], ValueError, "invalid literal for int() with base 10: 'x'"),
+        ([[1, "2"], ["2", "1"]], TypeError, "'int' object is not iterable"),
+        ([["1", None], ["2", "1"]], TypeError, "'NoneType' object is not iterable"),
+    ],
+)
+def test_unitary_refuses_malformed_maps_with_one_message(entries, error, message):
+    with pytest.raises(error) as info:
+        jsonio.unitary_from_dict({"n": 2, "level": 1, "map": entries})
+    assert str(info.value) == message
+
+
+def test_parse_word_leniency_is_unchanged_by_the_table():
+    # Pins known-wrong behaviour, not a feature: parse_word reads a list of
+    # letters or non-ASCII digits as a word, though the format says digit
+    # strings (a FOUND line in CHANGES.md).  The name table must not change
+    # that; the fix for the leniency will change this test.
+    swap = U.letter_permutation(2, (2, 1))
+    for entries in ([[[1], [2]], [[2], [1]]], [["\uff11", "2"], ["2", "1"]]):
+        assert jsonio.unitary_from_dict({"n": 2, "level": 1, "map": entries}) == swap
+    with pytest.raises(ValueError, match="digit-string words require n <= 9"):
+        jsonio.unitary_from_dict({"n": 10, "level": 1, "map": [["1", "1"]]})
+
+
+def test_a_map_of_the_wrong_size_builds_no_name_table():
+    jsonio._name_ranks.cache_clear()
+    with pytest.raises(ValueError, match="mapping must list every domain word exactly once"):
+        jsonio.unitary_from_dict({"n": 2, "level": 22, "map": []})
+    with pytest.raises(ValueError, match="mapping must list every domain word exactly once"):
+        jsonio.unitary_from_dict({"n": 2, "level": 22, "map": [["1", "2"]]})
+    assert jsonio._name_ranks.cache_info().currsize == 0
+
+
 def test_code_roundtrip():
     c = C.kitchens_code()
     data = jsonio.code_to_dict(c)
