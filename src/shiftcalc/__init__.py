@@ -51,7 +51,6 @@ from .unitaries import (
 )
 from .endo import (
     AutomorphismVerdict,
-    BraidingResult,
     PermutativeEndomorphism,
     ad_unitary,
     agree_on_diagonal,

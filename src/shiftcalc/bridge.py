@@ -3,8 +3,8 @@
 One direction turns a certified automorphism of the one-sided shift into the
 unique permutation unitary implementing it on the diagonal (tail-matching
 construction); the other reads the sliding block code of a shift-commuting
-permutative endomorphism off its cylinder images.  On top of both sit the
-outer-class equality tests.
+permutative endomorphism off the letters its point map emits.  On top of
+both sit the outer-class equality tests.
 """
 from __future__ import annotations
 
@@ -25,8 +25,9 @@ def unitary_from_shift_automorphism(c: SlidingBlockCode) -> PermutationUnitary:
     `c` must be (certified as) an automorphism of the one-sided shift.  The
     construction keeps the tail: u^* sends the window h t (t of length r - 1)
     to rule(h t) t, so T_u = F_c.  That is a permutation exactly when c is
-    tail-bijective, which every automorphism is.  T_u = F_c is checked
-    exactly, on the two transducers.
+    tail-bijective, which every automorphism is.  T_u = F_c needs no check:
+    the point map of u splits star[w] = (rule[w] - 1) tails + w mod tails
+    into (rule[w] - 1, w mod tails), the step of `codes.transducer(c)`.
     """
     n, r = c.n, c.radius
     tails = n ** (r - 1)
@@ -36,26 +37,22 @@ def unitary_from_shift_automorphism(c: SlidingBlockCode) -> PermutationUnitary:
         raise ValueError(
             "rule is not tail-bijective; input is not a certified shift automorphism"
         )
-    u = U.inverse(PermutationUnitary(n, r, star))
-    tail, step = E.PermutativeEndomorphism(u).point_map
-    if not E.transducers_agree(n, step, C.transducer(c), [(p, p) for p in range(tail)]):
-        raise AssertionError("constructed unitary disagrees with the code")
-    return U.reduce(u)
+    return U.reduce(U.inverse(PermutationUnitary(n, r, star)))
 
 
 def read_code(e: PermutativeEndomorphism) -> SlidingBlockCode:
     """The sliding block code of a lambda_u known to commute with the shift.
 
-    The local rule is the owner table of the level-1 cylinders, minimized,
-    checked exactly: padded to radius level(u), the code's transducer runs in
-    lockstep with T_u from every pair (p, p).
+    The local rule is the letters T_u emits at radius L = max(level(u), 1),
+    minimized, checked exactly: padded back to radius L, the code's
+    transducer runs in lockstep with T_u from every pair (p, p).  That
+    compares T_u's state dynamics with the code's window dynamics, and
+    fails exactly when lambda_u does not commute with the shift.
     """
-    n = e.n
-    # lambda(P_j) is the set of windows whose owner is j: that is the rule
-    level, owner = e.cylinder_owners(1)
-    code = C.minimize(SlidingBlockCode(n, level, tuple(j + 1 for j in owner)))
+    n, radius = e.n, max(e.unitary.level, 1)
     tail, step = e.point_map
-    padded = C.transducer(C.pad(code, max(e.unitary.level, 1)))
+    code = C.minimize(SlidingBlockCode(n, radius, tuple(x + 1 for x, _ in step)))
+    padded = C.transducer(C.pad(code, radius))
     if not E.transducers_agree(n, step, padded, [(p, p) for p in range(tail)]):
         raise AssertionError("extracted rule disagrees with the endomorphism")
     return code

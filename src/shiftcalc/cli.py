@@ -53,7 +53,10 @@ def _as_table(obj, prefix: str = ""):
 
 def _load(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nesting is too deep") from None
 
 
 def _run(body) -> None:

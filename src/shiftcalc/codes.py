@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .capacity import check as _check_capacity
+from .capacity import CapacityError, check as _check_capacity, get_limit
 from . import words as W
 from .words import DiagonalElement, word_rank
 
@@ -461,7 +461,17 @@ def enumerate_one_sided_automorphisms(n: int, max_radius: int):
         raise ValueError("alphabet size must be at least 2")
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
-    _check_capacity(n, n**max_radius)  # guard the n^(n^r) table space
+    # the (n!)^(n^(r-1)) tables of the largest radius, counted only until
+    # past the limit, so that no large n! or power is ever built
+    tables = 1
+    for _ in range(n ** (max_radius - 1) if max_radius else 0):
+        for factor in range(2, n + 1):
+            tables *= factor
+            if tables > get_limit():
+                raise CapacityError(
+                    "the radius-%d tables over %d letters pass the limit %d"
+                    % (max_radius, n, get_limit())
+                )
     perms = list(itertools.permutations(range(1, n + 1)))
     found = {}  # (radius, rule) of the minimized code -> (code, inverse)
     for r in range(1, max_radius + 1):

@@ -7,16 +7,16 @@ convolution product of unitaries, so every identity here is an exact
 statement about finite permutations.
 
 On the diagonal lambda_u(x) = x o T_u for a homeomorphism T_u of the
-one-sided n-shift, read at level k off one owner table over ranks:
-lambda_u(x)[q] = x[owner[q]], with owner[q] the first k letters of T_u(q).
-T_u is also a finite transducer (`point_map`, cached) whose state is the
-last level(u) - 1 letters read.  So every equality on the diagonal is an
-equality of transducers, decided by running two of them in lockstep on one
-input (`transducers_agree`): T_a against T_b (`agree_on_diagonal`), T_u
-against itself one letter later (`commutes_with_shift_on_diagonal`),
-against the identity k letters later (`is_in_ign`) and against a code
+one-sided n-shift, and T_u is read only as a finite transducer
+(`point_map`, cached) whose state is the last level(u) - 1 letters read:
+`apply_diag` reads x through the letters T_u emits, and every equality on
+the diagonal is an equality of transducers run in lockstep on one input
+(`transducers_agree`): T_a against T_b (`agree_on_diagonal`), T_u against
+itself one letter later (`commutes_with_shift_on_diagonal`), against the
+identity k letters later (`is_in_ign`) and against a code
 (`bridge.read_code`).  Property (P) compares T_u(z) with T_u(sigma^d z) on
-the same pairs of states.  None of them builds a cocycle product.
+the same pairs of states.  None of them builds a cocycle product, and the
+braiding automorphism is Ad(u) by the Cuntz relations (`braiding`).
 
 Certification builds the inverse by algebra, not by search: lambda_u has a
 permutative inverse v exactly when lambda_u(v) = u^*, and then v is
@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from operator import itemgetter
+from typing import Optional
 
 from . import codes as C
 from . import unitaries as U
@@ -59,12 +60,11 @@ def ad_unitary(w: PermutationUnitary) -> PermutationUnitary:
 
 @dataclass(frozen=True)
 class PermutativeEndomorphism:
-    """lambda_u for a permutation unitary u, with cached cocycle products,
-    owner tables and point maps."""
+    """lambda_u for a permutation unitary u, with cached cocycle products
+    and point map."""
 
     unitary: PermutationUnitary
     _uk: dict = field(default_factory=dict, compare=False, repr=False)
-    _owners: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -93,23 +93,6 @@ class PermutativeEndomorphism:
         um = self.u_k(m)
         conj = U.multiply(U.multiply(um, w), U.inverse(um))
         return U.reduce(U.multiply(conj, self.unitary))
-
-    def cylinder_owners(self, k: int) -> tuple:
-        """(level, owner) with lambda_u(x)[q] = x[owner[q]] for x of level k >= 1.
-
-        Cached.  u_k sends the rank-src word to q, so owner[q] is the first k
-        letters of src; `level` is the least that keeps the table, which is
-        the largest level among the level-k cylinder images.
-        """
-        if k not in self._owners:
-            uk = self.u_k(k)
-            top = max(uk.level, k)
-            drop = self.n ** (top - k)
-            owner = [0] * self.n**top
-            for src, dst in enumerate(U.embed(uk, top).ranks):
-                owner[dst] = src // drop
-            self._owners[k] = W.strip_table(tuple(owner), self.n, top)
-        return self._owners[k]
 
     @cached_property
     def point_map(self) -> tuple:
@@ -178,14 +161,25 @@ def transducers_agree(n: int, step_a: list, step_b: list, starts) -> bool:
 
 
 def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElement:
-    """lambda_u(x) for diagonal x: x read through the owner table at its level."""
+    """lambda_u(x) = x o T_u for x of level k >= 1: on each word of length
+    k + L - 1, L = max(level(u), 1), x at the first k letters T_u emits.  A
+    run, (emitted rank) tail + state, grows a letter at a time from the first
+    L - 1 letters, as T_u's step takes p a to letter tail + next state."""
     if e.n != x.n:
         raise ValueError("alphabet sizes differ")
     x = W.reduce(x)
     if x.level == 0:
         return x
-    level, owner = e.cylinder_owners(x.level)
-    return W.reduce(DiagonalElement(x.n, level, tuple(x.coeffs[w] for w in owner)))
+    n, (tail, step) = e.n, e.point_map
+    level = x.level + max(e.unitary.level, 1) - 1
+    lifted = W.lift_table(x.coeffs, n, level)  # checks the capacity first
+    rows = [
+        tuple(y * tail + s - p * n for y, s in step[p * n : p * n + n]) for p in range(tail)
+    ]
+    runs = range(tail)
+    for _ in range(x.level):
+        runs = [r * n + d for r in runs for d in rows[r % tail]]
+    return W.reduce(DiagonalElement(n, level, itemgetter(*runs)(lifted)))
 
 
 def compose(e1: PermutativeEndomorphism, e2: PermutativeEndomorphism) -> PermutativeEndomorphism:
@@ -369,79 +363,18 @@ def property_p_data(
     return m_upper, m_min
 
 
-def _braid(n: int, outer: Callable, inner: Callable, x: DiagonalElement):
-    """The braiding formula outer( sum_j P_j phi(inner(x_j)) ).
+def braiding(e: PermutativeEndomorphism) -> PermutationUnitary:
+    """The unitary w with beta = Ad(w) the braiding automorphism of
+    alpha = lambda_u, alpha phi = beta phi alpha: w = u.
 
-    With outer = alpha and inner = alpha^{-1} this is the braiding
-    automorphism of alpha; swapping the roles gives that of alpha^{-1}.
+    By the Cuntz relations lambda_u(S_i x S_i^*) = u S_i lambda_u(x) S_i^* u^*,
+    and summing over i gives lambda_u phi = Ad(u) phi lambda_u; so the formula
+    alpha( sum_j P_j phi(alpha^{-1}(x_j)) ) is u x u^* on the diagonal.  The
+    braid identity is checked exactly, on the two convolutions.
     """
-    parts = W.decompose(x)
-    return outer(W.recompose(n, [inner(p) for p in parts]))
-
-
-def _unitary_from_images(
-    n: int, levels, image: Callable
-) -> Optional[PermutationUnitary]:
-    """The unitary v with image(w) = P_{v(w)} for every word w of one level.
-
-    Takes the first level in `levels` at which the images of the level's
-    words are distinct single cylinders of that level; None if no level
-    qualifies.
-    """
-    for rho in levels:
-        mapping = {}
-        for w in W.enumerate_words(n, rho):
-            img = W.reduce(image(w))
-            supp = img.support()
-            if not (img.is_projection() and img.level == rho and len(supp) == 1):
-                break
-            mapping[w] = supp[0]
-        else:
-            if len(set(mapping.values())) == len(mapping):
-                return U.reduce(U.from_mapping(n, rho, mapping))
-    return None
-
-
-@dataclass(frozen=True)
-class BraidingResult:
-    """The braiding automorphism beta with alpha phi = beta phi alpha.
-
-    `apply` evaluates beta on diagonal elements straight from its defining
-    formula; `unitary` is w with beta = Ad(w) when recognition succeeded,
-    else None (beta is then reported as an opaque map).
-    """
-
-    apply: Callable[[DiagonalElement], DiagonalElement]
-    unitary: Optional[PermutationUnitary]
-
-
-def braiding(
-    e: PermutativeEndomorphism, inverse: PermutationUnitary, budget: int = 8
-) -> BraidingResult:
-    """Braiding automorphism of alpha = lambda_u, given an inverse certificate.
-
-    beta(x) = alpha( sum_j P_j phi(alpha^{-1}(x_j)) ).  Recognition as Ad(w)
-    reads w off cylinder images and then verifies exactly that Ad(w)
-    satisfies the braiding identity and agrees with alpha on level-1
-    elements; those two facts pin beta down completely.
-    """
-    inv = endomorphism(inverse)
-    n = e.n
-
-    def beta(x: DiagonalElement) -> DiagonalElement:
-        return _braid(n, lambda z: apply_diag(e, z), lambda p: apply_diag(inv, p), x)
-
-    unit_w = _unitary_from_images(
-        n, range(1, budget + 1), lambda w: beta(W.cylinder(n, w))
-    )
-    if unit_w is not None:
-        theta = U.flip_unitary(n)
-        lhs = convolution(e.unitary, theta)
-        rhs = convolution(convolution(ad_unitary(unit_w), theta), e.unitary)
-        level_one_match = all(
-            U.adjoint_action(unit_w, p) == apply_diag(e, p)
-            for p in (W.cylinder(n, (i,)) for i in range(1, n + 1))
-        )
-        if not (agree_on_diagonal(lhs, rhs) and level_one_match):
-            unit_w = None
-    return BraidingResult(apply=beta, unitary=unit_w)
+    theta = U.flip_unitary(e.n)
+    lhs = convolution(e.unitary, theta)
+    rhs = convolution(convolution(ad_unitary(e.unitary), theta), e.unitary)
+    if not agree_on_diagonal(lhs, rhs):
+        raise AssertionError("Ad(u) fails the braid identity")
+    return e.unitary

@@ -60,9 +60,12 @@ def format_word(word: Sequence[int]) -> str:
 
 
 def parse_word(text: str, n: int) -> Word:
+    """The word a string of ASCII digits spells; anything else is refused."""
     if n > 9:
         raise ValueError("digit-string words require n <= 9")
     word = tuple(int(c) for c in text)
+    if type(text) is not str or not text.isascii():
+        raise ValueError("word %r is not a string of ASCII digits" % (text,))
     for s in word:
         if not 1 <= s <= n:
             raise ValueError("symbol %d outside alphabet {1..%d}" % (s, n))

@@ -27,6 +27,16 @@ def test_lift_rejects_non_automorphisms():
         B.unitary_from_shift_automorphism(C.shift_code(2))
 
 
+def test_the_lift_has_the_code_as_its_point_map():
+    # u^* = star, so T_u steps by divmod(star[w], tails), which is the code's
+    # transducer: the lift needs no lockstep check
+    codes = [c for n, r in ((2, 3), (3, 2)) for c, _ in C.enumerate_one_sided_automorphisms(n, r)]
+    for c in codes + [C.pad(C.kitchens_code(), 3)]:
+        u = U.embed(B.unitary_from_shift_automorphism(c), c.radius)
+        tail, step = E.PermutativeEndomorphism(u).point_map
+        assert (tail, step) == (c.n ** (c.radius - 1), C.transducer(c))
+
+
 def test_lift_then_extract_roundtrip():
     for code, _ in C.enumerate_one_sided_automorphisms(3, 2):
         u = B.unitary_from_shift_automorphism(code)

@@ -161,6 +161,23 @@ def test_capacity_limit_exits_four(runner, tmp_path):
         capacity.set_limit(old)
 
 
+def test_deeply_nested_json_is_an_input_error(runner, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    x = write(tmp_path / "x.json", jsonio.diag_to_dict(W.cylinder(2, (1,))))
+    for args in (["certify", str(deep)], ["apply", str(deep), x]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr == "input error: JSON nesting is too deep\n"
+
+
+def test_words_that_are_not_digit_strings_exit_one(runner, tmp_path):
+    f = write(tmp_path / "u.json", {"n": 2, "level": 1, "map": [[[1], [2]], [[2], [1]]]})
+    result = runner.invoke(main, ["certify", f])
+    assert result.exit_code == 1
+    assert result.stderr == "input error: word [1] is not a string of ASCII digits\n"
+
+
 def test_output_is_byte_stable(runner, tmp_path):
     f = write(tmp_path / "c.json", jsonio.code_to_dict(C.kitchens_code()))
     first = runner.invoke(main, ["orbits", "--code", f, "--r", "3"])

@@ -217,6 +217,22 @@ def test_enumerate_three_letter_automorphisms_contains_kitchens():
         assert C.code_equal(C.code_compose(inv, c), C.identity_code(3))
 
 
+def test_enumeration_guards_the_tables_it_tries():
+    # radius 2 over three letters tries the (3!)^3 = 216 tail-bijective
+    # tables, not all 3^9
+    from shiftcalc import capacity
+
+    old = capacity.get_limit()
+    try:
+        capacity.set_limit(215)
+        with pytest.raises(capacity.CapacityError):
+            C.enumerate_one_sided_automorphisms(3, 2)
+        capacity.set_limit(216)
+        assert len(C.enumerate_one_sided_automorphisms(3, 2)) == 24
+    finally:
+        capacity.set_limit(old)
+
+
 def injective_on_periodics(c, max_r):
     for r in range(1, max_r + 1):
         seen = set()

@@ -250,14 +250,44 @@ def test_the_point_map_tests_match_their_cylinder_oracles():
     assert commuting >= 30 and inner >= 30
 
 
+def cylinder_owners_reference(e, k):
+    """(level, owner) with lambda_u(x)[q] = x[owner[q]] for x of level k >= 1,
+    off the cocycle product: u_k sends the rank-src word to q, so owner[q] is
+    the first k letters of src; `level` is the least that keeps the table."""
+    uk = e.u_k(k)
+    top = max(uk.level, k)
+    drop = e.n ** (top - k)
+    owner = [0] * e.n**top
+    for src, dst in enumerate(U.embed(uk, top).ranks):
+        owner[dst] = src // drop
+    return W.strip_table(tuple(owner), e.n, top)
+
+
+def apply_reference(e, x):
+    """lambda_u(x): x read through the owner table at its level."""
+    x = W.reduce(x)
+    if x.level == 0:
+        return x
+    level, owner = cylinder_owners_reference(e, x.level)
+    return W.reduce(W.DiagonalElement(x.n, level, tuple(x.coeffs[w] for w in owner)))
+
+
+def braid_reference(e, inverse, x):
+    """The braiding formula alpha( sum_j P_j phi(alpha^{-1}(x_j)) ) for
+    alpha = lambda_u with inverse lambda_inverse, through the owner tables."""
+    inv = E.endomorphism(inverse)
+    parts = [apply_reference(inv, p) for p in W.decompose(x)]
+    return apply_reference(e, W.recompose(e.n, parts))
+
+
 def read_code_reference(e):
     """The rule off the level-1 owner table, checked against the owner table
     at depth level(u) + 2; None where the two disagree."""
     n = e.n
-    level, owner = e.cylinder_owners(1)
+    level, owner = cylinder_owners_reference(e, 1)
     code = C.minimize(C.SlidingBlockCode(n, level, tuple(j + 1 for j in owner)))
     depth = e.unitary.level + 2
-    level, owner = e.cylinder_owners(depth)
+    level, owner = cylinder_owners_reference(e, depth)
     length = depth + code.radius - 1
     top = max(level, length)
     if W.lift_table(owner, n, top) != W.lift_table(code.output_ranks(length), n, top):
@@ -365,25 +395,26 @@ def random_element(rng, n, level):
 
 
 def test_owner_table_matches_the_adjoint_action():
+    # apply_diag reads x through T_u; the owner table off u_k and Ad(u_k)
+    # read it through the cocycle product instead
     rng = random.Random(41)
+    small = [U.kitchens_unitary()]
     for n in (2, 3):
-        pool = [U.flip_unitary(n), U.identity(n)]
-        pool += [random_unitary(rng, n, level) for level in (2, 2, 3)]
-        pool.append(E.ad_unitary(random_unitary(rng, n, 2)))  # images below u_k's level
-        if n == 3:
-            pool.append(U.kitchens_unitary())
-        for u in pool:
-            e = E.endomorphism(u)
-            for k in range(1, 5):
-                uk = U.u_k_product(e.unitary, k)
+        small += [U.flip_unitary(n), U.identity(n), E.ad_unitary(random_unitary(rng, n, 2))]
+    maps = [E.endomorphism(u) for u in small] + certify_census()
+    for i, e in enumerate(maps):
+        for k in range(1, 5):
+            uk = U.u_k_product(e.unitary, k)
+            if i < len(small):
                 levels = [
-                    U.adjoint_action(uk, W.cylinder(n, w)).level
-                    for w in W.enumerate_words(n, k)
+                    U.adjoint_action(uk, W.cylinder(e.n, w)).level
+                    for w in W.enumerate_words(e.n, k)
                 ]
-                assert e.cylinder_owners(k)[0] == max(levels)
-                for _ in range(3):
-                    x = random_element(rng, n, k)
-                    assert E.apply_diag(e, x) == U.adjoint_action(uk, x)
+                assert cylinder_owners_reference(e, k)[0] == max(levels)
+            for _ in range(3 if i < len(small) else 1):
+                x = random_element(rng, e.n, k)
+                got = E.apply_diag(e, x)
+                assert got == apply_reference(e, x) == U.adjoint_action(uk, x)
 
 
 def test_preimage_inverts_certified_automorphisms():
@@ -442,15 +473,59 @@ def test_property_p_data_composition_with_inner():
 def test_braiding_of_kitchens():
     u = U.kitchens_unitary()
     e = E.endomorphism(u)
-    result = E.braiding(e, u, budget=8)
-    assert result.unitary is not None
-    # alpha phi(x) = beta phi alpha(x) on cylinders
+    w = E.braiding(e)
+    assert w == u
+    # alpha phi(x) = Ad(w) phi alpha(x) on cylinders
     for k in range(1, 4):
-        for w in W.enumerate_words(3, k):
-            p = W.cylinder(3, w)
+        for word in W.enumerate_words(3, k):
+            p = W.cylinder(3, word)
             lhs = E.apply_diag(e, W.shift_diag(p))
-            rhs = result.apply(W.shift_diag(E.apply_diag(e, p)))
+            rhs = U.adjoint_action(w, W.shift_diag(E.apply_diag(e, p)))
             assert lhs == rhs
+
+
+def test_the_braiding_is_the_old_formula_on_the_certified_census():
+    checked = 0
+    for e in certify_census():
+        verdict = E.certify_automorphism(e, 5)
+        if verdict.verdict != "automorphism":
+            continue
+        w = E.braiding(e)
+        assert w == e.unitary
+        for k in range(1, 4):
+            for word in W.enumerate_words(e.n, k):
+                p = W.cylinder(e.n, word)
+                assert U.adjoint_action(w, p) == braid_reference(e, verdict.inverse, p)
+        checked += 1
+    assert checked >= 70
+
+
+def test_the_braiding_of_a_second_letter_swap():
+    # 1 (x) swap: its braiding Ad(u) fixes every level-1 cylinder, so a search
+    # over cylinder images took the identity, which fails the braid identity
+    u = U.PermutationUnitary(2, 2, (1, 0, 3, 2))
+    e = E.endomorphism(u)
+    verdict = E.certify_automorphism(e, 5)
+    assert verdict.verdict == "automorphism"
+    found = unitary_from_images_reference(
+        2, range(1, 9), lambda word: braid_reference(e, verdict.inverse, W.cylinder(2, word))
+    )
+    assert found == U.identity(2)
+    theta = U.flip_unitary(2)
+    assert not E.agree_on_diagonal(
+        E.convolution(u, theta), E.convolution(E.convolution(E.ad_unitary(found), theta), u)
+    )
+    assert E.braiding(e) == u
+    for k in range(1, 4):
+        for word in W.enumerate_words(2, k):
+            p = W.cylinder(2, word)
+            assert U.adjoint_action(u, p) == braid_reference(e, verdict.inverse, p)
+
+
+def test_a_failed_braid_identity_is_caught(monkeypatch):
+    monkeypatch.setattr(E, "agree_on_diagonal", lambda a, b: False)
+    with pytest.raises(AssertionError, match="fails the braid identity"):
+        E.braiding(E.endomorphism(U.kitchens_unitary()))
 
 
 def census():
@@ -577,7 +652,7 @@ def preimage_reference(e, y, max_depth):
     # on every owner fiber
     n = e.n
     for s in range(1, max_depth + 1):
-        owner_level, owner = e.cylinder_owners(s)
+        owner_level, owner = cylinder_owners_reference(e, s)
         level = max(y.level, owner_level)
         coeffs = [None] * n**s
         for w, c in zip(W.lift_table(owner, n, level), W.refine(y, level).coeffs):
@@ -636,7 +711,7 @@ def certify_reference(e, budget):
         return None
     if k == 0:
         return U.identity(n)
-    r = max(k, e.cylinder_owners(k)[0])
+    r = max(k, cylinder_owners_reference(e, k)[0])
     w = unitary_from_images_reference(
         n, (r,), lambda word: E.apply_diag(e, W.cylinder(n, word))
     )

@@ -1,0 +1,22 @@
+import ast
+import sys
+from pathlib import Path
+
+ALLOWED = set(sys.stdlib_module_names) | {"click", "shiftcalc"}
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shiftcalc"
+
+
+def test_the_package_imports_only_the_standard_library_and_click():
+    # pure Python: numpy may be installed, but the package does not declare it
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in ALLOWED, "%s imports %s" % (path.name, name)

@@ -72,14 +72,19 @@ def test_unitary_refuses_malformed_maps_with_one_message(entries, error, message
     assert str(info.value) == message
 
 
-def test_parse_word_leniency_is_unchanged_by_the_table():
-    # Pins known-wrong behaviour, not a feature: parse_word reads a list of
-    # letters or non-ASCII digits as a word, though the format says digit
-    # strings (a FOUND line in CHANGES.md).  The name table must not change
-    # that; the fix for the leniency will change this test.
-    swap = U.letter_permutation(2, (2, 1))
+def test_parse_word_refuses_words_that_are_not_digit_strings():
+    # words are strings of ASCII digits: a list of letters, fullwidth digits
+    # and an object (read through its keys) are refused, not read as 12
+    for word in ([1, 2], "\uff11\uff12", {"1": 0, "2": 0}):
+        with pytest.raises(ValueError, match="is not a string of ASCII digits"):
+            W.parse_word(word, 2)
     for entries in ([[[1], [2]], [[2], [1]]], [["\uff11", "2"], ["2", "1"]]):
-        assert jsonio.unitary_from_dict({"n": 2, "level": 1, "map": entries}) == swap
+        with pytest.raises(ValueError, match="is not a string of ASCII digits"):
+            jsonio.unitary_from_dict({"n": 2, "level": 1, "map": entries})
+    with pytest.raises(ValueError, match="is not a string of ASCII digits"):
+        jsonio.diag_from_dict({"n": 2, "support": [[1, 2]]})
+    with pytest.raises(ValueError, match="symbol 0 outside alphabet"):
+        W.parse_word("10", 2)
     with pytest.raises(ValueError, match="digit-string words require n <= 9"):
         jsonio.unitary_from_dict({"n": 10, "level": 1, "map": [["1", "1"]]})
 
