@@ -67,13 +67,11 @@ from .endo import (
     property_p_data,
 )
 from .codes import (
-    PeriodicPoint,
     RefutationError,
     SlidingBlockCode,
     code_apply_diag,
     code_compose,
     code_equal,
-    code_on_periodic,
     degree,
     en_inverse_search,
     enumerate_one_sided_automorphisms,
@@ -83,7 +81,6 @@ from .codes import (
     minimize,
     one_sided_automorphism_check,
     orbit_permutation,
-    periodic_point,
     periodic_points,
     residual_separation,
     shift_code,

@@ -58,13 +58,12 @@ def read_code(e: PermutativeEndomorphism) -> SlidingBlockCode:
     return code
 
 
-def extract_code(e: PermutativeEndomorphism, m: int, certify: bool = True) -> SlidingBlockCode:
+def extract_code(e: PermutativeEndomorphism, m: int) -> SlidingBlockCode:
     """The sliding block code of lambda_u o phi^m on the diagonal.
 
     Requires that the composite commutes with the shift (checked exactly;
     the caller's m is too small otherwise).  The code is `read_code` of the
-    composite.  With certify=True the result must admit an E_n certificate
-    within the window budget.
+    composite, and it must admit an E_n certificate within the window budget.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -72,11 +71,9 @@ def extract_code(e: PermutativeEndomorphism, m: int, certify: bool = True) -> Sl
     if not E.commutes_with_shift_on_diagonal(comp):
         raise ValueError("lambda_u phi^m does not commute with the shift; m too small")
     code = read_code(comp)
-    if certify:
-        radius = max(comp.unitary.level, 1)
-        window = 2 * radius + 2 * m + 2
-        if C.en_inverse_search(code, m + radius, window) is None:
-            raise ValueError("extracted code admits no inverse certificate in budget")
+    radius = max(comp.unitary.level, 1)
+    if C.en_inverse_search(code, m + radius, 2 * radius + 2 * m + 2) is None:
+        raise ValueError("extracted code admits no inverse certificate in budget")
     return code
 
 

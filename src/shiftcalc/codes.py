@@ -12,8 +12,10 @@ with code_compose(c1, c2) returning the code of F_{c1} o F_{c2}.
 
 Inverse-to-shift-power search, degree, periodic orbits and the
 orbit-permutation separations all live here; every returned certificate is
-verified exactly against rule tables before it escapes.  One-sided shift
-automorphisms are decided exactly on a pair graph, with no window bound.
+verified exactly against rule tables before it escapes.  Words are ranks in
+lexicographic order (`jsonio` names them), periodic points among them.
+One-sided shift automorphisms are decided exactly on a pair graph, with no
+window bound, and their inverse rule is read off at that graph's window.
 """
 from __future__ import annotations
 
@@ -199,9 +201,7 @@ def shift_exponent(c: SlidingBlockCode) -> int:
     return j
 
 
-def en_inverse_search(
-    c: SlidingBlockCode, max_m: int, max_window: int, fixed_m: Optional[int] = None
-) -> Optional[tuple]:
+def en_inverse_search(c: SlidingBlockCode, max_m: int, max_window: int) -> Optional[tuple]:
     """Search for (beta, m) with alpha beta = beta alpha = phi^m, exactly.
 
     beta is extracted by checking whether x_{m+1} is determined by a bounded
@@ -214,9 +214,7 @@ def en_inverse_search(
     share an output but not a target, and every window s would fail.
     """
     n, r = c.n, c.radius
-    m_values = [fixed_m] if fixed_m is not None else list(range(max_m + 1))
-    j = shift_exponent(c)
-    for m in (m for m in m_values if m >= j):
+    for m in range(shift_exponent(c), max_m + 1):
         for s in range(1, max_window + 1):
             if m + 1 > s + r - 1:
                 continue
@@ -302,14 +300,21 @@ def automorphism_window(c: SlidingBlockCode) -> Optional[int]:
 
 def one_sided_automorphism_check(c: SlidingBlockCode) -> Optional[SlidingBlockCode]:
     """Two-sided inverse code if c is an automorphism of the one-sided shift,
-    else None; decided exactly by automorphism_window."""
+    else None; decided exactly by automorphism_window.  At that window s the
+    inverse rule is one gather, rule[out[x]] = x_1 over output_ranks(s + r - 1),
+    and both compositions are checked against the identity."""
     window = automorphism_window(c)
     if window is None:
         return None
-    found = en_inverse_search(c, 0, window, fixed_m=0)
-    if found is None:
+    out = c.output_ranks(window + c.radius - 1)
+    head = len(out) // c.n
+    rule = [1] * c.n**window
+    for x, y in enumerate(out):
+        rule[y] = x // head + 1
+    beta = minimize(SlidingBlockCode(c.n, window, tuple(rule)))
+    if not code_compose(beta, c) == code_compose(c, beta) == identity_code(c.n):
         raise AssertionError("no inverse at the pair-graph window %d" % window)
-    return found[0]
+    return beta
 
 
 def degree(c: SlidingBlockCode, beta: SlidingBlockCode, m: int) -> int:
@@ -335,90 +340,45 @@ def degree(c: SlidingBlockCode, beta: SlidingBlockCode, m: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class PeriodicPoint:
-    """A periodic point of the shift, given by its primitive repeating word."""
-
-    n: int
-    word: tuple
-
-    def __post_init__(self):
-        if not self.word:
-            raise ValueError("periodic point needs a nonempty word")
-        if primitive_root(self.word) != self.word:
-            raise ValueError("repeating word must be primitive")
-
-    @property
-    def period(self) -> int:
-        return len(self.word)
-
-
-def primitive_root(word: Sequence[int]) -> tuple:
-    word = tuple(word)
-    k = len(word)
-    for d in range(1, k + 1):
-        if k % d == 0 and word == word[:d] * (k // d):
-            return word[:d]
-    return word
-
-
-def least_rotation(word: Sequence[int]) -> tuple:
-    word = tuple(word)
-    return min(word[i:] + word[:i] for i in range(len(word)))
-
-
-def periodic_point(n: int, word: Sequence[int]) -> PeriodicPoint:
-    return PeriodicPoint(n, primitive_root(word))
-
-
-def code_on_periodic(c: SlidingBlockCode, p: PeriodicPoint) -> PeriodicPoint:
-    """Image of a periodic point: slide the rule around the cycle."""
-    if c.n != p.n:
-        raise ValueError("alphabet sizes differ")
-    reps = -(-(c.radius) // p.period) + 1
-    x = p.word * reps
-    out = tuple(c.local(x[j : j + c.radius]) for j in range(p.period))
-    return PeriodicPoint(p.n, primitive_root(out))
-
-
-def periodic_points(n: int, r: int):
-    """The phi-orbits of the n^r points of period r, as lists of words.
-
-    Each orbit lists the length-r repeating words of its points; orbits are
-    sorted by their least member.
-    """
-    seen = set()
+def periodic_points(n: int, r: int) -> list:
+    """The phi-orbits of the period-r points, as sorted lists of ranks, listed
+    by least rank.  A point is the rank w of its length-r repeating word, and
+    the shift rotates that word: w -> (w mod n^(r-1)) n + w // n^(r-1)."""
+    if r < 1:
+        raise ValueError("period must be at least 1")
+    size = _check_capacity(n, r)
+    head = size // n
+    seen = bytearray(size)
     orbits = []
-    for w in W.enumerate_words(n, r):
-        if w in seen:
-            continue
+    for w in range(size):
         orbit = []
-        x = w
-        while x not in seen:
-            seen.add(x)
-            orbit.append(x)
-            x = x[1:] + x[:1]
-        orbits.append(sorted(orbit))
-    return sorted(orbits)
+        while not seen[w]:
+            seen[w] = 1
+            orbit.append(w)
+            w = (w % head) * n + w // head
+        if orbit:
+            orbits.append(sorted(orbit))
+    return orbits
 
 
 def orbit_permutation(c: SlidingBlockCode, r: int) -> dict:
-    """The permutation induced on the phi-orbits of period-r points.
-
-    Keyed by canonical orbit representative (least length-r word).  Raises
-    if the induced map fails to permute the orbits, which refutes any E_n
-    certificate held for c.
-    """
-    orbits = periodic_points(c.n, r)
+    """The permutation induced on the phi-orbits of period-r points, least
+    rank to least rank.  The image of the point w is one output_ranks entry,
+    at w repeated and cut to r + radius - 1 letters; F_c commutes with the
+    shift, so its period divides r.  Raises if the map fails to permute the
+    orbits, which refutes any E_n certificate held for c."""
+    n, extra = c.n, c.radius - 1
+    orbits = periodic_points(n, r)
+    out = c.output_ranks(r + extra)
+    least = {w: orbit[0] for orbit in orbits for w in orbit}
     perm = {}
     for orbit in orbits:
-        rep = orbit[0]
-        image = code_on_periodic(c, periodic_point(c.n, rep))
-        target = least_rotation(image.word * (r // image.period)) if r % image.period == 0 else None
-        if target is None:
-            raise RefutationError("image period does not divide r; certificate refuted")
-        perm[rep] = target
-    if sorted(perm.values()) != sorted(perm.keys()):
+        w = x = orbit[0]
+        for k in range(extra, 0, -r):
+            cut = min(k, r)
+            x = x * n**cut + w // n ** (r - cut)
+        perm[w] = least[out[x]]
+    if sorted(perm.values()) != sorted(perm):
         raise RefutationError(
             "induced orbit map is not a permutation at r=%d; certificate refuted" % r
         )

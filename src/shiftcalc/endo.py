@@ -60,11 +60,12 @@ def ad_unitary(w: PermutationUnitary) -> PermutationUnitary:
 
 @dataclass(frozen=True)
 class PermutativeEndomorphism:
-    """lambda_u for a permutation unitary u, with cached cocycle products
-    and point map."""
+    """lambda_u for a permutation unitary u, with cached cocycle products,
+    point map and emitted runs."""
 
     unitary: PermutationUnitary
     _uk: dict = field(default_factory=dict, compare=False, repr=False)
+    _runs: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -103,6 +104,19 @@ class PermutativeEndomorphism:
         src = U.inverse(U.embed(self.unitary, max(self.unitary.level, 1))).ranks
         tail = len(src) // self.n
         return tail, [divmod(s, tail) for s in src]
+
+    def runs(self, k: int) -> list:
+        """Per word of length k + L - 1, in rank order: the rank of the first k
+        letters T_u emits, times tail, plus T_u's state; cached.  Grown a letter
+        at a time, as T_u's step takes p a to (letter) tail + next state."""
+        if k not in self._runs:
+            n, (tail, step) = self.n, self.point_map
+            rows = [[y * tail + s - p * n for y, s in step[p * n : p * n + n]] for p in range(tail)]
+            runs = range(tail)
+            for _ in range(k):
+                runs = [r * n + d for r in runs for d in rows[r % tail]]
+            self._runs[k] = runs
+        return self._runs[k]
 
 
 def endomorphism(u: PermutationUnitary) -> PermutativeEndomorphism:
@@ -162,24 +176,16 @@ def transducers_agree(n: int, step_a: list, step_b: list, starts) -> bool:
 
 def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElement:
     """lambda_u(x) = x o T_u for x of level k >= 1: on each word of length
-    k + L - 1, L = max(level(u), 1), x at the first k letters T_u emits.  A
-    run, (emitted rank) tail + state, grows a letter at a time from the first
-    L - 1 letters, as T_u's step takes p a to letter tail + next state."""
+    k + L - 1, L = max(level(u), 1), x at the first k letters T_u emits, read
+    through the cached runs `e.runs(k)`."""
     if e.n != x.n:
         raise ValueError("alphabet sizes differ")
     x = W.reduce(x)
     if x.level == 0:
         return x
-    n, (tail, step) = e.n, e.point_map
     level = x.level + max(e.unitary.level, 1) - 1
-    lifted = W.lift_table(x.coeffs, n, level)  # checks the capacity first
-    rows = [
-        tuple(y * tail + s - p * n for y, s in step[p * n : p * n + n]) for p in range(tail)
-    ]
-    runs = range(tail)
-    for _ in range(x.level):
-        runs = [r * n + d for r in runs for d in rows[r % tail]]
-    return W.reduce(DiagonalElement(n, level, itemgetter(*runs)(lifted)))
+    lifted = W.lift_table(x.coeffs, e.n, level)  # checks the capacity first
+    return W.reduce(DiagonalElement(e.n, level, itemgetter(*e.runs(x.level))(lifted)))
 
 
 def compose(e1: PermutativeEndomorphism, e2: PermutativeEndomorphism) -> PermutativeEndomorphism:

@@ -177,11 +177,9 @@ def verdict_to_dict(v: AutomorphismVerdict, property_p_m=None) -> dict:
 def orbit_report(c: SlidingBlockCode, r: int) -> dict:
     orbits = C.periodic_points(c.n, r)
     perm = C.orbit_permutation(c, r)
+    names = _names(c.n, r)
     return {
         "r": r,
-        "orbits": [[W.format_word(w) for w in orbit] for orbit in orbits],
-        "permutation": [
-            [W.format_word(src), W.format_word(dst)]
-            for src, dst in sorted(perm.items())
-        ],
+        "orbits": [[names[w] for w in orbit] for orbit in orbits],
+        "permutation": [[names[src], names[dst]] for src, dst in sorted(perm.items())],
     }

@@ -185,11 +185,7 @@ def u_k_product(u: PermutationUnitary, k: int) -> PermutationUnitary:
 
 def flip_unitary(n: int) -> PermutationUnitary:
     """The coordinate flip theta at level 2: sigma(ij) = ji."""
-    size = _check_capacity(n, 2)
-    ranks = [0] * size
-    for i, j in itertools.product(range(n), repeat=2):
-        ranks[i * n + j] = j * n + i
-    return PermutationUnitary(n, 2, tuple(ranks))
+    return shift_power_unitary(n, 1)
 
 
 def shift_power_unitary(n: int, k: int) -> PermutationUnitary:

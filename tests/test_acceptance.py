@@ -138,18 +138,21 @@ def test_criterion_08_residual_separation():
     kit = C.kitchens_code()
     assert C.residual_separation(kit, 4) == 2
     perm = C.orbit_permutation(kit, 2)
-    assert perm[(1, 3)] == (2, 3) and perm[(2, 3)] == (1, 3)
+    w13, w23 = W.word_rank((1, 3), 3), W.word_rank((2, 3), 3)
+    assert perm[w13] == w23 and perm[w23] == w13
     for m in range(3):
         c = C.shift_power_code(2, m)
         for r in range(1, 7):
             assert all(s == d for s, d in C.orbit_permutation(c, r).items())
-    # oracle: images of whole orbits computed by brute rule application
-    for orbit in C.periodic_points(3, 3):
-        rep = orbit[0]
-        image = C.code_on_periodic(kit, C.periodic_point(3, rep))
-        long = rep * 3
+    # oracle: images of whole orbits computed by brute rule application on
+    # word tuples; the image's orbit is the one listed at perm[rep]
+    perm = C.orbit_permutation(kit, 3)
+    orbits = {orbit[0]: orbit for orbit in C.periodic_points(3, 3)}
+    assert sorted(perm) == sorted(orbits)
+    for rep in orbits:
+        long = W.word_unrank(rep, 3, 3) * 3
         expect = tuple(kit.local(long[j : j + 2]) for j in range(3))
-        assert image.word == C.primitive_root(expect)
+        assert W.word_rank(expect, 3) in orbits[perm[rep]]
 
 
 def test_criterion_09_inner_kernel():

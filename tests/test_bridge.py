@@ -103,7 +103,7 @@ def test_extract_code_matches_the_cylinder_read_off():
     for u, m in cases:
         e = E.endomorphism(u)
         depth = e.unitary.level + m
-        got = B.extract_code(e, m, certify=False)
+        got = B.extract_code(e, m)
         want = extract_code_reference(e, m, depth)
         assert (got.radius, got.rule) == (want.radius, want.rule)
 
@@ -178,7 +178,7 @@ def sweep_reference(n, max_level):
         if 0 in rule:
             continue
         code = C.minimize(C.SlidingBlockCode(n, radius, tuple(rule)))
-        if C.en_inverse_search(code, 0, window, fixed_m=0) is None:
+        if C.en_inverse_search(code, 0, window) is None:
             continue
         found.add(U.reduce(u))
     return sorted(found, key=lambda v: (v.level, v.ranks))

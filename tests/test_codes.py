@@ -154,27 +154,99 @@ def test_trace_necessary_check():
     assert not C.trace_necessary_check(bad, 2)
 
 
+def primitive_root(word):
+    k = len(word)
+    for d in range(1, k + 1):
+        if k % d == 0 and word == word[:d] * (k // d):
+            return word[:d]
+
+
+def least_rotation(word):
+    return min(word[i:] + word[:i] for i in range(len(word)))
+
+
+def code_on_periodic(c, word):
+    """Oracle: the primitive repeating word of the image of the periodic
+    point with repeating word `word`, sliding the rule around the cycle."""
+    word = primitive_root(tuple(word))
+    x = word * (-(-c.radius // len(word)) + 1)
+    return primitive_root(tuple(c.local(x[j : j + c.radius]) for j in range(len(word))))
+
+
+def periodic_points_reference(n, r):
+    """Oracle: the phi-orbits of the period-r points as sorted lists of
+    length-r words, rotating tuples, the orbits sorted."""
+    seen, orbits = set(), []
+    for w in W.enumerate_words(n, r):
+        orbit = []
+        while w not in seen:
+            seen.add(w)
+            orbit.append(w)
+            w = w[1:] + w[:1]
+        if orbit:
+            orbits.append(sorted(orbit))
+    return sorted(orbits)
+
+
+def orbit_permutation_reference(c, r):
+    """Oracle: the orbit map keyed by least words, each image the least
+    rotation of the expanded image word; a non-permutation is refuted."""
+    perm = {}
+    for orbit in periodic_points_reference(c.n, r):
+        image = code_on_periodic(c, orbit[0])
+        assert r % len(image) == 0  # F_c commutes with sigma
+        perm[orbit[0]] = least_rotation(image * (r // len(image)))
+    if sorted(perm.values()) != sorted(perm):
+        raise C.RefutationError("induced orbit map is not a permutation")
+    return perm
+
+
 def test_periodic_points_and_orbits():
     orbits = C.periodic_points(2, 3)
     assert sum(len(o) for o in orbits) == 8
-    assert [(1, 1, 1)] in orbits and sorted(
-        [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
-    ) in orbits
+    rank = [W.word_rank(w, 2) for w in [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]]
+    assert [rank[0]] in orbits and sorted(rank[1:]) in orbits
+    with pytest.raises(ValueError):
+        C.periodic_points(2, 0)
 
 
 def test_code_on_periodic_matches_oracle():
     c = C.kitchens_code()
     for w in W.enumerate_words(3, 4):
-        p = C.periodic_point(3, w)
-        image = C.code_on_periodic(c, p)
-        long = (p.word * (8 // p.period + 2))[: p.period + c.radius - 1]
-        assert image.word == C.primitive_root(c.output(long[: p.period + c.radius - 1]))
+        p = primitive_root(w)
+        image = code_on_periodic(c, w)
+        long = (p * (8 // len(p) + 2))[: len(p) + c.radius - 1]
+        assert image == primitive_root(c.output(long[: len(p) + c.radius - 1]))
+
+
+def test_orbits_match_the_word_tuple_oracle():
+    # the census codes: every 2-letter table up to radius 3, 200 seeded
+    # 3-letter tables, and the letter and Kitchens codes times sigma^m
+    for n, r in itertools.product((2, 3, 4), range(1, 5)):
+        oracle = periodic_points_reference(n, r)
+        assert C.periodic_points(n, r) == [[W.word_rank(w, n) for w in o] for o in oracle]
+    refuted = moved = 0
+    for codes, _ in census_codes():
+        for c in codes:
+            for r in range(1, 5):
+                try:
+                    expected = orbit_permutation_reference(c, r)
+                except C.RefutationError:
+                    with pytest.raises(C.RefutationError):
+                        C.orbit_permutation(c, r)
+                    refuted += 1
+                    continue
+                rank = {w: W.word_rank(w, c.n) for w in expected}
+                assert C.orbit_permutation(c, r) == {rank[s]: rank[d] for s, d in expected.items()}
+                moved += expected != {w: w for w in expected}
+    assert (refuted, moved) == (1593, 476)
 
 
 def test_orbit_permutation_kitchens_swap():
     perm = C.orbit_permutation(C.kitchens_code(), 2)
-    assert perm[(1, 3)] == (2, 3) and perm[(2, 3)] == (1, 3)
-    assert all(perm[w] == w for w in perm if w not in ((1, 3), (2, 3)))
+    w13, w23 = W.word_rank((1, 3), 3), W.word_rank((2, 3), 3)
+    assert perm[w13] == w23 and perm[w23] == w13
+    assert all(perm[w] == w for w in perm if w not in (w13, w23))
 
 
 def test_orbit_permutation_refutes_non_bijective_codes():
@@ -237,8 +309,8 @@ def injective_on_periodics(c, max_r):
     for r in range(1, max_r + 1):
         seen = set()
         for w in W.enumerate_words(c.n, r):
-            p = C.code_on_periodic(c, C.periodic_point(c.n, w))
-            expanded = p.word * (r // p.period)
+            p = code_on_periodic(c, w)
+            expanded = p * (r // len(p))
             if expanded in seen:
                 return False
             seen.add(expanded)
@@ -258,7 +330,7 @@ def enumerate_reference(n, max_radius):
             c = C.SlidingBlockCode(n, r, rule)
             if not injective_on_periodics(c, min(3, max(2, r))):
                 continue
-            inv = en_inverse_search_reference(c, 0, window, fixed_m=0)
+            inv = en_inverse_search_reference(c, 0, window)
             if inv is not None:
                 cm = C.minimize(c)
                 found.setdefault((cm.radius, cm.rule), (cm, inv[0]))
@@ -295,7 +367,7 @@ def automorphism_census():
 def test_automorphism_check_matches_the_windowed_reference():
     accepted = 0
     for c in automorphism_census():
-        expected = en_inverse_search_reference(c, 0, 2 * c.radius + 2, fixed_m=0)
+        expected = en_inverse_search_reference(c, 0, 2 * c.radius + 2)
         got = C.one_sided_automorphism_check(c)
         assert (got is None) == (expected is None)
         if got is not None:
@@ -316,8 +388,8 @@ def test_the_pair_graph_window_is_the_least_that_determines_x1():
             assert C.one_sided_automorphism_check(c) is None
             continue
         windows.add(s)
-        assert en_inverse_search_reference(c, 0, s, fixed_m=0) is not None
-        assert en_inverse_search_reference(c, 0, s - 1, fixed_m=0) is None
+        assert en_inverse_search_reference(c, 0, s) is not None
+        assert en_inverse_search_reference(c, 0, s - 1) is None
     assert {1, 2, 3} <= windows
 
 
@@ -402,11 +474,10 @@ def code_compose_reference(c1, c2):
     return C.SlidingBlockCode(c1.n, radius, rule)
 
 
-def en_inverse_search_reference(c, max_m, max_window, fixed_m=None):
+def en_inverse_search_reference(c, max_m, max_window):
     """Oracle: the inverse search that tries every m, from the shift on."""
     n, r = c.n, c.radius
-    m_values = [fixed_m] if fixed_m is not None else list(range(max_m + 1))
-    for m in m_values:
+    for m in range(max_m + 1):
         for s in range(1, max_window + 1):
             if m + 1 > s + r - 1:
                 continue
@@ -467,9 +538,6 @@ def test_en_inverse_search_matches_the_reference_on_a_census():
                 expected = en_inverse_search_reference(c, max_m, max_window)
                 assert C.en_inverse_search(c, max_m, max_window) == expected
                 found += expected is not None
-            for fixed_m in (0, 1):
-                expected = en_inverse_search_reference(c, 0, budgets[0][1], fixed_m)
-                assert C.en_inverse_search(c, 0, budgets[0][1], fixed_m) == expected
     assert found > 100
 
 

@@ -816,7 +816,7 @@ def certify_ungated(e, budget):
                 return E.AutomorphismVerdict("automorphism", inverse=w)
             raise AssertionError("the direct inverse fails verification")
     if E.commutes_with_shift_on_diagonal(e):
-        code = B.extract_code(e, 0, certify=False)
+        code = B.read_code(e)
         window = max(budget, 2 * max(code.radius, 1))
         found = C.en_inverse_search(code, budget, window)
         if found is not None:
