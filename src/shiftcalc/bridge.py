@@ -2,8 +2,8 @@
 
 One direction turns a certified automorphism of the one-sided shift into the
 unique permutation unitary implementing it on the diagonal (tail-matching
-construction); the other reads the sliding block code of a shift-commuting
-permutative endomorphism off the letters its point map emits.  On top of
+construction); the other extracts the sliding block code of lambda_u o phi^m
+(`endo.read_code` reads it off the letters the point map emits).  On top of
 both sit the outer-class equality tests.
 """
 from __future__ import annotations
@@ -26,51 +26,30 @@ def unitary_from_shift_automorphism(c: SlidingBlockCode) -> PermutationUnitary:
     construction keeps the tail: u^* sends the window h t (t of length r - 1)
     to rule(h t) t, so T_u = F_c.  That is a permutation exactly when c is
     tail-bijective, which every automorphism is.  T_u = F_c needs no check:
-    the point map of u splits star[w] = (rule[w] - 1) tails + w mod tails
-    into (rule[w] - 1, w mod tails), the step of `codes.transducer(c)`.
+    u^* is `codes.transducer(c)` flattened, and the point map splits it back.
     """
-    n, r = c.n, c.radius
-    tails = n ** (r - 1)
-    size = capacity.check(n, r)
-    star = tuple((c.rule[w] - 1) * tails + w % tails for w in range(size))
-    if len(set(star)) != size:
+    tails = capacity.check(c.n, c.radius) // c.n
+    star = tuple(y * tails + t for y, t in C.transducer(c))
+    if len(set(star)) != len(star):
         raise ValueError(
             "rule is not tail-bijective; input is not a certified shift automorphism"
         )
-    return U.reduce(U.inverse(PermutationUnitary(n, r, star)))
-
-
-def read_code(e: PermutativeEndomorphism) -> SlidingBlockCode:
-    """The sliding block code of a lambda_u known to commute with the shift.
-
-    The local rule is the letters T_u emits at radius L = max(level(u), 1),
-    minimized, checked exactly: padded back to radius L, the code's
-    transducer runs in lockstep with T_u from every pair (p, p).  That
-    compares T_u's state dynamics with the code's window dynamics, and
-    fails exactly when lambda_u does not commute with the shift.
-    """
-    n, radius = e.n, max(e.unitary.level, 1)
-    tail, step = e.point_map
-    code = C.minimize(SlidingBlockCode(n, radius, tuple(x + 1 for x, _ in step)))
-    padded = C.transducer(C.pad(code, radius))
-    if not E.transducers_agree(n, step, padded, [(p, p) for p in range(tail)]):
-        raise AssertionError("extracted rule disagrees with the endomorphism")
-    return code
+    return U.reduce(U.inverse(PermutationUnitary(c.n, c.radius, star)))
 
 
 def extract_code(e: PermutativeEndomorphism, m: int) -> SlidingBlockCode:
     """The sliding block code of lambda_u o phi^m on the diagonal.
 
     Requires that the composite commutes with the shift (checked exactly;
-    the caller's m is too small otherwise).  The code is `read_code` of the
-    composite, and it must admit an E_n certificate within the window budget.
+    the caller's m is too small otherwise).  The code is `endo.read_code` of
+    the composite, and it must admit an E_n certificate within the window budget.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     comp = e if m == 0 else E.endomorphism(e.convolve(U.shift_power_unitary(e.n, m)))
     if not E.commutes_with_shift_on_diagonal(comp):
         raise ValueError("lambda_u phi^m does not commute with the shift; m too small")
-    code = read_code(comp)
+    code = E.read_code(comp)
     radius = max(comp.unitary.level, 1)
     if C.en_inverse_search(code, m + radius, 2 * radius + 2 * m + 2) is None:
         raise ValueError("extracted code admits no inverse certificate in budget")

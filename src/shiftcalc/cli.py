@@ -25,10 +25,10 @@ from .fixtures import fixture_suite
 class RunConfig:
     """Budgets and output settings shared by every subcommand."""
 
-    budget_depth: int = 8
-    max_m: int = 4
-    max_window: int = 12
-    fmt: str = "json"
+    budget_depth: int
+    max_m: int
+    max_window: int
+    fmt: str
 
 
 def _emit(obj, fmt: str) -> None:
@@ -75,11 +75,28 @@ def _run(body) -> None:
         sys.exit(1)
 
 
-@click.group()
+def _exit_one(method):
+    """Click's usage errors are input errors: they exit 1, not 2."""
+
+    def wrapped(*args, **kwargs):
+        try:
+            return method(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+    return wrapped
+
+
+class _Main(click.Group):
+    make_context = _exit_one(click.Group.make_context)
+    invoke = _exit_one(click.Group.invoke)
+
+
+@click.group(cls=_Main)
 @click.option(
     "--budget-depth",
     default=8,
-    envvar="BUDGET_DEPTH",
     show_default=True,
     help="certify: largest inverse level tried; also the shift power and least "
     "window of the degree route",
@@ -87,25 +104,22 @@ def _run(body) -> None:
 @click.option(
     "--max-m",
     default=4,
-    envvar="MAX_M",
     show_default=True,
     help="degree: largest m searched for an inverse up to the shift power m",
 )
 @click.option(
     "--max-window",
     default=12,
-    envvar="MAX_WINDOW",
     show_default=True,
     help="degree: widest inverse code window searched (enumerate decides "
     "exactly and needs no window)",
 )
-@click.option("--capacity", default=0, envvar="CAPACITY", help="index-set size limit")
+@click.option("--capacity", default=0, help="index-set size limit")
 @click.option(
     "--format",
     "fmt",
     type=click.Choice(["json", "table"]),
     default="json",
-    envvar="FORMAT",
     show_default=True,
 )
 @click.pass_context

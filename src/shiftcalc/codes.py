@@ -68,25 +68,13 @@ class SlidingBlockCode:
         return tuple(self.local(word[j : j + r]) for j in range(len(word) - r + 1))
 
     def output_ranks(self, length: int) -> list:
-        """out[X] = rank of output(word X), for every word X of `length` >= radius.
-
-        Built letter by letter: appending a to X appends the rule's letter on
-        the window (last r-1 letters of X) a, so
-        out[X n + a] = out[X] n + rule[(X mod n^(r-1)) n + a] - 1; the rule row
-        for X mod n^(r-1) cycles with X.
-        """
+        """out[X] = rank of output(word X), for every word X of `length` >= radius:
+        the letters the code's transducer emits on X (`emitted_ranks`)."""
         n, r = self.n, self.radius
         if length < r:
             raise ValueError("output needs words of length at least the radius")
         _check_capacity(n, length)
-        rows = [
-            tuple(v - 1 for v in self.rule[i : i + n])
-            for i in range(0, len(self.rule), n)
-        ]
-        out = [v - 1 for v in self.rule]
-        for _ in range(r, length):
-            out = [y * n + b for y, row in zip(out, itertools.cycle(rows)) for b in row]
-        return out
+        return emitted_ranks(n, n ** (r - 1), transducer(self), length - r + 1)
 
 
 def identity_code(n: int) -> SlidingBlockCode:
@@ -101,13 +89,10 @@ def letter_code(n: int, images: Sequence[int]) -> SlidingBlockCode:
 
 
 def shift_power_code(n: int, m: int) -> SlidingBlockCode:
-    """The code of the m-th shift power: rule(w) = w_{m+1}."""
+    """The code of the m-th shift power: rule(w) = w_{m+1}, the last letter."""
     if m < 0:
         raise ValueError("shift power must be nonnegative")
-    if m == 0:
-        return identity_code(n)
-    words = W.enumerate_words(n, m + 1)
-    return SlidingBlockCode(n, m + 1, tuple(w[m] for w in words))
+    return SlidingBlockCode(n, m + 1, tuple(w % n + 1 for w in range(_check_capacity(n, m + 1))))
 
 
 def shift_code(n: int) -> SlidingBlockCode:
@@ -115,13 +100,9 @@ def shift_code(n: int) -> SlidingBlockCode:
 
 
 def kitchens_code() -> SlidingBlockCode:
-    """The order-two automorphism of the one-sided 3-shift swapping 13 and 23."""
-    rule = {}
-    for a, b in itertools.product(range(1, 4), repeat=2):
-        rule[(a, b)] = a
-    rule[(1, 3)] = 2
-    rule[(2, 3)] = 1
-    return SlidingBlockCode(3, 2, tuple(rule[w] for w in W.enumerate_words(3, 2)))
+    """The order-two automorphism of the one-sided 3-shift swapping 13 and 23:
+    over the windows 11, 12, ..., 33, rule(a b) = a but rule(13) = 2, rule(23) = 1."""
+    return SlidingBlockCode(3, 2, (1, 1, 2, 2, 2, 1, 3, 3, 3))
 
 
 def pad(c: SlidingBlockCode, radius: int) -> SlidingBlockCode:
@@ -243,6 +224,18 @@ def transducer(c: SlidingBlockCode) -> list:
     letters read: step[p n + a] = (rule(p a) - 1, the last r - 1 of p a)."""
     states = len(c.rule) // c.n
     return [(x - 1, w % states) for w, x in enumerate(c.rule)]
+
+
+def emitted_ranks(n: int, tail: int, step: Sequence, k: int) -> list:
+    """Per input word of length k + L - 1, in rank order, the rank of the first
+    k letters emitted from the state of its first L - 1 letters by a transducer
+    with tail = n^(L-1) states, step[p n + a] = (letter, next state).  Grown a
+    letter at a time as runs, emitted rank times tail plus state."""
+    rows = [[y * tail + s - p * n for y, s in step[p * n : p * n + n]] for p in range(tail)]
+    runs = range(tail)
+    for _ in range(k):
+        runs = [r * n + d for r in runs for d in rows[r % tail]]
+    return [r // tail for r in runs]
 
 
 def pair_graph_height(n: int, step: Sequence, starts) -> Optional[int]:
@@ -386,8 +379,8 @@ def orbit_permutation(c: SlidingBlockCode, r: int) -> dict:
 
 
 def is_shift_power(c: SlidingBlockCode) -> Optional[int]:
-    """The j with c = sigma^j, if any; only j <= 2 radius - 2 can occur."""
-    for j in range(2 * c.radius - 1):
+    """The j with c = sigma^j, if any; sigma^j reads x_{j+1}, so j < radius."""
+    for j in range(c.radius):
         if code_equal(c, shift_power_code(c.n, j)):
             return j
     return None

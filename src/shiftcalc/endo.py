@@ -8,15 +8,15 @@ statement about finite permutations.
 
 On the diagonal lambda_u(x) = x o T_u for a homeomorphism T_u of the
 one-sided n-shift, and T_u is read only as a finite transducer
-(`point_map`, cached) whose state is the last level(u) - 1 letters read:
-`apply_diag` reads x through the letters T_u emits, and every equality on
-the diagonal is an equality of transducers run in lockstep on one input
-(`transducers_agree`): T_a against T_b (`agree_on_diagonal`), T_u against
-itself one letter later (`commutes_with_shift_on_diagonal`), against the
-identity k letters later (`is_in_ign`) and against a code
-(`bridge.read_code`).  Property (P) compares T_u(z) with T_u(sigma^d z) on
-the same pairs of states.  None of them builds a cocycle product, and the
-braiding automorphism is Ad(u) by the Cuntz relations (`braiding`).
+(`point_map`, cached) whose state is the rest of u^{-1}(window) after the
+letter it emits.  `apply_diag` reads x through the emitted letters
+(`codes.emitted_ranks`); every equality on the diagonal is one of
+transducers run in lockstep on one input (`transducers_agree`): T_a against
+T_b (`agree_on_diagonal`), T_u against itself one letter later
+(`commutes_with_shift_on_diagonal`), against the identity k letters later
+(`is_in_ign`) and against a code (`read_code`).  Property (P) compares
+T_u(z) with T_u(sigma^d z) on the same pairs of states.  None of them builds
+a cocycle product, and the braiding automorphism is Ad(u) (`braiding`).
 
 Certification builds the inverse by algebra, not by search: lambda_u has a
 permutative inverse v exactly when lambda_u(v) = u^*, and then v is
@@ -33,11 +33,12 @@ route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Optional
 
 from . import codes as C
+from .capacity import check as _check_capacity
 from . import unitaries as U
 from . import words as W
 from .unitaries import PermutationUnitary
@@ -97,25 +98,19 @@ class PermutativeEndomorphism:
 
     @cached_property
     def point_map(self) -> tuple:
-        """T_u as a transducer (tail, step) over 0-based letters, cached: the
-        state is the rank of the last L - 1 letters read, L = max(level(u), 1),
-        one of tail = n^(L-1), and step[p n + a] = (emitted letter, next state)
-        splits u^{-1} of the window p a into its first letter and the rest."""
+        """T_u as a transducer (tail, step) over 0-based letters, cached: with
+        L = max(level(u), 1), step[p n + a] = (emitted letter, next state) splits
+        u^{-1} of the window p a into its first letter and the rest, which is the
+        state, one of tail = n^(L-1) (for the flip, 12 emits 2, leaves 1)."""
         src = U.inverse(U.embed(self.unitary, max(self.unitary.level, 1))).ranks
         tail = len(src) // self.n
         return tail, [divmod(s, tail) for s in src]
 
     def runs(self, k: int) -> list:
-        """Per word of length k + L - 1, in rank order: the rank of the first k
-        letters T_u emits, times tail, plus T_u's state; cached.  Grown a letter
-        at a time, as T_u's step takes p a to (letter) tail + next state."""
+        """Per word of length k + L - 1, in rank order, the rank of the first k
+        letters T_u emits (`codes.emitted_ranks`); cached."""
         if k not in self._runs:
-            n, (tail, step) = self.n, self.point_map
-            rows = [[y * tail + s - p * n for y, s in step[p * n : p * n + n]] for p in range(tail)]
-            runs = range(tail)
-            for _ in range(k):
-                runs = [r * n + d for r in runs for d in rows[r % tail]]
-            self._runs[k] = runs
+            self._runs[k] = C.emitted_ranks(self.n, *self.point_map, k)
         return self._runs[k]
 
 
@@ -135,6 +130,24 @@ def point_map_is_injective(e: PermutativeEndomorphism) -> bool:
     tail, step = e.point_map
     starts = [(p, q) for p in range(tail) for q in range(tail) if p != q]
     return C.pair_graph_height(e.n, step, starts) is not None
+
+
+def read_code(e: PermutativeEndomorphism) -> C.SlidingBlockCode:
+    """The sliding block code of a lambda_u known to commute with the shift.
+
+    The local rule is the letters T_u emits at radius L = max(level(u), 1),
+    minimized, checked exactly: padded back to radius L, the code's transducer
+    runs in lockstep with T_u from every pair (p, p).  That compares T_u's
+    states with the code's windows, and fails exactly when lambda_u does not
+    commute with the shift.
+    """
+    n, radius = e.n, max(e.unitary.level, 1)
+    tail, step = e.point_map
+    code = C.minimize(C.SlidingBlockCode(n, radius, tuple(x + 1 for x, _ in step)))
+    padded = C.transducer(C.pad(code, radius))
+    if not transducers_agree(n, step, padded, [(p, p) for p in range(tail)]):
+        raise AssertionError("extracted rule disagrees with the endomorphism")
+    return code
 
 
 def _pair_moves(n: int, tail: int, step: list) -> list:
@@ -175,17 +188,16 @@ def transducers_agree(n: int, step_a: list, step_b: list, starts) -> bool:
 
 
 def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElement:
-    """lambda_u(x) = x o T_u for x of level k >= 1: on each word of length
-    k + L - 1, L = max(level(u), 1), x at the first k letters T_u emits, read
-    through the cached runs `e.runs(k)`."""
+    """lambda_u(x) = x o T_u: on each word of length k + L - 1, k = level(x),
+    x at the first k letters T_u emits, read through the cached `e.runs(k)`."""
     if e.n != x.n:
         raise ValueError("alphabet sizes differ")
     x = W.reduce(x)
     if x.level == 0:
         return x
     level = x.level + max(e.unitary.level, 1) - 1
-    lifted = W.lift_table(x.coeffs, e.n, level)  # checks the capacity first
-    return W.reduce(DiagonalElement(e.n, level, itemgetter(*e.runs(x.level))(lifted)))
+    _check_capacity(e.n, level)
+    return W.reduce(DiagonalElement(e.n, level, itemgetter(*e.runs(x.level))(x.coeffs)))
 
 
 def compose(e1: PermutativeEndomorphism, e2: PermutativeEndomorphism) -> PermutativeEndomorphism:
@@ -204,18 +216,23 @@ def agree_on_diagonal(a: PermutationUnitary, b: PermutationUnitary) -> bool:
     return transducers_agree(a.n, step_a, step_b, [(p, p) for p in range(tail)])
 
 
+@lru_cache(maxsize=32)
+def _identity(n: int, tail: int) -> tuple:
+    """The identity transducer: each window emits its first letter."""
+    return tuple(divmod(w, tail) for w in range(tail * n))
+
+
 def is_identity_on_diagonal(u: PermutationUnitary) -> bool:
     """Is lambda_u the identity on the diagonal?
 
     Exact by the reduction test (the diagonal restriction determines a
     permutative unitary); cross-checked as defense in depth, exactly, by
-    running T_u in lockstep with the identity transducer.
+    running T_u in lockstep with T_1, the identity transducer.
     """
     result = U.reduce(u).is_identity()
     if result:
         tail, step = PermutativeEndomorphism(u).point_map
-        identity = [divmod(w, tail) for w in range(len(step))]
-        if not transducers_agree(u.n, step, identity, [(p, p) for p in range(tail)]):
+        if not transducers_agree(u.n, step, _identity(u.n, tail), [(p, p) for p in range(tail)]):
             raise AssertionError("reduction and point-map tests disagree")
     return result
 
@@ -254,13 +271,12 @@ def is_in_ign(e: PermutativeEndomorphism, max_k: int) -> Optional[int]:
     """
     n = e.n
     tail, step = e.point_map
-    identity = [divmod(w, tail) for w in range(tail * n)]
     moves = _pair_moves(n, tail, step)
     pairs = {(s, s) for s in range(tail)}
     for k in range(max_k + 1):
         if k:
             pairs = _lag_pairs(moves, pairs)
-        if transducers_agree(n, step, identity, pairs):
+        if transducers_agree(n, step, _identity(n, tail), pairs):
             return k
     return None
 
@@ -278,56 +294,52 @@ class AutomorphismVerdict:
 def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> AutomorphismVerdict:
     """Decide whether lambda_u is an automorphism, with a verified certificate.
 
-    O_n is simple, so lambda_u is an automorphism with a permutative inverse
-    v exactly when lambda_u(v) = u^*.  For every s >= level(v) that v is
-    w_s = u_s^* u^* u_s, and a w_s of level <= s always solves it.  So the
-    first s <= budget with level(w_s) <= s gives the inverse, and there is
-    one exactly when lambda_u is an automorphism whose inverse has level
-    <= budget; both convolution compositions are still checked to be the
-    identity.  Before the levels s > level(u), the largest ones, the point
-    map T_u is tested for injectivity: a permutative inverse v makes T_u o T_v
-    the identity on points, so a colliding T_u has none, and the remaining
-    levels are skipped without changing the verdict.  Otherwise, in the
-    shift-commuting case, a degree greater than one is an exact proof of
-    non-injectivity of the induced point map, and a degree of one with an
-    inverse code found within the window certifies a shift automorphism whose
-    inverse lies beyond the budget.  Everything else is Unknown at the given
-    budget.
+    O_n is simple, so lambda_u has a permutative inverse v exactly when
+    lambda_u(v) = u^*; then v = w_s = u_s^* u^* u_s for every s >= level(v),
+    and a w_s of level <= s always solves it.  So the first s <= budget with
+    level(w_s) <= s gives the inverse, and there is one exactly when lambda_u
+    is an automorphism whose inverse has level <= budget; both convolutions
+    are still checked to be the identity.  Before the levels s > level(u), the largest ones, T_u
+    is tested for injectivity: a permutative inverse v makes T_u o T_v the
+    identity on points, so a colliding T_u skips them without changing the
+    verdict.  Otherwise, in the shift-commuting case, a degree greater than
+    one proves the point map is not injective, and degree one (so m = 0: any
+    m > 0 needs a wider window) with an inverse code beta certifies a shift
+    automorphism whose inverse is w_s at s = radius(beta), the lift of beta.
+    Everything else is Unknown at the given budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    u = e.unitary
-    u_star = U.inverse(u)
+    u_star = U.inverse(e.unitary)
     for s in range(1, budget + 1):
-        if s == u.level + 1 and not point_map_is_injective(e):
+        if s == e.unitary.level + 1 and not point_map_is_injective(e):
             break
-        w = U.reduce(U.conjugate(u_star, e.u_k(s)))
-        if w.level <= s:
-            if is_identity_on_diagonal(convolution(w, u)) and is_identity_on_diagonal(
-                e.convolve(w)
-            ):
-                return AutomorphismVerdict("automorphism", inverse=w)
-            raise AssertionError("the direct inverse fails verification")
+        w = _direct_inverse(e, u_star, s)
+        if w is not None:
+            return AutomorphismVerdict("automorphism", inverse=w)
     if commutes_with_shift_on_diagonal(e):
-        from . import bridge
-
-        code = bridge.read_code(e)
-        window = max(budget, 2 * max(code.radius, 1))
-        found = C.en_inverse_search(code, budget, window)
+        code = read_code(e)
+        found = C.en_inverse_search(code, budget, max(budget, 2 * code.radius))
         if found is not None:
             beta, m = found
             deg = C.degree(code, beta, m)
             if deg > 1:
                 return AutomorphismVerdict("not_automorphism", degree=deg)
-            # degree one: F_code is injective, and any m > 0 would need a
-            # wider window than m = 0 does, so m = 0 and beta is the two-sided
-            # inverse of a one-sided shift automorphism.  Lift it.
-            v = bridge.unitary_from_shift_automorphism(beta)
-            if is_identity_on_diagonal(convolution(v, u)) and is_identity_on_diagonal(
-                e.convolve(v)
-            ):
-                return AutomorphismVerdict("automorphism", inverse=v)
+            # degree one: the lift of beta has level <= radius(beta), so is w_s
+            w = _direct_inverse(e, u_star, beta.radius)
+            if w is not None:
+                return AutomorphismVerdict("automorphism", inverse=w)
     return AutomorphismVerdict("unknown", budget=budget)
+
+
+def _direct_inverse(e: PermutativeEndomorphism, u_star: PermutationUnitary, s: int):
+    """w_s = u_s^* u^* u_s, verified by both convolutions, or None if level(w_s) > s."""
+    w = U.reduce(U.conjugate(u_star, e.u_k(s)))
+    if w.level > s:
+        return None
+    if all(map(is_identity_on_diagonal, (convolution(w, e.unitary), e.convolve(w)))):
+        return w
+    raise AssertionError("the direct inverse fails verification")
 
 
 def property_p_data(

@@ -41,8 +41,8 @@ def _rank_map(entries, n: int, level: int):
     """The map as {rank: rank} when it lists n^level names of `_name_ranks`,
     no domain name twice; else None, for parse_word to read or refuse (every
     name, for n > 9).  A map of another size never builds the table."""
-    size = len(entries) if isinstance(entries, list) else None
-    if size is None or n > 9 or not 0 <= level <= size.bit_length() or size != n**level:
+    size = len(entries)
+    if n > 9 or not 0 <= level <= size.bit_length() or size != n**level:
         return None
     table, mapping = _name_ranks(n, level), {}
     for src, dst in entries:
@@ -127,11 +127,14 @@ def unitary_to_dict(u: PermutationUnitary) -> dict:
 def unitary_from_dict(data: dict) -> PermutationUnitary:
     n = _integer(data["n"], "n")
     level = _integer(data["level"], "level")
-    ranks = _rank_map(data["map"], n, level)
+    entries = data["map"]
+    if type(entries) is not list or any(type(e) is not list or len(e) != 2 for e in entries):
+        raise ValueError("map must be a list of [source, target] pairs")
+    ranks = _rank_map(entries, n, level)
     if ranks is not None:
         return U.from_rank_mapping(n, level, ranks)
     mapping = {}
-    for src, dst in data["map"]:
+    for src, dst in entries:
         key = W.parse_word(src, n)
         if key in mapping:
             raise ValueError("domain word %r listed twice" % src)

@@ -49,6 +49,43 @@ def test_certify_malformed_map_exits_one(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("entries", [["12", "21"], {"12": "x", "21": "y"}], ids=["strings", "object"])
+def test_certify_refuses_maps_that_are_not_lists_of_pairs(runner, tmp_path, entries):
+    f = write(tmp_path / "u.json", {"n": 2, "level": 1, "map": entries})
+    result = runner.invoke(main, ["certify", f])
+    assert result.exit_code == 1
+    assert result.stderr == "input error: map must be a list of [source, target] pairs\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--budget-depth", "0", "fixtures"],
+        ["--capacity", "-3", "fixtures"],
+        ["certify", "{missing}"],
+        ["certify"],
+        ["certify", "--bogus"],
+        ["bogus"],
+    ],
+    ids=["budget-depth-0", "negative-capacity", "missing-file", "no-file", "unknown-option",
+         "unknown-command"],
+)
+def test_usage_errors_exit_one(runner, tmp_path, argv):
+    # a usage error is an input error: exit 1 with click's one-line message,
+    # never 2, which is a negative result
+    missing = str(tmp_path / "missing.json")
+    result = runner.invoke(main, [arg.format(missing=missing) for arg in argv])
+    assert result.exit_code == 1
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1 and result.stdout == ""
+
+
+def test_bare_command_prints_usage_and_exits_one(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("Usage: ") and result.stdout == ""
+
+
 def test_orbits_reports_the_kitchens_swap(runner, tmp_path):
     f = write(tmp_path / "c.json", jsonio.code_to_dict(C.kitchens_code()))
     result = runner.invoke(main, ["orbits", "--code", f, "--r", "2"])

@@ -91,6 +91,18 @@ def test_cli_output_matches_golden(case, tmp_path):
     assert transcript(case, tmp_path) == expected
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_transcripts_ignore_the_environment(case, tmp_path, monkeypatch):
+    # the group options read no environment variables
+    for name, value in (
+        ("BUDGET_DEPTH", "1"), ("MAX_M", "1"), ("MAX_WINDOW", "1"), ("CAPACITY", "5"),
+        ("FORMAT", "table"),
+    ):
+        monkeypatch.setenv(name, value)
+    expected = json.loads(GOLDEN.read_text())[case]
+    assert transcript(case, tmp_path) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 

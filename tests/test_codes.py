@@ -530,6 +530,26 @@ def census_codes():
     return [(tables, [(2, 3), (3, 4)]), (shifted, [(3, 2), (4, 3)])]
 
 
+def is_shift_power_to_twice_the_radius(c):
+    """is_shift_power with its former bound, every j <= 2 radius - 2."""
+    for j in range(2 * c.radius - 1):
+        if C.code_equal(c, C.shift_power_code(c.n, j)):
+            return j
+    return None
+
+
+def test_is_shift_power_needs_no_j_past_the_radius():
+    # sigma^j reads x_{j+1}, so a code of radius r is no sigma^j with j >= r
+    powers = set()
+    for codes, _ in census_codes():
+        for c in codes:
+            j = C.is_shift_power(c)
+            assert j == is_shift_power_to_twice_the_radius(c)
+            if j is not None:
+                powers.add((c.n, j))
+    assert powers == {(n, j) for n in (2, 3) for j in range(4)}
+
+
 def test_en_inverse_search_matches_the_reference_on_a_census():
     found = 0
     for codes, budgets in census_codes():

@@ -301,7 +301,7 @@ def test_the_lockstep_rule_check_matches_the_owner_table_check():
     read = 0
     for e in certify_census():
         try:
-            got = B.read_code(e)
+            got = E.read_code(e)
         except AssertionError:
             got = None
         want = read_code_reference(E.endomorphism(e.unitary))
@@ -634,6 +634,36 @@ def test_point_map_preimages_are_the_cylinder_images():
                 assert E.apply_diag(e, W.cylinder(n, w)) == expected
 
 
+def test_runs_are_the_letters_the_point_map_emits():
+    # codes.emitted_ranks runs T_u as it runs a code's transducer
+    maps, _ = census()
+    for e in maps:
+        held = max(e.unitary.level, 1) - 1
+        for k in (1, 2, 3):
+            words = W.enumerate_words(e.n, k + held)
+            emitted = [run_point_map(e, [a - 1 for a in z]) for z in words]
+            assert e.runs(k) == [W.word_rank([a + 1 for a in y], e.n) for y in emitted]
+
+
+def test_apply_diag_reads_x_with_no_lifted_copy(monkeypatch):
+    from shiftcalc import capacity
+
+    e = E.endomorphism(U.kitchens_unitary())
+    x, y = W.diagonal(3, 2, range(9)), W.diagonal(3, 3, range(27))
+    want = apply_reference(e, x)
+    monkeypatch.setattr(W, "lift_table", None)
+    assert E.apply_diag(e, x) == want
+    # the capacity is still checked at level k + level(u) - 1
+    old = capacity.get_limit()
+    try:
+        capacity.set_limit(27)
+        assert E.apply_diag(e, x) == want
+        with pytest.raises(capacity.CapacityError):
+            E.apply_diag(e, y)
+    finally:
+        capacity.set_limit(old)
+
+
 def test_is_identity_on_diagonal_matches_the_cylinder_loop():
     maps, _ = census()
     units = [U.embed(U.identity(n), level) for n in (2, 3) for level in (0, 1, 3)]
@@ -816,7 +846,7 @@ def certify_ungated(e, budget):
                 return E.AutomorphismVerdict("automorphism", inverse=w)
             raise AssertionError("the direct inverse fails verification")
     if E.commutes_with_shift_on_diagonal(e):
-        code = B.read_code(e)
+        code = E.read_code(e)
         window = max(budget, 2 * max(code.radius, 1))
         found = C.en_inverse_search(code, budget, window)
         if found is not None:
@@ -829,6 +859,22 @@ def certify_ungated(e, budget):
             if all(map(E.is_identity_on_diagonal, both)):
                 return E.AutomorphismVerdict("automorphism", inverse=v)
     return E.AutomorphismVerdict("unknown", budget=budget)
+
+
+def test_the_degree_route_certifies_past_the_budget():
+    # budget 1 is below each inverse's level, so every level fails and the
+    # degree-one branch certifies: it returns w_s at s = radius(beta), which
+    # the ungated loop checks against the lift of beta
+    kitchens = U.kitchens_unitary()
+    letters = [U.letter_permutation(3, p) for p in itertools.permutations((1, 2, 3))]
+    maps = [kitchens] + [E.convolution(p, kitchens) for p in letters]
+    maps += [E.convolution(E.convolution(p, kitchens), U.inverse(p)) for p in letters]
+    for u in maps:
+        verdict = E.certify_automorphism(E.endomorphism(u), budget=1)
+        assert verdict.verdict == "automorphism" and verdict.inverse.level > 1
+        assert verdict == certify_ungated(E.endomorphism(u), budget=1)
+    verdict = E.certify_automorphism(E.endomorphism(kitchens), budget=1)
+    assert verdict.inverse == kitchens
 
 
 def test_point_map_injectivity_census():

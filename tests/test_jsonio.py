@@ -89,6 +89,18 @@ def test_parse_word_refuses_words_that_are_not_digit_strings():
         jsonio.unitary_from_dict({"n": 10, "level": 1, "map": [["1", "1"]]})
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [["12", "21"], {"12": "x", "21": "y"}, [["1", "2", "1"], ["2", "1"]], [["1"], ["2"]], "12"],
+    ids=["strings", "object", "triples", "singletons", "string"],
+)
+def test_unitary_refuses_maps_that_are_not_lists_of_pairs(entries):
+    # a two-letter string would unpack into a (source, target) pair, and an
+    # object into its keys, so both used to load as the swap
+    with pytest.raises(ValueError, match=r"^map must be a list of \[source, target\] pairs$"):
+        jsonio.unitary_from_dict({"n": 2, "level": 1, "map": entries})
+
+
 def test_a_map_of_the_wrong_size_builds_no_name_table():
     jsonio._name_ranks.cache_clear()
     with pytest.raises(ValueError, match="mapping must list every domain word exactly once"):
