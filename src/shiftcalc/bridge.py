@@ -4,7 +4,7 @@ One direction turns a certified automorphism of the one-sided shift into the
 unique permutation unitary implementing it on the diagonal (tail-matching
 construction); the other extracts the sliding block code of lambda_u o phi^m
 (`endo.read_code` reads it off the letters the point map emits).  On top of
-both sit the outer-class equality tests.
+both sit the outer-class equality tests, exact modulo shift powers.
 """
 from __future__ import annotations
 
@@ -40,16 +40,16 @@ def unitary_from_shift_automorphism(c: SlidingBlockCode) -> PermutationUnitary:
 def extract_code(e: PermutativeEndomorphism, m: int) -> SlidingBlockCode:
     """The sliding block code of lambda_u o phi^m on the diagonal.
 
-    Requires that the composite commutes with the shift (checked exactly;
-    the caller's m is too small otherwise).  The code is `endo.read_code` of
-    the composite, and it must admit an E_n certificate within the window budget.
+    The code is `endo.read_code` of the composite, which decides exactly that
+    it commutes with the shift (m is too small otherwise).  It must admit an
+    E_n certificate within the window budget.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     comp = e if m == 0 else E.endomorphism(e.convolve(U.shift_power_unitary(e.n, m)))
-    if not E.commutes_with_shift_on_diagonal(comp):
-        raise ValueError("lambda_u phi^m does not commute with the shift; m too small")
     code = E.read_code(comp)
+    if code is None:
+        raise ValueError("lambda_u phi^m does not commute with the shift; m too small")
     radius = max(comp.unitary.level, 1)
     if C.en_inverse_search(code, m + radius, 2 * radius + 2 * m + 2) is None:
         raise ValueError("extracted code admits no inverse certificate in budget")
@@ -96,19 +96,16 @@ def weyl_class_equal(
     m2, _ = E.property_p_data(e2, inv2)
     c1 = extract_code(e1, m1)
     c2 = extract_code(e2, m2)
-    if not en_class_equal(c1, c2, max_k):
+    if not en_class_equal(c1, c2):
         return False
     return None
 
 
-def en_class_equal(c1: SlidingBlockCode, c2: SlidingBlockCode, max_k: int) -> bool:
-    """Equality in E_n modulo shift powers: c1 = c2 sigma^k or vice versa."""
-    if c1.n != c2.n:
-        raise ValueError("alphabet sizes differ")
-    for k in range(max_k + 1):
-        rot = C.shift_power_code(c1.n, k)
-        if C.code_equal(C.code_compose(rot, c1), c2) or C.code_equal(
-            c1, C.code_compose(rot, c2)
-        ):
-            return True
-    return False
+def en_class_equal(c1: SlidingBlockCode, c2: SlidingBlockCode) -> bool:
+    """Equality in E_n modulo shift powers: c1 = c2 sigma^k or vice versa.
+
+    Exact: with c = core o sigma^j (`codes.shift_factor`), that holds for
+    some k >= 0 exactly when the cores are equal.
+    """
+    (core1, _), (core2, _) = C.shift_factor(c1), C.shift_factor(c2)
+    return C.code_equal(core1, core2)

@@ -17,7 +17,7 @@ from . import bridge as B
 from . import codes as C
 from . import endo as E
 from . import jsonio
-from .capacity import CapacityError, set_limit
+from .capacity import CapacityError, get_limit, set_limit
 from .fixtures import fixture_suite
 
 
@@ -133,10 +133,12 @@ def main(ctx, budget_depth, max_m, max_window, capacity, fmt):
         if value < 1:
             raise click.BadParameter("%s must be at least 1" % name)
     if capacity:
+        previous = get_limit()
         try:
             set_limit(capacity)
         except ValueError as exc:
             raise click.BadParameter(str(exc))
+        ctx.call_on_close(lambda: set_limit(previous))
     ctx.obj = RunConfig(budget_depth, max_m, max_window, fmt)
 
 

@@ -168,8 +168,9 @@ def trace_necessary_check(c: SlidingBlockCode, max_level: int) -> bool:
     return True
 
 
-def shift_exponent(c: SlidingBlockCode) -> int:
-    """The largest j < radius with c = c' o sigma^j: the rule ignores x_1 ... x_j.
+def shift_factor(c: SlidingBlockCode) -> tuple:
+    """(core, j) with c = core o sigma^j, j < radius the largest: the rule
+    ignores x_1 ... x_j, and the core reads its first letter or has radius 1.
 
     Strips leading letters while the n blocks of the table are all equal.
     """
@@ -179,7 +180,7 @@ def shift_exponent(c: SlidingBlockCode) -> int:
         if rule != head * c.n:
             break
         rule, j = head, j + 1
-    return j
+    return SlidingBlockCode(c.n, c.radius - j, rule), j
 
 
 def en_inverse_search(c: SlidingBlockCode, max_m: int, max_window: int) -> Optional[tuple]:
@@ -190,12 +191,12 @@ def en_inverse_search(c: SlidingBlockCode, max_m: int, max_window: int) -> Optio
     composition against the shift power before being returned.  Absence
     within the bounds is inconclusive, not a disproof.
 
-    Every m below j = shift_exponent(c) is skipped, exactly: the output
+    Every m below the j of `shift_factor(c)` is skipped, exactly: the output
     ignores x_1 ... x_j, so for m < j two words differing only at x_{m+1}
     share an output but not a target, and every window s would fail.
     """
     n, r = c.n, c.radius
-    for m in range(shift_exponent(c), max_m + 1):
+    for m in range(shift_factor(c)[1], max_m + 1):
         for s in range(1, max_window + 1):
             if m + 1 > s + r - 1:
                 continue
@@ -379,11 +380,10 @@ def orbit_permutation(c: SlidingBlockCode, r: int) -> dict:
 
 
 def is_shift_power(c: SlidingBlockCode) -> Optional[int]:
-    """The j with c = sigma^j, if any; sigma^j reads x_{j+1}, so j < radius."""
-    for j in range(c.radius):
-        if code_equal(c, shift_power_code(c.n, j)):
-            return j
-    return None
+    """The j with c = sigma^j, if any: the j of c = core o sigma^j
+    (`shift_factor`) when the core is the identity."""
+    core, j = shift_factor(c)
+    return j if code_equal(core, identity_code(c.n)) else None
 
 
 def residual_separation(c: SlidingBlockCode, max_r: int) -> Optional[int]:

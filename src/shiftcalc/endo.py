@@ -12,11 +12,11 @@ one-sided n-shift, and T_u is read only as a finite transducer
 letter it emits.  `apply_diag` reads x through the emitted letters
 (`codes.emitted_ranks`); every equality on the diagonal is one of
 transducers run in lockstep on one input (`transducers_agree`): T_a against
-T_b (`agree_on_diagonal`), T_u against itself one letter later
-(`commutes_with_shift_on_diagonal`), against the identity k letters later
-(`is_in_ign`) and against a code (`read_code`).  Property (P) compares
-T_u(z) with T_u(sigma^d z) on the same pairs of states.  None of them builds
-a cocycle product, and the braiding automorphism is Ad(u) (`braiding`).
+T_b (`agree_on_diagonal`), T_u against the identity k letters later
+(`is_in_ign`) and against the code of its emitted letters (`read_code`, the
+one shift-commutation test).  Property (P) compares T_u(z) with
+T_u(sigma^d z) on the same pairs of states.  None of them builds a cocycle
+product, and the braiding automorphism is Ad(u) (`braiding`).
 
 Certification builds the inverse by algebra, not by search: lambda_u has a
 permutative inverse v exactly when lambda_u(v) = u^*, and then v is
@@ -132,22 +132,22 @@ def point_map_is_injective(e: PermutativeEndomorphism) -> bool:
     return C.pair_graph_height(e.n, step, starts) is not None
 
 
-def read_code(e: PermutativeEndomorphism) -> C.SlidingBlockCode:
-    """The sliding block code of a lambda_u known to commute with the shift.
+def read_code(e: PermutativeEndomorphism) -> Optional[C.SlidingBlockCode]:
+    """The sliding block code of lambda_u, or None if lambda_u does not
+    commute with the shift.
 
     The local rule is the letters T_u emits at radius L = max(level(u), 1),
     minimized, checked exactly: padded back to radius L, the code's transducer
     runs in lockstep with T_u from every pair (p, p).  That compares T_u's
-    states with the code's windows, and fails exactly when lambda_u does not
-    commute with the shift.
+    states with the code's windows.  A code commutes with the shift, and a
+    T_u that does is the code of its first letters, so the check fails
+    exactly when lambda_u does not commute with the shift.
     """
     n, radius = e.n, max(e.unitary.level, 1)
     tail, step = e.point_map
     code = C.minimize(C.SlidingBlockCode(n, radius, tuple(x + 1 for x, _ in step)))
     padded = C.transducer(C.pad(code, radius))
-    if not transducers_agree(n, step, padded, [(p, p) for p in range(tail)]):
-        raise AssertionError("extracted rule disagrees with the endomorphism")
-    return code
+    return code if transducers_agree(n, step, padded, [(p, p) for p in range(tail)]) else None
 
 
 def _pair_moves(n: int, tail: int, step: list) -> list:
@@ -239,13 +239,8 @@ def is_identity_on_diagonal(u: PermutationUnitary) -> bool:
 
 def commutes_with_shift_on_diagonal(e: PermutativeEndomorphism) -> bool:
     """Does lambda_u commute with the canonical shift on the diagonal?
-
-    phi(x) = x o sigma there, so that is T_u o sigma = sigma o T_u on points:
-    T_u runs in lockstep with itself from every pair of R_1.
-    """
-    tail, step = e.point_map
-    pairs = _lag_pairs(_pair_moves(e.n, tail, step), {(s, s) for s in range(tail)})
-    return transducers_agree(e.n, step, step, pairs)
+    Exactly when its code can be read off (`read_code`)."""
+    return read_code(e) is not None
 
 
 def phi_commutation_identity(v: PermutationUnitary) -> bool:
@@ -299,13 +294,14 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
     and a w_s of level <= s always solves it.  So the first s <= budget with
     level(w_s) <= s gives the inverse, and there is one exactly when lambda_u
     is an automorphism whose inverse has level <= budget; both convolutions
-    are still checked to be the identity.  Before the levels s > level(u), the largest ones, T_u
-    is tested for injectivity: a permutative inverse v makes T_u o T_v the
-    identity on points, so a colliding T_u skips them without changing the
-    verdict.  Otherwise, in the shift-commuting case, a degree greater than
-    one proves the point map is not injective, and degree one (so m = 0: any
-    m > 0 needs a wider window) with an inverse code beta certifies a shift
-    automorphism whose inverse is w_s at s = radius(beta), the lift of beta.
+    are still checked to be the identity.  Before the levels s > level(u),
+    the largest ones, T_u is tested for injectivity: a permutative inverse v
+    makes T_u o T_v the identity on points, so a colliding T_u skips them
+    without changing the verdict.  Otherwise, when `read_code` finds lambda_u
+    shift-commuting, a degree greater than one proves the point map is not
+    injective, and degree one (so m = 0: any m > 0 needs a wider window) with
+    an inverse code beta certifies a shift automorphism whose inverse is w_s
+    at s = radius(beta), the lift of beta.
     Everything else is Unknown at the given budget.
     """
     if budget < 1:
@@ -317,8 +313,8 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
         w = _direct_inverse(e, u_star, s)
         if w is not None:
             return AutomorphismVerdict("automorphism", inverse=w)
-    if commutes_with_shift_on_diagonal(e):
-        code = read_code(e)
+    code = read_code(e)
+    if code is not None:
         found = C.en_inverse_search(code, budget, max(budget, 2 * code.radius))
         if found is not None:
             beta, m = found

@@ -116,16 +116,57 @@ def test_a_wrong_extracted_rule_is_caught(monkeypatch):
         rule = (c.rule[0] % c.n + 1,) + c.rule[1:]
         return C.SlidingBlockCode(c.n, c.radius, rule)
 
+    # read_code's lockstep check refuses the rule, so no code is returned
     monkeypatch.setattr(C, "minimize", one_entry_off)
-    with pytest.raises(AssertionError, match="extracted rule disagrees"):
+    with pytest.raises(ValueError, match="does not commute"):
         B.extract_code(E.endomorphism(U.kitchens_unitary()), 0)
+
+
+def en_class_equal_reference(c1, c2, max_k):
+    """Oracle: the budgeted loop, c1 = c2 sigma^k or c2 = c1 sigma^k for k <= max_k."""
+    for k in range(max_k + 1):
+        rot = C.shift_power_code(c1.n, k)
+        if C.code_equal(C.code_compose(rot, c1), c2) or C.code_equal(
+            c1, C.code_compose(rot, c2)
+        ):
+            return True
+    return False
 
 
 def test_en_class_equal_modulo_shift_powers():
     kit = C.kitchens_code()
-    assert B.en_class_equal(kit, C.code_compose(kit, C.shift_code(3)), 3)
-    assert B.en_class_equal(C.shift_code(2), C.identity_code(2), 2)
-    assert not B.en_class_equal(kit, C.identity_code(3), 3)
+    assert B.en_class_equal(kit, C.code_compose(kit, C.shift_code(3)))
+    assert B.en_class_equal(C.shift_code(2), C.identity_code(2))
+    assert not B.en_class_equal(kit, C.identity_code(3))
+    # exact past any budget: the loop at k <= 4 misses sigma^5
+    kit5 = C.code_compose(kit, C.shift_power_code(3, 5))
+    assert B.en_class_equal(kit5, kit) and B.en_class_equal(kit, kit5)
+    assert not en_class_equal_reference(kit, kit5, 4)
+
+
+def test_en_class_equal_matches_the_budgeted_loop():
+    # a code of radius r is no c' sigma^k with k >= r unless it is constant,
+    # and a constant equals every constant times sigma^k already at k = 0,
+    # so the loop is exact at max_k = the larger radius - 1; both are symmetric
+    kit = C.kitchens_code()
+    pools = {
+        2: [
+            C.SlidingBlockCode(2, r, rule)
+            for r in (1, 2)
+            for rule in itertools.product((1, 2), repeat=2**r)
+        ],
+        3: [kit, C.code_compose(kit, C.letter_code(3, (2, 3, 1))), C.identity_code(3)]
+        + [C.letter_code(3, p) for p in ((2, 1, 3), (1, 1, 2), (3, 3, 3))],
+    }
+    equal = unequal = 0
+    for n, pool in pools.items():
+        codes = [C.code_compose(c, C.shift_power_code(n, m)) for c in pool for m in range(3)]
+        for c1, c2 in itertools.combinations_with_replacement(codes, 2):
+            got = B.en_class_equal(c1, c2)
+            assert got == en_class_equal_reference(c1, c2, max(c1.radius, c2.radius) - 1)
+            equal += got
+            unequal += not got
+    assert equal >= 200 and unequal >= 1500
 
 
 def test_weyl_class_equal_inner_quotient():

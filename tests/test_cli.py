@@ -198,6 +198,14 @@ def test_capacity_limit_exits_four(runner, tmp_path):
         capacity.set_limit(old)
 
 
+def test_capacity_option_is_restored_when_the_command_ends(runner):
+    from shiftcalc import capacity
+
+    old = capacity.get_limit()
+    runner.invoke(main, ["--capacity", "5", "enumerate", "--n", "2", "--max-radius", "1"])
+    assert capacity.get_limit() == old
+
+
 def test_deeply_nested_json_is_an_input_error(runner, tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200000)

@@ -531,7 +531,8 @@ def census_codes():
 
 
 def is_shift_power_to_twice_the_radius(c):
-    """is_shift_power with its former bound, every j <= 2 radius - 2."""
+    """Oracle: the loop over shift powers that is_shift_power used to run,
+    with its earliest bound, every j <= 2 radius - 2."""
     for j in range(2 * c.radius - 1):
         if C.code_equal(c, C.shift_power_code(c.n, j)):
             return j
@@ -564,18 +565,19 @@ def test_en_inverse_search_matches_the_reference_on_a_census():
 def test_shift_exponent_factors_the_code():
     kit = C.kitchens_code()
     for a in letter_and_kitchens_codes():
-        assert C.shift_exponent(a) == 0
+        assert C.shift_factor(a) == (a, 0)
         for m in range(4):
-            assert C.shift_exponent(C.code_compose(a, C.shift_power_code(a.n, m))) == m
+            assert C.shift_factor(C.code_compose(a, C.shift_power_code(a.n, m))) == (a, m)
     for n, r in ((2, 1), (2, 4), (3, 3)):
-        assert C.shift_exponent(C.SlidingBlockCode(n, r, (2,) * n**r)) == r - 1
+        core, j = C.shift_factor(C.SlidingBlockCode(n, r, (2,) * n**r))
+        assert (core.radius, core.rule, j) == (1, (2,) * n, r - 1)
     codes, _ = census_codes()[0]
     for c in codes + [C.code_compose(kit, C.shift_power_code(3, 2))]:
-        j = C.shift_exponent(c)
-        head = C.SlidingBlockCode(c.n, c.radius - j, c.rule[: c.n ** (c.radius - j)])
-        assert C.code_compose(head, C.shift_power_code(c.n, j)) == c
-        # j is the largest: the head reads its first letter, unless it is radius 1
-        assert head.radius == 1 or C.shift_exponent(head) == 0
+        core, j = C.shift_factor(c)
+        assert core.rule == c.rule[: c.n ** (c.radius - j)]
+        assert C.code_compose(core, C.shift_power_code(c.n, j)) == c
+        # j is the largest: the core reads its first letter, unless it is radius 1
+        assert core.radius == 1 or C.shift_factor(core)[1] == 0
 
 
 def test_code_compose_matches_the_word_tuple_reference():

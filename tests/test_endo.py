@@ -300,16 +300,27 @@ def test_the_lockstep_rule_check_matches_the_owner_table_check():
     # images is wrong, and both checks refuse it
     read = 0
     for e in certify_census():
-        try:
-            got = E.read_code(e)
-        except AssertionError:
-            got = None
+        got = E.read_code(e)
         want = read_code_reference(E.endomorphism(e.unitary))
         assert (got is None) == (want is None) == (not E.commutes_with_shift_on_diagonal(e))
         if got is not None:
             assert (got.radius, got.rule) == (want.radius, want.rule)
             read += 1
     assert read >= 30
+
+
+def test_read_code_refuses_exactly_the_maps_that_do_not_commute_with_the_shift():
+    # the lockstep rule check is the one shift-commutation test: it is checked
+    # against the flip-convolution oracle on the certify census and on fresh
+    # seeded samples of P_2^3 and P_3^2
+    rng = random.Random(71)
+    samples = [random_unitary(rng, n, level) for n, level in ((2, 3), (3, 2)) for _ in range(150)]
+    outcomes = []
+    for e in certify_census() + [E.endomorphism(u) for u in samples]:
+        refused = E.read_code(e) is None
+        assert refused == (not commutes_reference(E.endomorphism(e.unitary)))
+        outcomes.append(refused)
+    assert outcomes.count(False) >= 30 and outcomes.count(True) >= 500
 
 
 def test_the_census_catches_a_commutation_closure_started_at_r0():
@@ -845,8 +856,8 @@ def certify_ungated(e, budget):
             if all(map(E.is_identity_on_diagonal, both)):
                 return E.AutomorphismVerdict("automorphism", inverse=w)
             raise AssertionError("the direct inverse fails verification")
-    if E.commutes_with_shift_on_diagonal(e):
-        code = E.read_code(e)
+    code = E.read_code(e)
+    if code is not None:
         window = max(budget, 2 * max(code.radius, 1))
         found = C.en_inverse_search(code, budget, window)
         if found is not None:
@@ -925,12 +936,12 @@ def counted(monkeypatch, name):
 
 def test_certify_builds_no_cocycle_past_the_verification_depth(monkeypatch):
     # a refutation: T_u collides, so no level above level(u) is tried, and the
-    # degree route tests shift-commutation once and reads the code off e,
-    # checking it on the point map, so no cocycle past u_{level(u)} is built
+    # degree route reads the code off e once, and that check on the point map
+    # is its one shift-commutation test, so no cocycle past u_{level(u)} is built
     pi, pi2 = U.letter_permutation(3, (2, 3, 1)), U.letter_permutation(3, (2, 1, 3))
     u = E.convolution(E.convolution(pi, U.shift_power_unitary(3, 2)), pi2)
     e = E.endomorphism(u)
-    commutation_tests = counted(monkeypatch, "commutes_with_shift_on_diagonal")
+    commutation_tests = counted(monkeypatch, "read_code")
     collision_tests = counted(monkeypatch, "point_map_is_injective")
     verdict = E.certify_automorphism(e, budget=8)
     assert verdict == E.AutomorphismVerdict("not_automorphism", degree=9)
