@@ -12,14 +12,11 @@ from .capacity import CapacityError, get_limit, set_limit
 from .words import (
     DiagonalElement,
     add,
-    complement,
     cylinder,
     decompose,
     diagonal,
     enumerate_words,
     format_word,
-    join,
-    meet,
     parse_word,
     projection,
     recompose,
@@ -41,7 +38,6 @@ from .unitaries import (
     from_mapping,
     identity,
     inverse,
-    is_bogolubov,
     kitchens_unitary,
     letter_permutation,
     multiply,
@@ -69,6 +65,7 @@ from .endo import (
 from .codes import (
     RefutationError,
     SlidingBlockCode,
+    Transducer,
     code_apply_diag,
     code_compose,
     code_equal,

@@ -4,7 +4,10 @@ One direction turns a certified automorphism of the one-sided shift into the
 unique permutation unitary implementing it on the diagonal (tail-matching
 construction); the other extracts the sliding block code of lambda_u o phi^m
 (`endo.read_code` reads it off the letters the point map emits).  On top of
-both sit the outer-class equality tests, exact modulo shift powers.
+both sit the outer-class equality tests: codes are compared modulo shift
+powers exactly, and two certified diagonal automorphisms are equal in the
+outer class when their quotient is in the inner kernel, which `endo.is_in_ign`
+decides exactly.
 """
 from __future__ import annotations
 
@@ -26,10 +29,11 @@ def unitary_from_shift_automorphism(c: SlidingBlockCode) -> PermutationUnitary:
     construction keeps the tail: u^* sends the window h t (t of length r - 1)
     to rule(h t) t, so T_u = F_c.  That is a permutation exactly when c is
     tail-bijective, which every automorphism is.  T_u = F_c needs no check:
-    u^* is `codes.transducer(c)` flattened, and the point map splits it back.
+    u^* is the step table of `codes.transducer(c)` flattened, and the point
+    map splits it back.
     """
     tails = capacity.check(c.n, c.radius) // c.n
-    star = tuple(y * tails + t for y, t in C.transducer(c))
+    star = tuple(y * tails + t for y, t in C.transducer(c).step)
     if len(set(star)) != len(star):
         raise ValueError(
             "rule is not tail-bijective; input is not a certified shift automorphism"
@@ -79,16 +83,16 @@ def weyl_class_equal(
     inv1: PermutationUnitary,
     e2: PermutativeEndomorphism,
     inv2: PermutationUnitary,
-    max_k: int,
 ) -> Optional[bool]:
     """Outer-class equality of two certified diagonal automorphisms.
 
-    True when the quotient composition is inner (Ad of a permutation);
-    False when a periodic-orbit separation proves the classes distinct;
-    None when the inner test exhausts its budget without a separation.
+    True when the quotient composition is in the inner kernel, which is
+    decided exactly; False when the extracted codes differ modulo shift
+    powers, which proves the classes distinct; None when the quotient is not
+    in the inner kernel and yet the codes agree, so neither test settles it.
     """
     quotient = E.compose(e1, E.endomorphism(inv2))
-    k = E.is_in_ign(quotient, max_k)
+    k = E.is_in_ign(quotient)
     if k is not None:
         return True
     # try to disprove: compare induced codes modulo shift powers

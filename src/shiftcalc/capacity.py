@@ -28,6 +28,8 @@ def set_limit(limit: int) -> None:
 
 def check(n: int, level: int) -> int:
     """Return n**level, raising CapacityError if it exceeds the limit."""
+    if level < 0:
+        raise ValueError("level or radius %d is negative" % level)
     size = n**level
     if size > _limit:
         raise CapacityError(

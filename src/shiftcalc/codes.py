@@ -16,11 +16,14 @@ verified exactly against rule tables before it escapes.  Words are ranks in
 lexicographic order (`jsonio` names them), periodic points among them.
 One-sided shift automorphisms are decided exactly on a pair graph, with no
 window bound, and their inverse rule is read off at that graph's window.
+F_c and the point map T_u of lambda_u are both a `Transducer`, which holds
+the run kernel, the pair graph, lockstep agreement and the lag sets R_k.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .capacity import CapacityError, check as _check_capacity, get_limit
@@ -30,6 +33,111 @@ from .words import DiagonalElement, word_rank
 
 class RefutationError(ArithmeticError):
     """An exact witness that a claimed certificate is false."""
+
+
+@dataclass(frozen=True)
+class Transducer:
+    """A finite transducer over the letters 0, ..., n - 1 with `tail` states:
+    from state p the letter a emits step[p n + a][0] and moves to state
+    step[p n + a][1].  A run on an input word starts from the state ranked by
+    the word's first L - 1 letters, tail = n^(L-1), so the diagonal pairs
+    (p, p) are two runs on one input.  T_u of lambda_u and F_c of a code are
+    both of this kind, and each algorithm on them is written here once."""
+
+    n: int
+    tail: int
+    step: tuple
+
+    @classmethod
+    @lru_cache(maxsize=32)
+    def identity(cls, n: int, tail: int) -> Transducer:
+        """Each window emits its first letter and keeps the rest."""
+        return cls(n, tail, tuple(divmod(w, tail) for w in range(tail * n)))
+
+    @property
+    def diagonal(self) -> list:
+        """The start pairs (p, p): two runs on one input."""
+        return [(p, p) for p in range(self.tail)]
+
+    def runs(self, k: int) -> list:
+        """Per input word of length k + L - 1, in rank order, the rank of the
+        first k letters emitted.  Grown a letter at a time as runs, emitted
+        rank times tail plus state."""
+        n, tail, step = self.n, self.tail, self.step
+        rows = [[y * tail + s - p * n for y, s in step[p * n : p * n + n]] for p in range(tail)]
+        runs = range(tail)
+        for _ in range(k):
+            runs = [r * n + d for r in runs for d in rows[r % tail]]
+        return [r // tail for r in runs]
+
+    def height(self, starts) -> Optional[int]:
+        """Longest path from a start pair in the pair graph, or None if a cycle
+        is reachable from one.
+
+        A node is a pair of states, and an edge reads one letter on each side
+        with equal emitted letters.  An infinite path from a start pair is two
+        inputs with one output; the graph is finite, so there is one exactly
+        when a cycle is reachable.  One depth-first search: a node met again
+        while on the current path closes a cycle, and heights are set in
+        post-order.
+        """
+        n, step = self.n, self.step
+        height, succ, on_path = {}, {}, set()
+        stack = [(node, False) for node in starts]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                on_path.remove(node)
+                height[node] = max((height[nxt] + 1 for nxt in succ.pop(node)), default=0)
+            elif node not in height:
+                if node in on_path:
+                    return None
+                p, q = node
+                succ[node] = [
+                    (s, t)
+                    for x, s in step[p * n : p * n + n]
+                    for y, t in step[q * n : q * n + n]
+                    if x == y
+                ]
+                on_path.add(node)
+                stack.append((node, True))
+                stack += [(nxt, False) for nxt in succ[node]]
+        return max((height[node] for node in starts), default=0)
+
+    def agrees(self, other: Transducer, starts=None) -> bool:
+        """Do the two, run in lockstep on one input from any pair in `starts`
+        (the diagonal by default), emit the same letters?  Exact, over the
+        finitely many reachable pairs; breadth first, so the start pairs are
+        checked first."""
+        n, step_a, step_b = self.n, self.step, other.step
+        seen = set(self.diagonal if starts is None else starts)
+        todo = list(seen)
+        for p, q in todo:
+            for (x, s), (y, t) in zip(step_a[p * n : p * n + n], step_b[q * n : q * n + n]):
+                if x != y:
+                    return False
+                if (s, t) not in seen:
+                    seen.add((s, t))
+                    todo.append((s, t))
+        return True
+
+    def lags(self) -> list:
+        """R_0, R_1, ... up to the first repeat, as sets.  R_d holds the
+        pairs (p, q) with p the state after d letters of an input z and q the
+        state a run on sigma^d z starts from, so R_0 is the diagonal.  On the
+        letter a, p steps as the transducer does and q as the window of the
+        last L - 1 letters read.  R_{d+1} is a function of R_d, so from the
+        first repeat on the sequence cycles through sets already listed."""
+        n, tail, step = self.n, self.tail, self.step
+        moves = [
+            ([step[p * n + a][1] for p in range(tail)], [(q * n + a) % tail for q in range(tail)])
+            for a in range(n)
+        ]
+        pairs, lags = set(self.diagonal), []
+        while pairs not in lags:
+            lags.append(pairs)
+            pairs = {(nxt[p], shift[q]) for p, q in pairs for nxt, shift in moves}
+        return lags
 
 
 @dataclass(frozen=True)
@@ -69,12 +177,12 @@ class SlidingBlockCode:
 
     def output_ranks(self, length: int) -> list:
         """out[X] = rank of output(word X), for every word X of `length` >= radius:
-        the letters the code's transducer emits on X (`emitted_ranks`)."""
+        the letters the code's transducer emits on X (`Transducer.runs`)."""
         n, r = self.n, self.radius
         if length < r:
             raise ValueError("output needs words of length at least the radius")
         _check_capacity(n, length)
-        return emitted_ranks(n, n ** (r - 1), transducer(self), length - r + 1)
+        return transducer(self).runs(length - r + 1)
 
 
 def identity_code(n: int) -> SlidingBlockCode:
@@ -220,57 +328,11 @@ def en_inverse_search(c: SlidingBlockCode, max_m: int, max_window: int) -> Optio
     return None
 
 
-def transducer(c: SlidingBlockCode) -> list:
-    """F_c as a transducer over 0-based letters, its state the last r - 1
-    letters read: step[p n + a] = (rule(p a) - 1, the last r - 1 of p a)."""
+def transducer(c: SlidingBlockCode) -> Transducer:
+    """F_c as a transducer, its state the last r - 1 letters read:
+    step[p n + a] = (rule(p a) - 1, the last r - 1 of p a)."""
     states = len(c.rule) // c.n
-    return [(x - 1, w % states) for w, x in enumerate(c.rule)]
-
-
-def emitted_ranks(n: int, tail: int, step: Sequence, k: int) -> list:
-    """Per input word of length k + L - 1, in rank order, the rank of the first
-    k letters emitted from the state of its first L - 1 letters by a transducer
-    with tail = n^(L-1) states, step[p n + a] = (letter, next state).  Grown a
-    letter at a time as runs, emitted rank times tail plus state."""
-    rows = [[y * tail + s - p * n for y, s in step[p * n : p * n + n]] for p in range(tail)]
-    runs = range(tail)
-    for _ in range(k):
-        runs = [r * n + d for r in runs for d in rows[r % tail]]
-    return [r // tail for r in runs]
-
-
-def pair_graph_height(n: int, step: Sequence, starts) -> Optional[int]:
-    """Longest path from a start pair in the pair graph of a transducer, or
-    None if a cycle is reachable from one.
-
-    step[p n + a] = (emitted letter, next state) for state p and input letter
-    a.  A node is a pair of states, and an edge reads one letter on each side
-    with equal emitted letters.  An infinite path from a start pair is two
-    inputs with one output; the graph is finite, so there is one exactly when
-    a cycle is reachable.  One depth-first search: a node met again while
-    on the current path closes a cycle, and heights are set in post-order.
-    """
-    height, succ, on_path = {}, {}, set()
-    stack = [(node, False) for node in starts]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            on_path.remove(node)
-            height[node] = max((height[nxt] + 1 for nxt in succ.pop(node)), default=0)
-        elif node not in height:
-            if node in on_path:
-                return None
-            p, q = node
-            succ[node] = [
-                (s, t)
-                for x, s in step[p * n : p * n + n]
-                for y, t in step[q * n : q * n + n]
-                if x == y
-            ]
-            on_path.add(node)
-            stack.append((node, True))
-            stack += [(nxt, False) for nxt in succ[node]]
-    return max((height[node] for node in starts), default=0)
+    return Transducer(c.n, states, tuple([(x - 1, w % states) for w, x in enumerate(c.rule)]))
 
 
 def automorphism_window(c: SlidingBlockCode) -> Optional[int]:
@@ -288,7 +350,7 @@ def automorphism_window(c: SlidingBlockCode) -> Optional[int]:
     _check_capacity(n, 2 * c.radius - 2)  # the pair graph's nodes
     head = states // n
     starts = [(p, q) for p in range(states) for q in range(states) if p // head != q // head]
-    height = pair_graph_height(n, transducer(c), starts)
+    height = transducer(c).height(starts)
     return None if height is None else height + 1
 
 

@@ -7,16 +7,18 @@ convolution product of unitaries, so every identity here is an exact
 statement about finite permutations.
 
 On the diagonal lambda_u(x) = x o T_u for a homeomorphism T_u of the
-one-sided n-shift, and T_u is read only as a finite transducer
+one-sided n-shift, and T_u is read only as a `codes.Transducer`
 (`point_map`, cached) whose state is the rest of u^{-1}(window) after the
 letter it emits.  `apply_diag` reads x through the emitted letters
-(`codes.emitted_ranks`); every equality on the diagonal is one of
-transducers run in lockstep on one input (`transducers_agree`): T_a against
-T_b (`agree_on_diagonal`), T_u against the identity k letters later
-(`is_in_ign`) and against the code of its emitted letters (`read_code`, the
-one shift-commutation test).  Property (P) compares T_u(z) with
-T_u(sigma^d z) on the same pairs of states.  None of them builds a cocycle
-product, and the braiding automorphism is Ad(u) (`braiding`).
+(`Transducer.runs`); every equality on the diagonal is one of transducers
+run in lockstep on one input from the diagonal pairs (`Transducer.agrees`):
+T_a against T_b (`agree_on_diagonal`), T_u against the identity k letters
+later (`is_in_ign`) and against the code of its emitted letters
+(`read_code`, the one shift-commutation test).  Property (P) compares T_u(z)
+with T_u(sigma^d z) on the same pairs of states.  Both of those read the
+lag sets R_d (`Transducer.lags`) up to their first repeat, so they are
+decided exactly, with no budget.  None of them builds a cocycle product,
+and the braiding automorphism is Ad(u) (`braiding`).
 
 Certification builds the inverse by algebra, not by search: lambda_u has a
 permutative inverse v exactly when lambda_u(v) = u^*, and then v is
@@ -33,7 +35,7 @@ route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
@@ -97,20 +99,20 @@ class PermutativeEndomorphism:
         return U.reduce(U.multiply(conj, self.unitary))
 
     @cached_property
-    def point_map(self) -> tuple:
-        """T_u as a transducer (tail, step) over 0-based letters, cached: with
-        L = max(level(u), 1), step[p n + a] = (emitted letter, next state) splits
-        u^{-1} of the window p a into its first letter and the rest, which is the
-        state, one of tail = n^(L-1) (for the flip, 12 emits 2, leaves 1)."""
+    def point_map(self) -> C.Transducer:
+        """T_u as a transducer, cached: with L = max(level(u), 1), the step on
+        the window p a splits u^{-1}(p a) into its first letter, emitted, and
+        the rest, which is the next state, one of n^(L-1) (for the flip, 12
+        emits 2 and leaves 1)."""
         src = U.inverse(U.embed(self.unitary, max(self.unitary.level, 1))).ranks
         tail = len(src) // self.n
-        return tail, [divmod(s, tail) for s in src]
+        return C.Transducer(self.n, tail, tuple([divmod(s, tail) for s in src]))
 
     def runs(self, k: int) -> list:
         """Per word of length k + L - 1, in rank order, the rank of the first k
-        letters T_u emits (`codes.emitted_ranks`); cached."""
+        letters T_u emits (`Transducer.runs`); cached."""
         if k not in self._runs:
-            self._runs[k] = C.emitted_ranks(self.n, *self.point_map, k)
+            self._runs[k] = self.point_map.runs(k)
         return self._runs[k]
 
 
@@ -127,9 +129,9 @@ def point_map_is_injective(e: PermutativeEndomorphism) -> bool:
     Every pair of states is a start, so T_u collides iff a cycle is reachable
     from a pair of distinct states.
     """
-    tail, step = e.point_map
-    starts = [(p, q) for p in range(tail) for q in range(tail) if p != q]
-    return C.pair_graph_height(e.n, step, starts) is not None
+    t = e.point_map
+    starts = [(p, q) for p in range(t.tail) for q in range(t.tail) if p != q]
+    return t.height(starts) is not None
 
 
 def read_code(e: PermutativeEndomorphism) -> Optional[C.SlidingBlockCode]:
@@ -138,53 +140,14 @@ def read_code(e: PermutativeEndomorphism) -> Optional[C.SlidingBlockCode]:
 
     The local rule is the letters T_u emits at radius L = max(level(u), 1),
     minimized, checked exactly: padded back to radius L, the code's transducer
-    runs in lockstep with T_u from every pair (p, p).  That compares T_u's
+    runs in lockstep with T_u from the diagonal pairs.  That compares T_u's
     states with the code's windows.  A code commutes with the shift, and a
     T_u that does is the code of its first letters, so the check fails
     exactly when lambda_u does not commute with the shift.
     """
-    n, radius = e.n, max(e.unitary.level, 1)
-    tail, step = e.point_map
-    code = C.minimize(C.SlidingBlockCode(n, radius, tuple(x + 1 for x, _ in step)))
-    padded = C.transducer(C.pad(code, radius))
-    return code if transducers_agree(n, step, padded, [(p, p) for p in range(tail)]) else None
-
-
-def _pair_moves(n: int, tail: int, step: list) -> list:
-    """Per letter a, the lists (nxt, shift) that step pairs of states of T_u.
-
-    R_d holds the pairs (p, q) with p the state of T_u after d letters of z
-    and q the state T_u starts from on sigma^d z, the last level(u) - 1
-    letters read; from there on both runs read the same input.  On the letter
-    a, T_u goes from p to nxt[p] and the window goes from q to shift[q].
-    """
-    return [
-        ([step[p * n + a][1] for p in range(tail)], [(q * n + a) % tail for q in range(tail)])
-        for a in range(n)
-    ]
-
-
-def _lag_pairs(moves: list, pairs: set) -> set:
-    """R_{d+1} from R_d."""
-    return {(nxt[p], shift[q]) for p, q in pairs for nxt, shift in moves}
-
-
-def transducers_agree(n: int, step_a: list, step_b: list, starts) -> bool:
-    """Do two transducers, step[p n + a] = (emitted letter, next state), run
-    in lockstep on one input from any pair in `starts`, emit the same letters?
-
-    Exact, over the finitely many reachable pairs; breadth first, so the
-    start pairs are checked first."""
-    seen = set(starts)
-    todo = list(seen)
-    for p, q in todo:
-        for (x, s), (y, t) in zip(step_a[p * n : p * n + n], step_b[q * n : q * n + n]):
-            if x != y:
-                return False
-            if (s, t) not in seen:
-                seen.add((s, t))
-                todo.append((s, t))
-    return True
+    radius, t = max(e.unitary.level, 1), e.point_map
+    code = C.minimize(C.SlidingBlockCode(e.n, radius, tuple(x + 1 for x, _ in t.step)))
+    return code if t.agrees(C.transducer(C.pad(code, radius))) else None
 
 
 def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElement:
@@ -207,19 +170,12 @@ def compose(e1: PermutativeEndomorphism, e2: PermutativeEndomorphism) -> Permuta
 
 def agree_on_diagonal(a: PermutationUnitary, b: PermutationUnitary) -> bool:
     """Exact test: do lambda_a and lambda_b restrict to the same map on D_n?
-    That is T_a = T_b, both written at one level, in lockstep from every (p, p)."""
+    That is T_a = T_b, both written at one level, in lockstep on one input."""
     if a.n != b.n:
         raise ValueError("alphabet sizes differ")
     level = max(a.level, b.level, 1)
-    tail, step_a = PermutativeEndomorphism(U.embed(a, level)).point_map
-    _, step_b = PermutativeEndomorphism(U.embed(b, level)).point_map
-    return transducers_agree(a.n, step_a, step_b, [(p, p) for p in range(tail)])
-
-
-@lru_cache(maxsize=32)
-def _identity(n: int, tail: int) -> tuple:
-    """The identity transducer: each window emits its first letter."""
-    return tuple(divmod(w, tail) for w in range(tail * n))
+    t_a, t_b = (PermutativeEndomorphism(U.embed(v, level)).point_map for v in (a, b))
+    return t_a.agrees(t_b)
 
 
 def is_identity_on_diagonal(u: PermutationUnitary) -> bool:
@@ -231,8 +187,8 @@ def is_identity_on_diagonal(u: PermutationUnitary) -> bool:
     """
     result = U.reduce(u).is_identity()
     if result:
-        tail, step = PermutativeEndomorphism(u).point_map
-        if not transducers_agree(u.n, step, _identity(u.n, tail), [(p, p) for p in range(tail)]):
+        t = PermutativeEndomorphism(u).point_map
+        if not t.agrees(C.Transducer.identity(u.n, t.tail)):
             raise AssertionError("reduction and point-map tests disagree")
     return result
 
@@ -256,24 +212,19 @@ def phi_commutation_identity(v: PermutationUnitary) -> bool:
     return lhs == rhs
 
 
-def is_in_ign(e: PermutativeEndomorphism, max_k: int) -> Optional[int]:
-    """Least k <= max_k with (lambda_u o phi^k) = phi^k on the diagonal.
+def is_in_ign(e: PermutativeEndomorphism) -> Optional[int]:
+    """Least k with (lambda_u o phi^k) = phi^k on the diagonal, or None if
+    there is none.
 
     On points that is sigma^k o T_u = sigma^k: from every pair of R_k, T_u
     runs in lockstep with the identity transducer (whose first step is the
-    cheap test that lambda_u fixes every phi^k(P_i)).  Each k-test is exact;
-    absence merely means no k within the budget.
+    cheap test that lambda_u fixes every phi^k(P_i)).  The test at k depends
+    only on R_k, and `Transducer.lags` lists every set R_k takes, so a k
+    that passes is among them; the answer is exact.
     """
-    n = e.n
-    tail, step = e.point_map
-    moves = _pair_moves(n, tail, step)
-    pairs = {(s, s) for s in range(tail)}
-    for k in range(max_k + 1):
-        if k:
-            pairs = _lag_pairs(moves, pairs)
-        if transducers_agree(n, step, _identity(n, tail), pairs):
-            return k
-    return None
+    t = e.point_map
+    ident = C.Transducer.identity(t.n, t.tail)
+    return next((k for k, pairs in enumerate(t.lags()) if t.agrees(ident, pairs)), None)
 
 
 @dataclass(frozen=True)
@@ -341,40 +292,34 @@ def _direct_inverse(e: PermutativeEndomorphism, u_star: PermutationUnitary, s: i
 def property_p_data(
     e: PermutativeEndomorphism, inverse: PermutationUnitary
 ) -> tuple:
-    """(m_upper, m_min_verified) for alpha = lambda_u with inverse certificate.
+    """(m_upper, m_min) for alpha = lambda_u with inverse certificate.
 
-    m_upper = level(inverse) - 1 is guaranteed; m_min_verified is the least
-    m <= m_upper for which alpha phi^k(x) = phi^{k-m} alpha phi^m(x) holds
-    for all level-1 x over the finite window m <= k <= m_upper + level(u) + 1.
+    m_upper = level(inverse) - 1 is guaranteed; m_min is the least m for which
+    alpha phi^k(x) = phi^{k-m} alpha phi^m(x) holds for all level-1 x and
+    every k >= m, decided exactly.
 
     On points that is T_u(z)_{k+1} = T_u(sigma^{k-m} z)_{m+1}: for every pair
     (p, q) of R_d, d = k - m, the (m+1)-th letters T_u emits from p and from q
-    agree on every input.
+    agree on every input.  Every d is covered by the union of `lags()`, which
+    is stepped one letter, read on both sides, per m.
     """
     m_upper = max(U.reduce(inverse).level - 1, 0)
-    window = m_upper + e.unitary.level + 1
-    n = e.n
-    tail, step = e.point_map
-    moves = _pair_moves(n, tail, step)
-    lags = [{(s, s) for s in range(tail)}]
-    for _ in range(window):
-        lags.append(_lag_pairs(moves, lags[-1]))
-    emitted = [tuple(step[p * n + a][0] for a in range(n)) for p in range(tail)]
-
-    def holds(m: int) -> bool:
-        pairs = set().union(*lags[: window - m + 1])
-        for _ in range(m):
-            pairs = {(nxt[p], nxt[q]) for p, q in pairs for nxt, _ in moves}
-        return all(emitted[p] == emitted[q] for p, q in pairs)
-
-    if not holds(m_upper):
+    t = e.point_map
+    n, step = t.n, t.step
+    emitted = [tuple(x for x, _ in step[p * n : p * n + n]) for p in range(t.tail)]
+    pairs = set().union(*t.lags())
+    held = []
+    for m in range(m_upper + 1):
+        if m:
+            pairs = {
+                (s, r)
+                for p, q in pairs
+                for (_, s), (_, r) in zip(step[p * n : p * n + n], step[q * n : q * n + n])
+            }
+        held.append(all(emitted[p] == emitted[q] for p, q in pairs))
+    if not held[m_upper]:
         raise ValueError("inverse certificate violates the guaranteed property-(P) bound")
-    m_min = m_upper
-    for m in range(m_upper):
-        if holds(m):
-            m_min = m
-            break
-    return m_upper, m_min
+    return m_upper, held.index(True)
 
 
 def braiding(e: PermutativeEndomorphism) -> PermutationUnitary:

@@ -97,6 +97,8 @@ def _rational(value) -> Fraction:
 def diag_from_dict(data: dict) -> DiagonalElement:
     n = _integer(data["n"], "n")
     if "support" in data:
+        if type(data["support"]) is not list:
+            raise ValueError("support must be a list of words")
         words = [W.parse_word(s, n) for s in data["support"]]
         level = _integer(data.get("level", len(words[0]) if words else 0), "level")
         if level < 0:

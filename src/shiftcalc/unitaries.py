@@ -238,11 +238,6 @@ def adjoint_action(u: PermutationUnitary, x: DiagonalElement) -> DiagonalElement
     return _words.reduce(DiagonalElement(x.n, level, tuple(out)))
 
 
-def is_bogolubov(u: PermutationUnitary) -> bool:
-    """True iff the canonical form lives at level <= 1 (a letter permutation)."""
-    return reduce(u).level <= 1
-
-
 def all_unitaries(n: int, level: int):
     """Iterate over every element of P_n^level (use at desk scale only)."""
     size = _check_capacity(n, level)

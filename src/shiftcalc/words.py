@@ -200,32 +200,8 @@ def _common(p: DiagonalElement, q: DiagonalElement):
     return refine(p, level), refine(q, level)
 
 
-def _require_projection(x: DiagonalElement) -> None:
-    if not x.is_projection():
-        raise TypeError("operand is not 0/1-valued")
-
-
-def meet(p: DiagonalElement, q: DiagonalElement) -> DiagonalElement:
-    _require_projection(p)
-    _require_projection(q)
-    a, b = _common(p, q)
-    return reduce(DiagonalElement(a.n, a.level, tuple(map(min, a.coeffs, b.coeffs))))
-
-
-def join(p: DiagonalElement, q: DiagonalElement) -> DiagonalElement:
-    _require_projection(p)
-    _require_projection(q)
-    a, b = _common(p, q)
-    return reduce(DiagonalElement(a.n, a.level, tuple(map(max, a.coeffs, b.coeffs))))
-
-
-def complement(p: DiagonalElement) -> DiagonalElement:
-    _require_projection(p)
-    return reduce(DiagonalElement(p.n, p.level, tuple(ONE - c for c in p.coeffs)))
-
-
 def add(p: DiagonalElement, q: DiagonalElement) -> DiagonalElement:
-    """Linear sum (not a Boolean operation; used to assemble elements)."""
+    """Linear sum, used to assemble elements."""
     a, b = _common(p, q)
     return reduce(DiagonalElement(a.n, a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))))
 

@@ -166,7 +166,7 @@ def test_criterion_09_inner_kernel():
             e = E.endomorphism(E.ad_unitary(u))
             rot = U.shift_power_unitary(n, k)
             assert E.agree_on_diagonal(E.convolution(e.unitary, rot), rot)
-            found = E.is_in_ign(e, k)
+            found = E.is_in_ign(e)
             assert found is not None and found <= k
 
 

@@ -261,6 +261,33 @@ def test_malformed_diagonal_is_an_input_error(runner, tmp_path, diag):
 FLIP = {"n": 2, "level": 2, "map": [["11", "11"], ["12", "21"], ["21", "12"], ["22", "22"]]}
 
 
+@pytest.mark.parametrize("support", ["12", {"1": 0}], ids=["string", "object"])
+def test_a_support_that_is_not_a_list_exits_one(runner, tmp_path, support):
+    # both used to load, as the unit and as P_1, and apply exited 0
+    u = write(tmp_path / "u.json", FLIP)
+    x = write(tmp_path / "x.json", {"n": 2, "support": support})
+    result = runner.invoke(main, ["apply", u, x])
+    assert result.exit_code == 1
+    assert result.stderr == "input error: support must be a list of words\n"
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["certify", "{doc}"], {"n": 2, "level": -1, "map": [["1", "2"], ["2", "1"]]}),
+        (["orbits", "--code", "{doc}", "--r", "2"], {"n": 2, "radius": -1, "rule": {"1": 2, "2": 1}}),
+        (["apply", "{flip}", "{doc}"], {"n": 2, "level": -1, "coeffs": {"1": "1/2"}}),
+    ],
+    ids=["unitary", "code", "coefficients"],
+)
+def test_a_negative_level_or_radius_exits_one_with_its_own_message(runner, tmp_path, argv, doc):
+    # n ** -1 is 0.5, which used to surface as a float error in a table size
+    files = {"doc": write(tmp_path / "doc.json", doc), "flip": write(tmp_path / "u.json", FLIP)}
+    result = runner.invoke(main, [arg.format(**files) for arg in argv])
+    assert result.exit_code == 1
+    assert result.stderr == "input error: level or radius -1 is negative\n"
+
+
 @pytest.mark.parametrize(
     "argv, doc",
     [

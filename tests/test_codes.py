@@ -439,7 +439,7 @@ def test_the_depth_first_pair_graph_matches_the_topological_order():
         states = len(c.rule) // c.n
         head = states // c.n  # the starts of automorphism_window
         starts = [(p, q) for p in range(states) for q in range(states) if p // head != q // head]
-        cases.append((c.n, C.transducer(c), starts))
+        cases.append((C.transducer(c), starts))
     units = list(U.all_unitaries(2, 2))
     for n, level in ((2, 3), (3, 2)):
         for _ in range(40):
@@ -447,17 +447,17 @@ def test_the_depth_first_pair_graph_matches_the_topological_order():
             rng.shuffle(perm)
             units.append(U.PermutationUnitary(n, level, tuple(perm)))
     for u in units:
-        tail, step = E.endomorphism(u).point_map
-        cases.append((u.n, step, [(p, q) for p in range(tail) for q in range(tail) if p != q]))
+        t = E.endomorphism(u).point_map
+        cases.append((t, [(p, q) for p in range(t.tail) for q in range(t.tail) if p != q]))
     for _ in range(300):
         n, states = rng.choice((2, 3)), rng.randint(1, 6)
-        step = [(rng.randrange(n), rng.randrange(states)) for _ in range(states * n)]
+        step = tuple((rng.randrange(n), rng.randrange(states)) for _ in range(states * n))
         starts = rng.sample([(p, q) for p in range(states) for q in range(states)], states)
-        cases.append((n, step, starts))
+        cases.append((C.Transducer(n, states, step), starts))
     heights = []
-    for n, step, starts in cases:
-        got = C.pair_graph_height(n, step, starts)
-        assert got == pair_graph_height_reference(n, step, starts)
+    for t, starts in cases:
+        got = t.height(starts)
+        assert got == pair_graph_height_reference(t.n, t.step, starts)
         heights.append(got)
     assert heights.count(None) >= 100 and {None, 0, 1, 2} <= set(heights)
 

@@ -84,7 +84,7 @@ def test_inner_automorphisms_eventually_commute_with_the_shift():
             rng.shuffle(perm)
             w = U.PermutationUnitary(n, k, tuple(perm))
             e = E.endomorphism(E.ad_unitary(w))
-            found = E.is_in_ign(e, k)
+            found = E.is_in_ign(e)
             assert found is not None and found <= k
             # Ad(w) phi^k = phi^k on the diagonal
             rot = U.shift_power_unitary(n, k)
@@ -194,13 +194,16 @@ def test_is_in_ign_matches_the_unfiltered_search():
             w = U.PermutationUnitary(n, level, tuple(perm))
             cases += [w, E.ad_unitary(w), E.convolution(E.ad_unitary(w), U.flip_unitary(n))]
     cases += [e.unitary for e in census()[0]]
+    # Ad(w) with w of level 5 passes first at k = 5
+    cases.append(E.ad_unitary(random_unitary(rng, 2, 5)))
     found = set()
     for u in cases:
         e = E.endomorphism(u)
-        k = E.is_in_ign(e, 4)
-        assert k == is_in_ign_reference(e, 4)
+        # exact: a budget one past the first repeat of R_k finds no more
+        k = E.is_in_ign(e)
+        assert k == is_in_ign_reference(e, len(e.point_map.lags()))
         found.add(k)
-    assert None in found and len(found) > 2  # both outcomes, several k
+    assert None in found and {0, 1, 2, 3, 5} <= found
 
 
 def agree_census():
@@ -243,8 +246,8 @@ def test_the_point_map_tests_match_their_cylinder_oracles():
         fresh = E.endomorphism(e.unitary)
         commutes = E.commutes_with_shift_on_diagonal(e)
         assert commutes == commutes_reference(fresh)
-        k = E.is_in_ign(e, 3)
-        assert k == is_in_ign_reference(fresh, 3)
+        k = E.is_in_ign(e)
+        assert k == is_in_ign_reference(fresh, len(e.point_map.lags()))
         commuting += commutes
         inner += k is not None
     assert commuting >= 30 and inner >= 30
@@ -324,20 +327,49 @@ def test_read_code_refuses_exactly_the_maps_that_do_not_commute_with_the_shift()
 
 
 def test_the_census_catches_a_commutation_closure_started_at_r0():
-    # T_u against itself from the pairs (s, s) passes every map: the census
+    # T_u against itself from the diagonal pairs passes every map: the census
     # holds maps on which that mutant and the flip-convolution oracle differ
     def started_at_r0(e):
-        tail, step = e.point_map
-        return E.transducers_agree(e.n, step, step, [(s, s) for s in range(tail)])
+        return e.point_map.agrees(e.point_map)
 
     missed = [e for e in certify_census() if started_at_r0(e) != commutes_reference(e)]
     assert len(missed) >= 100
 
 
+def lag_set_reference(e, d):
+    """R_d off words: per input z of length d + level(u) - 1, the state T_u is
+    in after d letters, paired with the state a run on sigma^d z starts from."""
+    n, step, held = e.n, e.point_map.step, max(e.unitary.level, 1) - 1
+    pairs = set()
+    for z in itertools.product(range(n), repeat=d + held):
+        p = W.word_rank([a + 1 for a in z[:held]], n)
+        for a in z[held:]:
+            p = step[p * n + a][1]
+        pairs.add((p, W.word_rank([a + 1 for a in z[d:]], n)))
+    return frozenset(pairs)
+
+
+def test_lags_are_the_distinct_lag_sets_up_to_the_first_repeat():
+    rng = random.Random(73)
+    inner = [
+        E.endomorphism(E.ad_unitary(random_unitary(rng, n, level)))
+        for n, level in ((2, 2), (2, 3), (3, 2), (2, 4))
+        for _ in range(4)
+    ]
+    lengths = set()
+    for e in certify_census()[::4] + inner:
+        lags = e.point_map.lags()
+        want = [lag_set_reference(e, d) for d in range(len(lags) + 1)]
+        assert lags == want[:-1] and len(set(map(frozenset, lags))) == len(lags)
+        assert want[-1] in lags
+        lengths.add(len(lags))
+    assert {1, 2, 3, 4, 5} <= lengths
+
+
 def test_is_in_ign_identity_and_flip():
-    assert E.is_in_ign(E.endomorphism(U.identity(2)), 3) == 0
-    # lambda_theta = phi is not inner-after-any-shift within this budget
-    assert E.is_in_ign(E.endomorphism(U.flip_unitary(2)), 3) is None
+    assert E.is_in_ign(E.endomorphism(U.identity(2))) == 0
+    # lambda_theta = phi is not inner after any shift
+    assert E.is_in_ign(E.endomorphism(U.flip_unitary(2))) is None
 
 
 def test_commutes_with_shift_on_diagonal():
@@ -585,6 +617,49 @@ def property_p_reference(e, inverse):
     return m_upper, next((m for m in range(m_upper) if holds(m)), m_upper)
 
 
+def property_p_windowed_reference(e, inverse):
+    """Property (P) on the point map as it was searched under a budget: each m
+    is tested on R_0, ..., R_{window - m} only, window = m_upper + level(u) + 1."""
+    m_upper = max(U.reduce(inverse).level - 1, 0)
+    window = m_upper + e.unitary.level + 1
+    n, tail, step = e.n, e.point_map.tail, e.point_map.step
+    moves = [
+        ([step[p * n + a][1] for p in range(tail)], [(q * n + a) % tail for q in range(tail)])
+        for a in range(n)
+    ]
+    lags = [{(s, s) for s in range(tail)}]
+    for _ in range(window):
+        lags.append({(nxt[p], shift[q]) for p, q in lags[-1] for nxt, shift in moves})
+    emitted = [tuple(step[p * n + a][0] for a in range(n)) for p in range(tail)]
+
+    def holds(m):
+        pairs = set().union(*lags[: window - m + 1])
+        for _ in range(m):
+            pairs = {(nxt[p], nxt[q]) for p, q in pairs for nxt, _ in moves}
+        return all(emitted[p] == emitted[q] for p, q in pairs)
+
+    if not holds(m_upper):
+        raise ValueError("inverse certificate violates the guaranteed property-(P) bound")
+    return m_upper, next((m for m in range(m_upper) if holds(m)), m_upper)
+
+
+def test_exact_property_p_matches_the_windowed_search_on_the_certify_census():
+    # on the certified automorphisms, and on claimed certificates of levels
+    # 0-3 for every map, where both refuse or both answer alike
+    results = []
+    for e in certify_census():
+        verdict = E.certify_automorphism(e, 5)
+        if verdict.verdict == "automorphism":
+            got = E.property_p_data(e, verdict.inverse)
+            assert got == property_p_windowed_reference(e, verdict.inverse)
+            results.append(got)
+        for j in range(4):
+            claim = U.shift_power_unitary(e.n, j)
+            got = property_p_outcome(E.property_p_data, e, claim)
+            assert got == property_p_outcome(property_p_windowed_reference, e, claim)
+    assert len(results) == 84 and any(m_min < m_upper for m_upper, m_min in results)
+
+
 def property_p_outcome(data, e, inverse):
     try:
         return data(e, inverse)
@@ -619,7 +694,7 @@ def test_property_p_on_the_point_map_matches_the_cylinder_test():
 
 def run_point_map(e, z):
     """T_u on a finite word z of 0-based letters: the letters it emits."""
-    _, step = e.point_map
+    step = e.point_map.step
     held = max(e.unitary.level, 1) - 1
     state = 0
     for a in z[:held]:
@@ -646,14 +721,15 @@ def test_point_map_preimages_are_the_cylinder_images():
 
 
 def test_runs_are_the_letters_the_point_map_emits():
-    # codes.emitted_ranks runs T_u as it runs a code's transducer
+    # Transducer.runs runs T_u as it runs a code's transducer; e.runs caches it
     maps, _ = census()
     for e in maps:
         held = max(e.unitary.level, 1) - 1
         for k in (1, 2, 3):
             words = W.enumerate_words(e.n, k + held)
             emitted = [run_point_map(e, [a - 1 for a in z]) for z in words]
-            assert e.runs(k) == [W.word_rank([a + 1 for a in y], e.n) for y in emitted]
+            want = [W.word_rank([a + 1 for a in y], e.n) for y in emitted]
+            assert e.point_map.runs(k) == want and e.runs(k) == want
 
 
 def test_apply_diag_reads_x_with_no_lifted_copy(monkeypatch):
@@ -747,8 +823,8 @@ def certify_reference(e, budget):
     )
     if cand is not None and verified(cand) is not None:
         return cand
-    k = E.is_in_ign(e, budget)
-    if k is None:
+    k = E.is_in_ign(e)
+    if k is None or k > budget:
         return None
     if k == 0:
         return U.identity(n)

@@ -34,6 +34,14 @@ def test_diag_rejects_mismatched_levels():
         jsonio.diag_from_dict({"n": 2, "level": 1, "support": ["11"]})
 
 
+@pytest.mark.parametrize("support", ["12", {"1": 0}], ids=["string", "object"])
+def test_diag_refuses_a_support_that_is_not_a_list(support):
+    # a string was read as one word per character and an object through its
+    # keys, so these loaded as the unit and as P_1
+    with pytest.raises(ValueError, match="^support must be a list of words$"):
+        jsonio.diag_from_dict({"n": 2, "support": support})
+
+
 def test_unitary_roundtrip():
     u = U.kitchens_unitary()
     data = jsonio.unitary_to_dict(u)

@@ -117,12 +117,6 @@ def test_from_mapping_validates():
         U.from_mapping(2, 1, {(1,): (1,), (2,): (1,)})
 
 
-def test_is_bogolubov():
-    assert U.is_bogolubov(U.letter_permutation(3, (3, 1, 2)))
-    assert U.is_bogolubov(U.embed(U.identity(2), 2))
-    assert not U.is_bogolubov(U.kitchens_unitary())
-
-
 def test_ranks_from_outside_the_module_are_validated():
     with pytest.raises(ValueError):
         U.PermutationUnitary(2, 1, (0, 0))

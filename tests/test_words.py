@@ -76,16 +76,6 @@ def test_reduce_collapses_to_minimal_level():
     assert W.reduce(q).level == 2
 
 
-def test_boolean_operations_on_projections():
-    a = W.projection(3, [(1,), (2,)])
-    b = W.projection(3, [(2,), (3,)])
-    assert W.meet(a, b) == W.cylinder(3, (2,))
-    assert W.join(a, b) == W.unit(3)
-    assert W.complement(a) == W.cylinder(3, (3,))
-    with pytest.raises(TypeError):
-        W.meet(W.diagonal(3, 1, (Fraction(1, 2), Fraction(0), Fraction(0))), b)
-
-
 def test_trace_values():
     assert W.trace(W.cylinder(3, (1, 3))) == Fraction(1, 9)
     assert W.trace(W.projection(3, [(1, 1), (1, 2), (2, 3)])) == Fraction(1, 3)
@@ -123,6 +113,9 @@ def test_capacity_guard():
             W.refine(W.cylinder(2, (1,)), 10)
     finally:
         capacity.set_limit(old)
+    # n ** -1 is 0.5, not a size: a negative level is refused in its own words
+    with pytest.raises(ValueError, match="^level or radius -1 is negative$"):
+        capacity.check(2, -1)
 
 
 def test_projection_deduplicates_and_checks_levels():
