@@ -61,9 +61,21 @@ class Transducer:
 
     def runs(self, k: int) -> list:
         """Per input word of length k + L - 1, in rank order, the rank of the
-        first k letters emitted.  Grown a letter at a time as runs, emitted
-        rank times tail plus state."""
+        first k letters emitted, grown a letter at a time.
+
+        When the state is the last L - 1 letters read (a code's transducer),
+        the state of the word of rank w is w mod tail, so the rows of emitted
+        letters cycle with the rank.  Otherwise each run is its emitted rank
+        times tail plus its state."""
         n, tail, step = self.n, self.tail, self.step
+        if all(s == w % tail for w, (_, s) in enumerate(step)):
+            if k == 0:
+                return [0] * tail
+            out = [x for x, _ in step]
+            rows = [out[i : i + n] for i in range(0, len(out), n)]
+            for _ in range(k - 1):
+                out = [y * n + x for y, row in zip(out, itertools.cycle(rows)) for x in row]
+            return out
         rows = [[y * tail + s - p * n for y, s in step[p * n : p * n + n]] for p in range(tail)]
         runs = range(tail)
         for _ in range(k):
@@ -74,35 +86,41 @@ class Transducer:
         """Longest path from a start pair in the pair graph, or None if a cycle
         is reachable from one.
 
-        A node is a pair of states, and an edge reads one letter on each side
-        with equal emitted letters.  An infinite path from a start pair is two
+        A node is a pair of states (p, q), numbered p tail + q, and an edge
+        reads one letter on each side with equal emitted letters: per state,
+        the next states are grouped by the letter emitted, and the two groups
+        of one letter pair up.  An infinite path from a start pair is two
         inputs with one output; the graph is finite, so there is one exactly
         when a cycle is reachable.  One depth-first search: a node met again
         while on the current path closes a cycle, and heights are set in
-        post-order.
+        post-order (the stack holds ~node to finish a node).
         """
-        n, step = self.n, self.step
-        height, succ, on_path = {}, {}, set()
-        stack = [(node, False) for node in starts]
+        n, tail = self.n, self.tail
+        groups = [[[] for _ in range(n)] for _ in range(tail)]
+        for w, (x, s) in enumerate(self.step):
+            groups[w // n][x].append(s)
+        height = [-1] * (tail * tail)  # -1 unseen, -2 on the current path
+        succ = {}
+        stack = [p * tail + q for p, q in starts]
         while stack:
-            node, done = stack.pop()
-            if done:
-                on_path.remove(node)
-                height[node] = max((height[nxt] + 1 for nxt in succ.pop(node)), default=0)
-            elif node not in height:
-                if node in on_path:
-                    return None
-                p, q = node
-                succ[node] = [
-                    (s, t)
-                    for x, s in step[p * n : p * n + n]
-                    for y, t in step[q * n : q * n + n]
-                    if x == y
+            node = stack.pop()
+            if node < 0:
+                node = ~node
+                height[node] = max([height[nxt] for nxt in succ.pop(node)], default=-1) + 1
+            elif height[node] == -1:
+                p, q = divmod(node, tail)
+                succ[node] = nxt = [
+                    s * tail + t
+                    for here, there in zip(groups[p], groups[q])
+                    for s in here
+                    for t in there
                 ]
-                on_path.add(node)
-                stack.append((node, True))
-                stack += [(nxt, False) for nxt in succ[node]]
-        return max((height[node] for node in starts), default=0)
+                height[node] = -2
+                stack.append(~node)
+                stack += nxt
+            elif height[node] == -2:
+                return None
+        return max((height[p * tail + q] for p, q in starts), default=0)
 
     def agrees(self, other: Transducer, starts=None) -> bool:
         """Do the two, run in lockstep on one input from any pair in `starts`

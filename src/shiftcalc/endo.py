@@ -22,20 +22,26 @@ and the braiding automorphism is Ad(u) (`braiding`).
 
 Certification builds the inverse by algebra, not by search: lambda_u has a
 permutative inverse v exactly when lambda_u(v) = u^*, and then v is
-u_s^* u^* u_s for every s >= level(v).  So at budget b, "automorphism" is the
-verdict on exactly the automorphisms of O_n whose inverse has level <= b,
-and on the shift automorphisms that the degree route finds an inverse code
-for.  The stages run in this order: the levels s <= level(u), then the
-collision test on T_u, then the levels up to b, then the degree route.  A
+u_s^* u^* u_s for every s >= level(v), while a u_s^* u^* u_s of level <= s is
+always that v.  So at budget b, "automorphism" is the verdict on exactly the
+automorphisms of O_n whose inverse has level <= b, and on the shift
+automorphisms that the degree route finds an inverse code for.  A level
+s < level(u) finds nothing or the v that s = level(u) finds, so the levels
+start at s = level(u) (at 1 for level(u) = 0, and at b when level(u) > b)
+with the same verdict.  The stages run in this order: the level
+s = level(u), then the collision test on T_u, then the levels above level(u)
+up to b, then the degree route.  A
 permutative inverse v gives T_u o T_v = T_v o T_u = id on points, so when
 T_u collides (`point_map_is_injective` is false, decided on the pair graph of
 T_u) no level can return and certification goes straight to the degree
-route.
+route.  Each cocycle u_s is built with its inverse u_s^*, once, and w_s and
+both convolutions gather through them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
 from typing import Optional
 
@@ -63,11 +69,12 @@ def ad_unitary(w: PermutationUnitary) -> PermutationUnitary:
 
 @dataclass(frozen=True)
 class PermutativeEndomorphism:
-    """lambda_u for a permutation unitary u, with cached cocycle products,
-    point map and emitted runs."""
+    """lambda_u for a permutation unitary u, with cached cocycle products and
+    their inverses, point map and emitted runs."""
 
     unitary: PermutationUnitary
     _uk: dict = field(default_factory=dict, compare=False, repr=False)
+    _uk_star: dict = field(default_factory=dict, compare=False, repr=False)
     _runs: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -75,38 +82,43 @@ class PermutativeEndomorphism:
         return self.unitary.n
 
     def u_k(self, k: int) -> PermutationUnitary:
-        """The cocycle product u_k, cached, built as u phi(u_{k-1}).
-
-        Shifting the larger factor and embedding the smaller one copies long
-        runs, where u_{k-1} phi^{k-1}(u) would embed u_{k-1} rank by rank.
-        """
+        """The cocycle product u_k = u phi(u_{k-1}), cached; for k > 1 the
+        inverse of the cached u_k^*."""
+        if k <= 1:
+            return U.u_k_product(self.unitary, k)  # u itself; k < 1 is refused
         if k not in self._uk:
-            if k <= 1:
-                self._uk[k] = U.u_k_product(self.unitary, k)
-            else:
-                self._uk[k] = U.multiply(self.unitary, U.phi_shift(self.u_k(k - 1), 1))
+            self._uk[k] = U.inverse(self.u_k_star(k))
         return self._uk[k]
 
+    def u_k_star(self, k: int) -> PermutationUnitary:
+        """u_k^*, cached, built as phi(u_{k-1}^*) u^*: the shifted larger
+        factor with its blocks reordered by u^*.  So each cocycle is inverted
+        once, and the tables are shared by certification, `convolve` and
+        `point_map`."""
+        if k not in self._uk_star:
+            if k <= 1:
+                self._uk_star[k] = U.inverse(self.u_k(k))
+            else:
+                shifted = U.phi_shift(self.u_k_star(k - 1), 1)
+                self._uk_star[k] = U.multiply(shifted, self.u_k_star(1))
+        return self._uk_star[k]
+
     def convolve(self, w: PermutationUnitary) -> PermutationUnitary:
-        """convolution(u, w), with u_m read from the cache."""
+        """convolution(u, w), with u_m and u_m^* read from the cache."""
         if self.n != w.n:
             raise ValueError("alphabet sizes differ")
         m = w.level
         if m == 0:
             return self.unitary
-        um = self.u_k(m)
-        conj = U.multiply(U.multiply(um, w), U.inverse(um))
+        if self.unitary.level == 0:  # lambda_1 fixes w
+            return U.reduce(w)
+        conj = U.conjugate(w, self.u_k_star(m), self.u_k(m))
         return U.reduce(U.multiply(conj, self.unitary))
 
     @cached_property
     def point_map(self) -> C.Transducer:
-        """T_u as a transducer, cached: with L = max(level(u), 1), the step on
-        the window p a splits u^{-1}(p a) into its first letter, emitted, and
-        the rest, which is the next state, one of n^(L-1) (for the flip, 12
-        emits 2 and leaves 1)."""
-        src = U.inverse(U.embed(self.unitary, max(self.unitary.level, 1))).ranks
-        tail = len(src) // self.n
-        return C.Transducer(self.n, tail, tuple([divmod(s, tail) for s in src]))
+        """T_u as a transducer (`_point_map`), cached, read off the cached u^*."""
+        return _point_map(self.unitary, self.u_k_star(1))
 
     def runs(self, k: int) -> list:
         """Per word of length k + L - 1, in rank order, the rank of the first k
@@ -114,6 +126,16 @@ class PermutativeEndomorphism:
         if k not in self._runs:
             self._runs[k] = self.point_map.runs(k)
         return self._runs[k]
+
+
+def _point_map(u: PermutationUnitary, u_star: PermutationUnitary) -> C.Transducer:
+    """T_u as a transducer: with L = max(level(u), 1), the step on the window
+    p a splits u^{-1}(p a) into its first letter, emitted, and the rest, which
+    is the next state, one of n^(L-1) (for the flip, 12 emits 2 and leaves 1).
+    At level 0, u^* is the identity, which is range(n) at level 1."""
+    src = u_star.ranks if u.level else range(u.n)
+    tail = len(src) // u.n
+    return C.Transducer(u.n, tail, tuple(map(divmod, src, repeat(tail))))
 
 
 def endomorphism(u: PermutationUnitary) -> PermutativeEndomorphism:
@@ -185,9 +207,9 @@ def is_identity_on_diagonal(u: PermutationUnitary) -> bool:
     permutative unitary); cross-checked as defense in depth, exactly, by
     running T_u in lockstep with T_1, the identity transducer.
     """
-    result = U.reduce(u).is_identity()
+    result = u.is_identity()
     if result:
-        t = PermutativeEndomorphism(u).point_map
+        t = _point_map(u, U.inverse(u))
         if not t.agrees(C.Transducer.identity(u.n, t.tail)):
             raise AssertionError("reduction and point-map tests disagree")
     return result
@@ -245,23 +267,25 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
     and a w_s of level <= s always solves it.  So the first s <= budget with
     level(w_s) <= s gives the inverse, and there is one exactly when lambda_u
     is an automorphism whose inverse has level <= budget; both convolutions
-    are still checked to be the identity.  Before the levels s > level(u),
-    the largest ones, T_u is tested for injectivity: a permutative inverse v
-    makes T_u o T_v the identity on points, so a colliding T_u skips them
-    without changing the verdict.  Otherwise, when `read_code` finds lambda_u
-    shift-commuting, a degree greater than one proves the point map is not
-    injective, and degree one (so m = 0: any m > 0 needs a wider window) with
-    an inverse code beta certifies a shift automorphism whose inverse is w_s
-    at s = radius(beta), the lift of beta.
+    are still checked to be the identity.  The levels start at
+    s0 = min(max(level(u), 1), budget), exactly: each s < s0 finds nothing or
+    the v that s0 finds, since v = w_s0 once s0 >= level(v).  Before the
+    levels s > level(u), the largest ones, T_u is tested for injectivity: a
+    permutative inverse v makes T_u o T_v the identity on points, so a
+    colliding T_u skips them without changing the verdict.  Otherwise, when
+    `read_code` finds lambda_u shift-commuting, a degree greater than one
+    proves the point map is not injective, and degree one (so m = 0: any
+    m > 0 needs a wider window) with an inverse code beta certifies a shift
+    automorphism whose inverse is w_s at s = radius(beta), the lift of beta.
     Everything else is Unknown at the given budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    u_star = U.inverse(e.unitary)
-    for s in range(1, budget + 1):
-        if s == e.unitary.level + 1 and not point_map_is_injective(e):
+    level = e.unitary.level
+    for s in range(min(max(level, 1), budget), budget + 1):
+        if s == level + 1 and not point_map_is_injective(e):
             break
-        w = _direct_inverse(e, u_star, s)
+        w = _direct_inverse(e, s)
         if w is not None:
             return AutomorphismVerdict("automorphism", inverse=w)
     code = read_code(e)
@@ -273,15 +297,16 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
             if deg > 1:
                 return AutomorphismVerdict("not_automorphism", degree=deg)
             # degree one: the lift of beta has level <= radius(beta), so is w_s
-            w = _direct_inverse(e, u_star, beta.radius)
+            w = _direct_inverse(e, beta.radius)
             if w is not None:
                 return AutomorphismVerdict("automorphism", inverse=w)
     return AutomorphismVerdict("unknown", budget=budget)
 
 
-def _direct_inverse(e: PermutativeEndomorphism, u_star: PermutationUnitary, s: int):
-    """w_s = u_s^* u^* u_s, verified by both convolutions, or None if level(w_s) > s."""
-    w = U.reduce(U.conjugate(u_star, e.u_k(s)))
+def _direct_inverse(e: PermutativeEndomorphism, s: int):
+    """w_s = u_s^* u^* u_s, verified by both convolutions, or None if level(w_s) > s.
+    u^* and u_s^* are the cached cocycle inverses, so w_s is one gather."""
+    w = U.reduce(U.conjugate(e.u_k_star(1), e.u_k(s), e.u_k_star(s)))
     if w.level > s:
         return None
     if all(map(is_identity_on_diagonal, (convolution(w, e.unitary), e.convolve(w)))):
@@ -306,16 +331,14 @@ def property_p_data(
     m_upper = max(U.reduce(inverse).level - 1, 0)
     t = e.point_map
     n, step = t.n, t.step
-    emitted = [tuple(x for x, _ in step[p * n : p * n + n]) for p in range(t.tail)]
+    letters, states = zip(*step)
+    emitted = [letters[i : i + n] for i in range(0, len(step), n)]
+    moves = [states[i : i + n] for i in range(0, len(step), n)]
     pairs = set().union(*t.lags())
     held = []
     for m in range(m_upper + 1):
         if m:
-            pairs = {
-                (s, r)
-                for p, q in pairs
-                for (_, s), (_, r) in zip(step[p * n : p * n + n], step[q * n : q * n + n])
-            }
+            pairs = {pair for p, q in pairs for pair in zip(moves[p], moves[q])}
         held.append(all(emitted[p] == emitted[q] for p, q in pairs))
     if not held[m_upper]:
         raise ValueError("inverse certificate violates the guaranteed property-(P) bound")

@@ -37,20 +37,23 @@ def _name_ranks(n: int, level: int) -> dict:
     return {name: rank for rank, name in enumerate(_names(n, level))}
 
 
-def _rank_map(entries, n: int, level: int):
-    """The map as {rank: rank} when it lists n^level names of `_name_ranks`,
-    no domain name twice; else None, for parse_word to read or refuse (every
-    name, for n > 9).  A map of another size never builds the table."""
+def _rank_tuple(entries, n: int, level: int):
+    """The map's rank tuple, built in one pass, when it lists n^level names
+    of `_name_ranks`, no domain name twice; else None, for parse_word to read
+    or refuse (every name, for n > 9).  A map of another size never builds
+    the table."""
     size = len(entries)
     if n > 9 or not 0 <= level <= size.bit_length() or size != n**level:
         return None
-    table, mapping = _name_ranks(n, level), {}
+    table, ranks = _name_ranks(n, level), [-1] * size
     for src, dst in entries:
-        known = type(src) is str and type(dst) is str and src in table and dst in table
-        if not known or table[src] in mapping:
+        if not (type(src) is str and type(dst) is str and src in table and dst in table):
             return None
-        mapping[table[src]] = table[dst]
-    return mapping
+        rank = table[src]
+        if ranks[rank] >= 0:
+            return None
+        ranks[rank] = table[dst]
+    return tuple(ranks)
 
 
 def _integer(value, what: str) -> int:
@@ -132,9 +135,10 @@ def unitary_from_dict(data: dict) -> PermutationUnitary:
     entries = data["map"]
     if type(entries) is not list or any(type(e) is not list or len(e) != 2 for e in entries):
         raise ValueError("map must be a list of [source, target] pairs")
-    ranks = _rank_map(entries, n, level)
+    ranks = _rank_tuple(entries, n, level)
     if ranks is not None:
-        return U.from_rank_mapping(n, level, ranks)
+        _check_capacity(n, level)
+        return PermutationUnitary(n, level, ranks)
     mapping = {}
     for src, dst in entries:
         key = W.parse_word(src, n)

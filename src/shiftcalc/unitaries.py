@@ -61,7 +61,8 @@ class PermutationUnitary:
 def _trusted(n: int, level: int, ranks: tuple) -> PermutationUnitary:
     """A unitary from ranks already known to permute 0..n^level-1, unchecked."""
     u = object.__new__(PermutationUnitary)
-    u.__dict__.update(n=n, level=level, ranks=ranks)
+    fields = u.__dict__
+    fields["n"], fields["level"], fields["ranks"] = n, level, ranks
     return u
 
 
@@ -80,14 +81,6 @@ def from_mapping(n: int, level: int, mapping) -> PermutationUnitary:
             raise ValueError("mapping words must have the unitary's level")
         ranks[word_rank(src, n)] = word_rank(dst, n)
     return PermutationUnitary(n, level, tuple(ranks))
-
-
-def from_rank_mapping(n: int, level: int, mapping: dict) -> PermutationUnitary:
-    """Build from a {rank: rank} dict; a rank out of range leaves a -1, refused."""
-    size = _check_capacity(n, level)
-    if len(mapping) != size:
-        raise ValueError("mapping must list every domain word exactly once")
-    return PermutationUnitary(n, level, tuple(mapping.get(r, -1) for r in range(size)))
 
 
 def embed(u: PermutationUnitary, level: int) -> PermutationUnitary:
@@ -109,12 +102,15 @@ def reduce(u: PermutationUnitary) -> PermutationUnitary:
     A level strips when the ranks at offset a are the ranks at offset 0
     plus a, and those are all multiples of n: then u is the embedding of
     the unitary with ranks q // n over the offset-0 ranks q.  The identity,
-    which every verified certificate reduces to, strips to level 0 at once.
+    which every verified certificate reduces to, strips to level 0 at once,
+    and most unitaries that strip nothing fail on their first n ranks.
     """
     n, level, ranks = u.n, u.level, u.ranks
     if ranks[0] == 0 and ranks == tuple(range(len(ranks))):
         level, ranks = 0, (0,)
     while level > 0:
+        if ranks[0] % n or ranks[:n] != tuple(range(ranks[0], ranks[0] + n)):
+            break
         head = ranks[::n]
         if any(map(n.__rmod__, head)) or any(
             ranks[a::n] != tuple(map(a.__add__, head)) for a in range(1, n)
@@ -127,20 +123,33 @@ def reduce(u: PermutationUnitary) -> PermutationUnitary:
     return _trusted(n, level, ranks)
 
 
-def multiply(u: PermutationUnitary, v: PermutationUnitary) -> PermutationUnitary:
-    """Product unitary u v; its permutation is sigma_u o sigma_v, a gather of
-    u's ranks through v's after the lower-level operand is embedded.
+def _permute_blocks(ranks: tuple, order: tuple) -> tuple:
+    """The rank array cut into len(order) equal blocks, laid out in the given
+    order: ranks o sigma when sigma permutes the leading letters as `order`."""
+    tail = len(ranks) // len(order)
+    return tuple([r for q in order for r in ranks[q * tail : q * tail + tail]])
 
-    The gather is one `itemgetter` call, several times faster than a map
-    over `tuple.__getitem__`.  At level 0, where itemgetter of the single
-    rank would return a bare item, both factors are the identity.
+
+def multiply(u: PermutationUnitary, v: PermutationUnitary) -> PermutationUnitary:
+    """Product unitary u v; its permutation is sigma_u o sigma_v, with no
+    embedded copy of the lower-level factor.
+
+    A lower-level v permutes the leading letters, so u v is u's rank array
+    with its blocks reordered by v.  A lower-level u acts on the leading
+    letters of v's images: v sends a rank to h tail + t, with h its first
+    level(u) letters, and u v sends it to u(h) tail + t, by index arithmetic.
+    At one level the product is one `itemgetter` gather of u's ranks through
+    v's, several times faster than a map over `tuple.__getitem__`; at level 0,
+    where itemgetter of the single rank would return a bare item, both
+    factors are the identity.
     """
     if u.n != v.n:
         raise ValueError("alphabet sizes differ")
+    if v.level < u.level:
+        return _trusted(u.n, u.level, _permute_blocks(u.ranks, v.ranks))
     if u.level < v.level:
-        u = embed(u, v.level)
-    elif v.level < u.level:
-        v = embed(v, u.level)
+        tail, ranks = len(v.ranks) // len(u.ranks), u.ranks
+        return _trusted(v.n, v.level, tuple([ranks[q // tail] * tail + q % tail for q in v.ranks]))
     if u.level == 0:
         return u
     return _trusted(u.n, u.level, itemgetter(*v.ranks)(u.ranks))
@@ -153,12 +162,15 @@ def inverse(u: PermutationUnitary) -> PermutationUnitary:
     return _trusted(u.n, u.level, tuple(out))
 
 
-def conjugate(u: PermutationUnitary, v: PermutationUnitary) -> PermutationUnitary:
-    """v^* u v for level(v) >= level(u), in one gather: v sends a rank to
-    h tail + t, with h its first level(u) letters, and v^* reads u(h) tail + t."""
-    tail, back, ranks = len(v.ranks) // len(u.ranks), inverse(v).ranks, u.ranks
-    out = [back[ranks[q // tail] * tail + q % tail] for q in v.ranks]
-    return _trusted(v.n, v.level, tuple(out))
+def conjugate(
+    u: PermutationUnitary, v: PermutationUnitary, v_star: PermutationUnitary
+) -> PermutationUnitary:
+    """v^* u v for level(v) >= level(u), given v^* = inverse(v): v^*'s rank
+    array with its blocks reordered by u (`multiply`), then one gather
+    through v's ranks."""
+    if v.level == 0:
+        return v
+    return _trusted(v.n, v.level, itemgetter(*v.ranks)(_permute_blocks(v_star.ranks, u.ranks)))
 
 
 def phi_shift(u: PermutationUnitary, j: int = 1) -> PermutationUnitary:

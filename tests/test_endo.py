@@ -1011,19 +1011,48 @@ def counted(monkeypatch, name):
 
 
 def test_certify_builds_no_cocycle_past_the_verification_depth(monkeypatch):
-    # a refutation: T_u collides, so no level above level(u) is tried, and the
-    # degree route reads the code off e once, and that check on the point map
-    # is its one shift-commutation test, so no cocycle past u_{level(u)} is built
+    # a refutation: the one level tried is s = level(u) = 3, then T_u collides,
+    # so no level above it is tried, and the degree route reads the code off e
+    # once, and that check on the point map is its one shift-commutation test,
+    # so no cocycle past u_{level(u)} is built
     pi, pi2 = U.letter_permutation(3, (2, 3, 1)), U.letter_permutation(3, (2, 1, 3))
     u = E.convolution(E.convolution(pi, U.shift_power_unitary(3, 2)), pi2)
     e = E.endomorphism(u)
+    attempts = counted(monkeypatch, "_direct_inverse")
     commutation_tests = counted(monkeypatch, "read_code")
     collision_tests = counted(monkeypatch, "point_map_is_injective")
     verdict = E.certify_automorphism(e, budget=8)
     assert verdict == E.AutomorphismVerdict("not_automorphism", degree=9)
-    assert max(e._uk) <= e.unitary.level
+    assert [s for _, s in attempts] == [e.unitary.level] == [3]
+    assert max(e._uk) <= e.unitary.level and max(e._uk_star) <= e.unitary.level
     assert len(commutation_tests) == len(collision_tests) == 1
-    # an inverse found at s <= level(u) needs no collision test
+    # an inverse found at s <= level(u) needs no collision test: Kitchens is
+    # certified by the one attempt at s = level(u) = 2
+    attempts.clear()
     verdict = E.certify_automorphism(E.endomorphism(U.kitchens_unitary()), budget=8)
     assert verdict.inverse == U.kitchens_unitary()
+    assert [s for _, s in attempts] == [2]
     assert len(collision_tests) == 1
+
+
+def test_certify_starts_at_the_level_of_u():
+    # v = w_s for every s >= level(v), and no w_s of level <= s exists below
+    # level(v), so each level s < level(u) that the loop skips finds nothing
+    # or the v that s = level(u) finds: the loop from s = 1 agrees
+    budget, skipped = 5, 0
+    for e in certify_census()[::3]:
+        verdict = E.certify_automorphism(e, budget)
+        fresh = E.endomorphism(e.unitary)
+        for s in range(1, min(e.unitary.level, budget)):
+            w = E._direct_inverse(fresh, s)
+            assert w is None or w == verdict.inverse
+            skipped += 1
+        assert verdict == certify_ungated(fresh, budget)
+    assert skipped >= 100
+
+
+def test_cached_cocycle_inverses_are_the_inverses():
+    for e in certify_census():
+        for k in (4, 1, 3, 2):  # out of order: later k reuse earlier ones
+            assert e.u_k_star(k) == U.inverse(e.u_k(k))
+            assert e.u_k_star(k).ranks == U.inverse(e.u_k(k)).ranks

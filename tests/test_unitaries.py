@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from shiftcalc import jsonio
 from shiftcalc import unitaries as U
@@ -43,6 +44,36 @@ def test_multiply_composes_the_underlying_permutations():
     ab = U.multiply(a, b)
     for w in W.enumerate_words(2, 2):
         assert ab.apply(w) == a.apply(b.apply(w))
+
+
+@st.composite
+def unitary_pairs(draw):
+    """Two unitaries over n in {2, 3} letters, each of level 0 to 3."""
+    n = draw(st.sampled_from((2, 3)))
+    pair = []
+    for _ in range(2):
+        level = draw(st.integers(0, 3))
+        pair.append(U.PermutationUnitary(n, level, tuple(draw(st.permutations(range(n**level))))))
+    return pair
+
+
+@given(unitary_pairs())
+def test_multiply_is_the_product_at_one_level(pair):
+    # the lower-level factor is read in place: by index arithmetic on the
+    # left, by reordered blocks on the right; the reference embeds it
+    u, v = pair
+    top = max(u.level, v.level)
+    product = U.multiply(U.embed(u, top), U.embed(v, top))
+    assert U.multiply(u, v).ranks == product.ranks
+    assert U.PermutationUnitary(u.n, top, U.multiply(u, v).ranks) == product
+
+
+@given(unitary_pairs())
+def test_conjugate_is_the_product_v_star_u_v(pair):
+    u, v = sorted(pair, key=lambda w: w.level)  # level(v) >= level(u)
+    v_star = U.inverse(v)
+    want = U.multiply(U.multiply(v_star, u), v)
+    assert U.conjugate(u, v, v_star).ranks == want.ranks
 
 
 def test_flip_has_order_two_and_swaps_coordinates():
