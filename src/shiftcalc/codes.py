@@ -61,21 +61,9 @@ class Transducer:
 
     def runs(self, k: int) -> list:
         """Per input word of length k + L - 1, in rank order, the rank of the
-        first k letters emitted, grown a letter at a time.
-
-        When the state is the last L - 1 letters read (a code's transducer),
-        the state of the word of rank w is w mod tail, so the rows of emitted
-        letters cycle with the rank.  Otherwise each run is its emitted rank
-        times tail plus its state."""
+        first k letters emitted.  Grown a letter at a time as runs, emitted
+        rank times tail plus state."""
         n, tail, step = self.n, self.tail, self.step
-        if all(s == w % tail for w, (_, s) in enumerate(step)):
-            if k == 0:
-                return [0] * tail
-            out = [x for x, _ in step]
-            rows = [out[i : i + n] for i in range(0, len(out), n)]
-            for _ in range(k - 1):
-                out = [y * n + x for y, row in zip(out, itertools.cycle(rows)) for x in row]
-            return out
         rows = [[y * tail + s - p * n for y, s in step[p * n : p * n + n]] for p in range(tail)]
         runs = range(tail)
         for _ in range(k):

@@ -82,10 +82,8 @@ class PermutativeEndomorphism:
         return self.unitary.n
 
     def u_k(self, k: int) -> PermutationUnitary:
-        """The cocycle product u_k = u phi(u_{k-1}), cached; for k > 1 the
-        inverse of the cached u_k^*."""
-        if k <= 1:
-            return U.u_k_product(self.unitary, k)  # u itself; k < 1 is refused
+        """The cocycle product u_k = u phi(u_{k-1}), cached: the inverse of
+        the cached u_k^*."""
         if k not in self._uk:
             self._uk[k] = U.inverse(self.u_k_star(k))
         return self._uk[k]
@@ -95,9 +93,11 @@ class PermutativeEndomorphism:
         factor with its blocks reordered by u^*.  So each cocycle is inverted
         once, and the tables are shared by certification, `convolve` and
         `point_map`."""
+        if k < 1:
+            raise ValueError("k must be at least 1")
         if k not in self._uk_star:
-            if k <= 1:
-                self._uk_star[k] = U.inverse(self.u_k(k))
+            if k == 1:
+                self._uk_star[k] = U.inverse(self.unitary)
             else:
                 shifted = U.phi_shift(self.u_k_star(k - 1), 1)
                 self._uk_star[k] = U.multiply(shifted, self.u_k_star(1))
@@ -110,15 +110,13 @@ class PermutativeEndomorphism:
         m = w.level
         if m == 0:
             return self.unitary
-        if self.unitary.level == 0:  # lambda_1 fixes w
-            return U.reduce(w)
         conj = U.conjugate(w, self.u_k_star(m), self.u_k(m))
         return U.reduce(U.multiply(conj, self.unitary))
 
     @cached_property
     def point_map(self) -> C.Transducer:
         """T_u as a transducer (`_point_map`), cached, read off the cached u^*."""
-        return _point_map(self.unitary, self.u_k_star(1))
+        return _point_map(self.u_k_star(1))
 
     def runs(self, k: int) -> list:
         """Per word of length k + L - 1, in rank order, the rank of the first k
@@ -128,14 +126,14 @@ class PermutativeEndomorphism:
         return self._runs[k]
 
 
-def _point_map(u: PermutationUnitary, u_star: PermutationUnitary) -> C.Transducer:
-    """T_u as a transducer: with L = max(level(u), 1), the step on the window
-    p a splits u^{-1}(p a) into its first letter, emitted, and the rest, which
-    is the next state, one of n^(L-1) (for the flip, 12 emits 2 and leaves 1).
-    At level 0, u^* is the identity, which is range(n) at level 1."""
-    src = u_star.ranks if u.level else range(u.n)
-    tail = len(src) // u.n
-    return C.Transducer(u.n, tail, tuple(map(divmod, src, repeat(tail))))
+def _point_map(u_star: PermutationUnitary) -> C.Transducer:
+    """T_u as a transducer, from u^*: with L = max(level(u), 1), the step on
+    the window p a splits u^{-1}(p a) into its first letter, emitted, and the
+    rest, which is the next state, one of n^(L-1) (for the flip, 12 emits 2
+    and leaves 1)."""
+    src = U.embed(u_star, max(u_star.level, 1)).ranks
+    tail = len(src) // u_star.n
+    return C.Transducer(u_star.n, tail, tuple(map(divmod, src, repeat(tail))))
 
 
 def endomorphism(u: PermutationUnitary) -> PermutativeEndomorphism:
@@ -209,7 +207,7 @@ def is_identity_on_diagonal(u: PermutationUnitary) -> bool:
     """
     result = u.is_identity()
     if result:
-        t = _point_map(u, U.inverse(u))
+        t = _point_map(U.inverse(u))
         if not t.agrees(C.Transducer.identity(u.n, t.tail)):
             raise AssertionError("reduction and point-map tests disagree")
     return result

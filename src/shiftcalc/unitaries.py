@@ -61,8 +61,7 @@ class PermutationUnitary:
 def _trusted(n: int, level: int, ranks: tuple) -> PermutationUnitary:
     """A unitary from ranks already known to permute 0..n^level-1, unchecked."""
     u = object.__new__(PermutationUnitary)
-    fields = u.__dict__
-    fields["n"], fields["level"], fields["ranks"] = n, level, ranks
+    u.__dict__.update(n=n, level=level, ranks=ranks)
     return u
 
 
@@ -123,13 +122,6 @@ def reduce(u: PermutationUnitary) -> PermutationUnitary:
     return _trusted(n, level, ranks)
 
 
-def _permute_blocks(ranks: tuple, order: tuple) -> tuple:
-    """The rank array cut into len(order) equal blocks, laid out in the given
-    order: ranks o sigma when sigma permutes the leading letters as `order`."""
-    tail = len(ranks) // len(order)
-    return tuple([r for q in order for r in ranks[q * tail : q * tail + tail]])
-
-
 def multiply(u: PermutationUnitary, v: PermutationUnitary) -> PermutationUnitary:
     """Product unitary u v; its permutation is sigma_u o sigma_v, with no
     embedded copy of the lower-level factor.
@@ -146,7 +138,9 @@ def multiply(u: PermutationUnitary, v: PermutationUnitary) -> PermutationUnitary
     if u.n != v.n:
         raise ValueError("alphabet sizes differ")
     if v.level < u.level:
-        return _trusted(u.n, u.level, _permute_blocks(u.ranks, v.ranks))
+        tail, ranks = len(u.ranks) // len(v.ranks), u.ranks
+        blocks = [r for q in v.ranks for r in ranks[q * tail : q * tail + tail]]
+        return _trusted(u.n, u.level, tuple(blocks))
     if u.level < v.level:
         tail, ranks = len(v.ranks) // len(u.ranks), u.ranks
         return _trusted(v.n, v.level, tuple([ranks[q // tail] * tail + q % tail for q in v.ranks]))
@@ -165,12 +159,10 @@ def inverse(u: PermutationUnitary) -> PermutationUnitary:
 def conjugate(
     u: PermutationUnitary, v: PermutationUnitary, v_star: PermutationUnitary
 ) -> PermutationUnitary:
-    """v^* u v for level(v) >= level(u), given v^* = inverse(v): v^*'s rank
-    array with its blocks reordered by u (`multiply`), then one gather
-    through v's ranks."""
-    if v.level == 0:
-        return v
-    return _trusted(v.n, v.level, itemgetter(*v.ranks)(_permute_blocks(v_star.ranks, u.ranks)))
+    """v^* u v, given v^* = inverse(v), so no inverse is built.  For
+    level(v) >= level(u), `multiply` reads u as v^*'s rank array with its
+    blocks reordered, then gathers that through v's ranks."""
+    return multiply(multiply(v_star, u), v)
 
 
 def phi_shift(u: PermutationUnitary, j: int = 1) -> PermutationUnitary:
