@@ -74,14 +74,17 @@ class Transducer:
         """Longest path from a start pair in the pair graph, or None if a cycle
         is reachable from one.
 
-        A node is a pair of states (p, q), numbered p tail + q, and an edge
-        reads one letter on each side with equal emitted letters: per state,
-        the next states are grouped by the letter emitted, and the two groups
-        of one letter pair up.  An infinite path from a start pair is two
-        inputs with one output; the graph is finite, so there is one exactly
-        when a cycle is reachable.  One depth-first search: a node met again
-        while on the current path closes a cycle, and heights are set in
-        post-order (the stack holds ~node to finish a node).
+        A node is a pair of states, and an edge reads one letter on each side
+        with equal emitted letters: per state, the next states are grouped by
+        the letter emitted, and the two groups of one letter pair up.  An
+        infinite path from a start pair is two inputs with one output; the
+        graph is finite, so there is one exactly when a cycle is reachable.
+        Swapping the two runs maps the edges onto the edges, so (p, q) and
+        (q, p) have one height and reach cycles together.  So a node is the
+        unordered pair, numbered min(p, q) tail + max(p, q), which is exact
+        for any starts and about halves the nodes.  One depth-first search: a
+        node met again while on the current path closes a cycle, and heights
+        are set in post-order (the stack holds ~node to finish a node).
         """
         n, tail = self.n, self.tail
         groups = [[[] for _ in range(n)] for _ in range(tail)]
@@ -89,7 +92,8 @@ class Transducer:
             groups[w // n][x].append(s)
         height = [-1] * (tail * tail)  # -1 unseen, -2 on the current path
         succ = {}
-        stack = [p * tail + q for p, q in starts]
+        nodes = [p * tail + q if p <= q else q * tail + p for p, q in starts]
+        stack = list(nodes)
         while stack:
             node = stack.pop()
             if node < 0:
@@ -98,7 +102,7 @@ class Transducer:
             elif height[node] == -1:
                 p, q = divmod(node, tail)
                 succ[node] = nxt = [
-                    s * tail + t
+                    s * tail + t if s <= t else t * tail + s
                     for here, there in zip(groups[p], groups[q])
                     for s in here
                     for t in there
@@ -108,7 +112,7 @@ class Transducer:
                 stack += nxt
             elif height[node] == -2:
                 return None
-        return max((height[p * tail + q] for p, q in starts), default=0)
+        return max((height[node] for node in nodes), default=0)
 
     def agrees(self, other: Transducer, starts=None) -> bool:
         """Do the two, run in lockstep on one input from any pair in `starts`

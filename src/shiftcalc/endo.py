@@ -34,8 +34,12 @@ up to b, then the degree route.  A
 permutative inverse v gives T_u o T_v = T_v o T_u = id on points, so when
 T_u collides (`point_map_is_injective` is false, decided on the pair graph of
 T_u) no level can return and certification goes straight to the degree
-route.  Each cocycle u_s is built with its inverse u_s^*, once, and w_s and
-both convolutions gather through them.
+route.  Each cocycle u_s is built with its inverse u_s^*, once, and w_s
+gathers through them.  Both convolutions of w_s with u are checked as rank
+identities: u_m w u_m^* u = 1 (m = level(w)) exactly when
+w (u_m^* u) = u_m^*, and w_l u w_l^* w = 1 (l = level(u)) exactly when
+u (w_l^* w) = w_l^*, each one block copy and one lifted gather, with no
+reduce and no u_m or w_l.
 """
 from __future__ import annotations
 
@@ -146,11 +150,12 @@ def point_map_is_injective(e: PermutativeEndomorphism) -> bool:
     Two points with one image either start from distinct states or reach a
     pair of distinct states when they first read different letters (u^{-1}
     permutes the windows, so equal emitted letters leave distinct rests).
-    Every pair of states is a start, so T_u collides iff a cycle is reachable
-    from a pair of distinct states.
+    So T_u collides iff a cycle is reachable from a pair of distinct states,
+    and the starts are the pairs p < q: `Transducer.height` reads (p, q) and
+    (q, p) as one node.
     """
     t = e.point_map
-    starts = [(p, q) for p in range(t.tail) for q in range(t.tail) if p != q]
+    starts = [(p, q) for p in range(t.tail) for q in range(p + 1, t.tail)]
     return t.height(starts) is not None
 
 
@@ -265,7 +270,8 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
     and a w_s of level <= s always solves it.  So the first s <= budget with
     level(w_s) <= s gives the inverse, and there is one exactly when lambda_u
     is an automorphism whose inverse has level <= budget; both convolutions
-    are still checked to be the identity.  The levels start at
+    are still checked to be the identity, each as a rank identity
+    (`_direct_inverse`).  The levels start at
     s0 = min(max(level(u), 1), budget), exactly: each s < s0 finds nothing or
     the v that s0 finds, since v = w_s0 once s0 >= level(v).  Before the
     levels s > level(u), the largest ones, T_u is tested for injectivity: a
@@ -302,14 +308,31 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
 
 
 def _direct_inverse(e: PermutativeEndomorphism, s: int):
-    """w_s = u_s^* u^* u_s, verified by both convolutions, or None if level(w_s) > s.
-    u^* and u_s^* are the cached cocycle inverses, so w_s is one gather."""
+    """w_s = u_s^* u^* u_s, or None if level(w_s) > s; a w_s of level <= s is
+    verified by both convolutions, convolution(u, w_s) = 1 and
+    convolution(w_s, u) = 1, each checked as a rank identity
+    (`_convolves_to_one`).  u^* and u_s^* are the cached cocycle inverses, so
+    w_s is one gather."""
     w = U.reduce(U.conjugate(e.u_k_star(1), e.u_k(s), e.u_k_star(s)))
     if w.level > s:
         return None
-    if all(map(is_identity_on_diagonal, (convolution(w, e.unitary), e.convolve(w)))):
+    if _convolves_to_one(e, w) and _convolves_to_one(endomorphism(w), e.unitary):
         return w
     raise AssertionError("the direct inverse fails verification")
+
+
+def _convolves_to_one(e: PermutativeEndomorphism, w: PermutationUnitary) -> bool:
+    """Is convolution(u, w) = u_m w u_m^* u the identity, for u = e.unitary
+    and m = level(w)?  Exactly when w (u_m^* u) = u_m^*.  u and w are at
+    most u_m^*'s level, m + level(u) - 1, so that is one block copy and one
+    lifted gather (`multiply`), compared as rank tuples at that level, with
+    no reduce and no u_m.  When u or w has level 0 the convolution is the
+    other one, so both must be the identity."""
+    u = e.unitary
+    if u.level == 0 or w.level == 0:
+        return u.is_identity() and w.is_identity()
+    star = e.u_k_star(w.level)
+    return U.multiply(w, U.multiply(star, u)).ranks == star.ranks
 
 
 def property_p_data(

@@ -89,10 +89,16 @@ def embed(u: PermutationUnitary, level: int) -> PermutationUnitary:
     if level == u.level:
         return u
     tail = _check_capacity(u.n, level) // len(u.ranks)
-    ranks = []
-    for q in u.ranks:
-        ranks.extend(range(q * tail, q * tail + tail))
-    return _trusted(u.n, level, tuple(ranks))
+    return _trusted(u.n, level, tuple(_lift(u.ranks, tail)))
+
+
+def _lift(ranks: tuple, tail: int) -> list:
+    """The ranks of a unitary written at `tail` times as many cells: the
+    rank q becomes the run q tail, ..., q tail + tail - 1."""
+    out = []
+    for q in ranks:
+        out.extend(range(q * tail, q * tail + tail))
+    return out
 
 
 def reduce(u: PermutationUnitary) -> PermutationUnitary:
@@ -123,27 +129,30 @@ def reduce(u: PermutationUnitary) -> PermutationUnitary:
 
 
 def multiply(u: PermutationUnitary, v: PermutationUnitary) -> PermutationUnitary:
-    """Product unitary u v; its permutation is sigma_u o sigma_v, with no
-    embedded copy of the lower-level factor.
+    """Product unitary u v, at the higher of the two levels; its permutation
+    is sigma_u o sigma_v, with no embedded unitary built.
 
     A lower-level v permutes the leading letters, so u v is u's rank array
-    with its blocks reordered by v.  A lower-level u acts on the leading
-    letters of v's images: v sends a rank to h tail + t, with h its first
-    level(u) letters, and u v sends it to u(h) tail + t, by index arithmetic.
-    At one level the product is one `itemgetter` gather of u's ranks through
-    v's, several times faster than a map over `tuple.__getitem__`; at level 0,
-    where itemgetter of the single rank would return a bare item, both
-    factors are the identity.
+    with its blocks reordered by v, each block copied by one `list.extend`
+    of a slice.  A lower-level u acts on the leading letters of v's images:
+    its ranks are lifted to v's level (`_lift`, a run of `tail` ranks per
+    rank), and the product is one gather of those through v's.  At one level
+    the product is one `itemgetter` gather of u's ranks through v's, several
+    times faster than a map over `tuple.__getitem__`; at level 0, where
+    itemgetter of the single rank would return a bare item, both factors are
+    the identity.
     """
     if u.n != v.n:
         raise ValueError("alphabet sizes differ")
     if v.level < u.level:
         tail, ranks = len(u.ranks) // len(v.ranks), u.ranks
-        blocks = [r for q in v.ranks for r in ranks[q * tail : q * tail + tail]]
+        blocks = []
+        for q in v.ranks:
+            blocks.extend(ranks[q * tail : q * tail + tail])
         return _trusted(u.n, u.level, tuple(blocks))
     if u.level < v.level:
-        tail, ranks = len(v.ranks) // len(u.ranks), u.ranks
-        return _trusted(v.n, v.level, tuple([ranks[q // tail] * tail + q % tail for q in v.ranks]))
+        lifted = _lift(u.ranks, len(v.ranks) // len(u.ranks))
+        return _trusted(v.n, v.level, itemgetter(*v.ranks)(lifted))
     if u.level == 0:
         return u
     return _trusted(u.n, u.level, itemgetter(*v.ranks)(u.ranks))

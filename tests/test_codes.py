@@ -462,6 +462,55 @@ def test_the_depth_first_pair_graph_matches_the_topological_order():
     assert heights.count(None) >= 100 and {None, 0, 1, 2} <= set(heights)
 
 
+def ordered_pair_height_reference(t, starts):
+    """The pair-graph search on ordered pairs: the node (p, q) is p tail + q,
+    apart from (q, p), with the same depth-first search as `Transducer.height`."""
+    n, tail = t.n, t.tail
+    groups = [[[] for _ in range(n)] for _ in range(tail)]
+    for w, (x, s) in enumerate(t.step):
+        groups[w // n][x].append(s)
+    height = [-1] * (tail * tail)  # -1 unseen, -2 on the current path
+    succ = {}
+    stack = [p * tail + q for p, q in starts]
+    while stack:
+        node = stack.pop()
+        if node < 0:
+            node = ~node
+            height[node] = max([height[nxt] for nxt in succ.pop(node)], default=-1) + 1
+        elif height[node] == -1:
+            p, q = divmod(node, tail)
+            succ[node] = nxt = [
+                s * tail + t
+                for here, there in zip(groups[p], groups[q])
+                for s in here
+                for t in there
+            ]
+            height[node] = -2
+            stack.append(~node)
+            stack += nxt
+        elif height[node] == -2:
+            return None
+    return max((height[p * tail + q] for p, q in starts), default=0)
+
+
+def test_the_unordered_pair_graph_keeps_every_automorphism_window(monkeypatch):
+    # every balanced table that the brute-force scan of
+    # test_enumeration_matches_the_brute_force_table_scan visits, the
+    # enumerator's tail-bijective tables among them
+    tables = [
+        C.SlidingBlockCode(n, r, rule)
+        for n, max_radius in ((2, 3), (3, 2))
+        for r in range(1, max_radius + 1)
+        for rule in itertools.product(range(1, n + 1), repeat=n**r)
+        if all(rule.count(a) == n ** (r - 1) for a in range(1, n + 1))
+    ]
+    got = [C.automorphism_window(c) for c in tables]
+    monkeypatch.setattr(C.Transducer, "height", ordered_pair_height_reference)
+    assert got == [C.automorphism_window(c) for c in tables]
+    assert len(tables) == 2 + 6 + 70 + 6 + 1680
+    assert got.count(None) == 1728 and set(got) == {None, 1, 2}
+
+
 def test_is_shift_power():
     assert C.is_shift_power(C.shift_power_code(2, 2)) == 2
     assert C.is_shift_power(C.kitchens_code()) is None

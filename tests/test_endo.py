@@ -9,6 +9,7 @@ from shiftcalc import codes as C
 from shiftcalc import endo as E
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
+from test_codes import ordered_pair_height_reference
 
 
 def endos_agree_on_cylinders(e1, e2, depth):
@@ -1056,3 +1057,83 @@ def test_cached_cocycle_inverses_are_the_inverses():
         for k in (4, 1, 3, 2):  # out of order: later k reuse earlier ones
             assert e.u_k_star(k) == U.inverse(e.u_k(k))
             assert e.u_k_star(k).ranks == U.inverse(e.u_k(k)).ranks
+
+
+def certified_pairs():
+    """(e, v) for every automorphism lambda_u of `certify_census()` with its
+    certified inverse v."""
+    pairs = []
+    for e in certify_census():
+        verdict = E.certify_automorphism(e, budget=5)
+        if verdict.verdict == "automorphism":
+            pairs.append((e, verdict.inverse))
+    return pairs
+
+
+def rank_identities(u, v):
+    """convolution(u, v) = 1 and convolution(v, u) = 1, as the rank identities
+    of `_direct_inverse`."""
+    return E._convolves_to_one(E.endomorphism(u), v), E._convolves_to_one(E.endomorphism(v), u)
+
+
+def test_the_rank_identities_are_the_convolution_checks():
+    # on the certified pairs, where both hold, and on every pair of P_2^0 to
+    # P_2^2 and of P_3^0 and P_3^1, where most fail; each in both orders
+    pairs = [(e.unitary, v) for e, v in certified_pairs()]
+    assert len(pairs) == 84
+    for n, levels in ((2, (0, 1, 2)), (3, (0, 1))):
+        units = [u for level in levels for u in U.all_unitaries(n, level)]
+        pairs += itertools.product(units, repeat=2)
+    held = 0
+    for u, v in pairs:
+        want = tuple(E.is_identity_on_diagonal(E.convolution(*p)) for p in ((u, v), (v, u)))
+        assert rank_identities(u, v) == want
+        held += all(want)
+    # 15 of the 729 pairs over two letters (the identity at three levels and
+    # the swap at two among them) and 9 of the 49 over three are inverses
+    assert held == 84 + 15 + 9
+
+
+def test_a_transposed_inverse_fails_both_rank_identities():
+    rng = random.Random(67)
+    pairs = certified_pairs()
+    for e, v in pairs:
+        if v.level == 0:
+            continue
+        i, j = rng.sample(range(len(v.ranks)), 2)
+        ranks = list(v.ranks)
+        ranks[i], ranks[j] = ranks[j], ranks[i]
+        wrong = U.PermutationUnitary(v.n, v.level, tuple(ranks))
+        assert rank_identities(e.unitary, wrong) == (False, False)
+
+
+def test_a_wrong_direct_inverse_is_caught(monkeypatch):
+    # w_s of level <= s that is not the inverse: the identity, u itself (unless
+    # u is its own inverse) and v with two ranks swapped
+    cases = 0
+    for e, v in certified_pairs()[::4]:
+        s = max(e.unitary.level, v.level, 1)
+        wrongs = [U.identity(e.n), e.unitary]
+        if v.level:
+            swapped = (v.ranks[1], v.ranks[0]) + v.ranks[2:]
+            wrongs.append(U.PermutationUnitary(v.n, v.level, swapped))
+        for wrong in wrongs:
+            if wrong == v:
+                continue
+            monkeypatch.setattr(U, "conjugate", lambda *args: wrong)
+            with pytest.raises(AssertionError, match="the direct inverse fails verification"):
+                E._direct_inverse(E.endomorphism(e.unitary), s)
+            cases += 1
+    assert cases >= 40
+
+
+def test_the_unordered_pair_graph_matches_the_ordered_one_on_the_census():
+    heights = []
+    for e in census()[0]:
+        t = e.point_map
+        starts = [(p, q) for p in range(t.tail) for q in range(t.tail) if p != q]
+        want = ordered_pair_height_reference(t, starts)
+        assert t.height(starts) == want
+        assert t.height([(p, q) for p, q in starts if p < q]) == want
+        heights.append(want)
+    assert heights.count(None) >= 20 and {0, 1, 2} <= set(heights)

@@ -48,11 +48,12 @@ def test_multiply_composes_the_underlying_permutations():
 
 @st.composite
 def unitary_pairs(draw):
-    """Two unitaries over n in {2, 3} letters, each of level 0 to 3."""
+    """Two unitaries over n in {2, 3} letters, each of level 0 to 4, so a
+    lower-level factor meets tails of 9 cells and more."""
     n = draw(st.sampled_from((2, 3)))
     pair = []
     for _ in range(2):
-        level = draw(st.integers(0, 3))
+        level = draw(st.integers(0, 4))
         pair.append(U.PermutationUnitary(n, level, tuple(draw(st.permutations(range(n**level))))))
     return pair
 
