@@ -4,14 +4,13 @@ One direction turns a certified automorphism of the one-sided shift into the
 unique permutation unitary implementing it on the diagonal (tail-matching
 construction); the other extracts the sliding block code of lambda_u o phi^m
 (`endo.read_code` reads it off the letters the point map emits).  On top of
-both sit the outer-class equality tests: codes are compared modulo shift
-powers exactly, and two certified diagonal automorphisms are equal in the
-outer class when their quotient is in the inner kernel, which `endo.is_in_ign`
-decides exactly.
+both sit the outer-class equality tests.  Codes are compared modulo shift
+powers exactly.  Two certified diagonal automorphisms lie in one outer class
+exactly when their quotient is in the inner kernel, which `endo.is_in_ign`
+decides exactly: the image of the restricted Weyl group in Out(O_n) embeds
+into Aut(X_n)/<sigma>, so no second route through the codes is needed.
 """
 from __future__ import annotations
-
-from typing import Optional
 
 from . import capacity
 from . import codes as C
@@ -83,26 +82,24 @@ def weyl_class_equal(
     inv1: PermutationUnitary,
     e2: PermutativeEndomorphism,
     inv2: PermutationUnitary,
-) -> Optional[bool]:
-    """Outer-class equality of two certified diagonal automorphisms.
+) -> bool:
+    """Outer-class equality of two certified diagonal automorphisms, exact:
+    is the quotient lambda_{u1} o lambda_{inv2} in the inner kernel
+    (`endo.is_in_ign`)?
 
-    True when the quotient composition is in the inner kernel, which is
-    decided exactly; False when the extracted codes differ modulo shift
-    powers, which proves the classes distinct; None when the quotient is not
-    in the inner kernel and yet the codes agree, so neither test settles it.
+    Both certificates are checked first (each convolution with its unitary is
+    the identity), and a wrong one is refused.  Comparing the extracted codes
+    modulo shift powers would add nothing.  If they agree, then
+    sigma^a T_1 = sigma^b T_2 for large a and b, and a = b because both T_i
+    are bijections.  T_2^{-1} eventually commutes with sigma, so
+    sigma^k T_2^{-1} T_1 = sigma^k for some k, and T_2^{-1} T_1 is the
+    quotient's point map.
     """
-    quotient = E.compose(e1, E.endomorphism(inv2))
-    k = E.is_in_ign(quotient)
-    if k is not None:
-        return True
-    # try to disprove: compare induced codes modulo shift powers
-    m1, _ = E.property_p_data(e1, inv1)
-    m2, _ = E.property_p_data(e2, inv2)
-    c1 = extract_code(e1, m1)
-    c2 = extract_code(e2, m2)
-    if not en_class_equal(c1, c2):
-        return False
-    return None
+    for e, inv in ((e1, inv1), (e2, inv2)):
+        both = (e.convolve(inv), E.convolution(inv, e.unitary))
+        if not all(map(E.is_identity_on_diagonal, both)):
+            raise ValueError("inverse certificate does not invert its automorphism")
+    return E.is_in_ign(E.compose(e1, E.endomorphism(inv2))) is not None
 
 
 def en_class_equal(c1: SlidingBlockCode, c2: SlidingBlockCode) -> bool:

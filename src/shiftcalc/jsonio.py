@@ -37,23 +37,20 @@ def _name_ranks(n: int, level: int) -> dict:
     return {name: rank for rank, name in enumerate(_names(n, level))}
 
 
-def _rank_tuple(entries, n: int, level: int):
-    """The map's rank tuple, built in one pass, when it lists n^level names
-    of `_name_ranks`, no domain name twice; else None, for parse_word to read
-    or refuse (every name, for n > 9).  A map of another size never builds
-    the table."""
-    size = len(entries)
-    if n > 9 or not 0 <= level <= size.bit_length() or size != n**level:
-        return None
-    table, ranks = _name_ranks(n, level), [-1] * size
-    for src, dst in entries:
-        if not (type(src) is str and type(dst) is str and src in table and dst in table):
-            return None
-        rank = table[src]
-        if ranks[rank] >= 0:
-            return None
-        ranks[rank] = table[dst]
-    return tuple(ranks)
+def _ranks(names, n: int, level: int, wrong_level: str) -> list:
+    """The rank of each word name at `level`, read from `_name_ranks`; the
+    caller has checked the capacity.  A name the table lacks is refused by
+    `W.parse_word` (every name, for n > 9: digit strings name no words
+    there), or else is a word of another length, refused with `wrong_level`
+    formatted with the name and the level."""
+    table = _name_ranks(n, level) if n <= 9 else {}
+    try:
+        return [table[name] for name in names]
+    except (KeyError, TypeError):
+        pass
+    bad = next(name for name in names if type(name) is not str or name not in table)
+    W.parse_word(bad, n)
+    raise ValueError(wrong_level.format(bad, level))
 
 
 def _integer(value, what: str) -> int:
@@ -100,22 +97,25 @@ def _rational(value) -> Fraction:
 def diag_from_dict(data: dict) -> DiagonalElement:
     n = _integer(data["n"], "n")
     if "support" in data:
-        if type(data["support"]) is not list:
+        support = data["support"]
+        if type(support) is not list:
             raise ValueError("support must be a list of words")
-        words = [W.parse_word(s, n) for s in data["support"]]
-        level = _integer(data.get("level", len(words[0]) if words else 0), "level")
+        first = len(support[0]) if support and type(support[0]) is str else 0
+        level = _integer(data.get("level", first), "level")
         if level < 0:
             raise ValueError("level must be nonnegative")
-        if words and level != len(words[0]):
-            raise ValueError("support words do not match the stated level")
-        return W.projection(n, words) if words else W.zero(n)
+        if not support:
+            return W.zero(n)
+        coeffs = [Fraction(0)] * _check_capacity(n, level)
+        for rank in _ranks(support, n, level, "support words do not match the stated level"):
+            coeffs[rank] = Fraction(1)
+        return DiagonalElement(n, level, tuple(coeffs))
     level = _integer(data["level"], "level")
     coeffs = [Fraction(0)] * _check_capacity(n, level)
-    for text, value in _table(data, "coeffs").items():
-        word = W.parse_word(text, n)
-        if len(word) != level:
-            raise ValueError("coefficient word %r is not at level %d" % (text, level))
-        coeffs[W.word_rank(word, n)] = _rational(value)
+    entries = _table(data, "coeffs")
+    wrong_level = "coefficient word {!r} is not at level {}"
+    for rank, value in zip(_ranks(entries, n, level, wrong_level), entries.values()):
+        coeffs[rank] = _rational(value)
     return DiagonalElement(n, level, tuple(coeffs))
 
 
@@ -135,17 +135,20 @@ def unitary_from_dict(data: dict) -> PermutationUnitary:
     entries = data["map"]
     if type(entries) is not list or any(type(e) is not list or len(e) != 2 for e in entries):
         raise ValueError("map must be a list of [source, target] pairs")
-    ranks = _rank_tuple(entries, n, level)
-    if ranks is not None:
-        _check_capacity(n, level)
-        return PermutationUnitary(n, level, ranks)
-    mapping = {}
-    for src, dst in entries:
-        key = W.parse_word(src, n)
-        if key in mapping:
-            raise ValueError("domain word %r listed twice" % src)
-        mapping[key] = W.parse_word(dst, n)
-    return U.from_mapping(n, level, mapping)
+    size = _check_capacity(n, level)
+    names = [name for entry in entries for name in entry]
+    if len(entries) != size:
+        # malformed names are refused first, and no name table is built
+        for name in names:
+            W.parse_word(name, n)
+        raise ValueError("mapping must list every domain word exactly once")
+    flat = iter(_ranks(names, n, level, "mapping words must have the unitary's level"))
+    ranks = [-1] * size
+    for src, dst in zip(flat, flat):
+        if ranks[src] >= 0:
+            raise ValueError("domain word %r listed twice" % _names(n, level)[src])
+        ranks[src] = dst
+    return PermutationUnitary(n, level, tuple(ranks))
 
 
 def code_to_dict(c: SlidingBlockCode) -> dict:
@@ -162,13 +165,11 @@ def code_from_dict(data: dict) -> SlidingBlockCode:
     radius = _integer(data["radius"], "radius")
     rule = [0] * _check_capacity(n, radius)
     entries = _table(data, "rule")
-    if len(entries) != n**radius:
+    if len(entries) != len(rule):
         raise ValueError("rule table must cover every window exactly once")
-    for text, letter in entries.items():
-        word = W.parse_word(text, n)
-        if len(word) != radius:
-            raise ValueError("window %r does not have the stated radius" % text)
-        rule[W.word_rank(word, n)] = _integer(letter, "rule letter")
+    wrong_radius = "window {!r} does not have the stated radius"
+    for rank, letter in zip(_ranks(entries, n, radius, wrong_radius), entries.values()):
+        rule[rank] = _integer(letter, "rule letter")
     return SlidingBlockCode(n, radius, tuple(rule))
 
 

@@ -63,9 +63,9 @@ def parse_word(text: str, n: int) -> Word:
     """The word a string of ASCII digits spells; anything else is refused."""
     if n > 9:
         raise ValueError("digit-string words require n <= 9")
-    word = tuple(int(c) for c in text)
-    if type(text) is not str or not text.isascii():
+    if type(text) is not str or text and not (text.isascii() and text.isdigit()):
         raise ValueError("word %r is not a string of ASCII digits" % (text,))
+    word = tuple(map(int, text))
     for s in word:
         if not 1 <= s <= n:
             raise ValueError("symbol %d outside alphabet {1..%d}" % (s, n))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from shiftcalc import bridge as B
+from shiftcalc import capacity
 from shiftcalc import codes as C
 from shiftcalc import endo as E
 from shiftcalc import unitaries as U
@@ -187,6 +188,89 @@ def test_weyl_class_equal_separates_kitchens_from_identity():
     e1 = E.endomorphism(kit_u)
     e2 = E.endomorphism(U.identity(3))
     assert B.weyl_class_equal(e1, kit_u, e2, U.identity(3)) is False
+
+
+def weyl_class_equal_reference(e1, inv1, e2, inv2):
+    """Oracle: True when the quotient is in the inner kernel; else False when
+    the extracted codes differ modulo shift powers, and None when they agree.
+    Each `extract_code` runs the budgeted inverse search at window
+    2r + 2m + 2, so it may raise CapacityError."""
+    if E.is_in_ign(E.compose(e1, E.endomorphism(inv2))) is not None:
+        return True
+    m1, _ = E.property_p_data(e1, inv1)
+    m2, _ = E.property_p_data(e2, inv2)
+    if not B.en_class_equal(B.extract_code(e1, m1), B.extract_code(e2, m2)):
+        return False
+    return None
+
+
+def certified_census(seed):
+    """(endomorphism, inverse) for every budget-5-certified unitary of P_2^0
+    to P_2^2 and P_3^1, of 500 seeded P_3^2 and of 16 seeded
+    Ad(v) o lambda_Kitchens."""
+    rng = random.Random(seed)
+    units = [
+        U.PermutationUnitary(n, level, p)
+        for n, levels in ((2, (0, 1, 2)), (3, (1,)))
+        for level in levels
+        for p in itertools.permutations(range(n**level))
+    ]
+    units += [U.PermutationUnitary(3, 2, tuple(rng.sample(range(9), 9))) for _ in range(500)]
+    for _ in range(16):
+        v = U.PermutationUnitary(3, 2, tuple(rng.sample(range(9), 9)))
+        units.append(E.convolution(E.ad_unitary(v), U.kitchens_unitary()))
+    found = []
+    for u in units:
+        e = E.endomorphism(u)
+        verdict = E.certify_automorphism(e, budget=5)
+        if verdict.verdict == "automorphism":
+            found.append((e, verdict.inverse))
+    return found
+
+
+def test_weyl_class_equal_matches_the_two_route_oracle_on_a_census():
+    # the inner-kernel test alone always answers; the oracle's code route
+    # answers False wherever it runs, and is cut short by a low capacity
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations_with_replacement(certified_census(5), 2)
+        if a[0].n == b[0].n
+    ]
+    old = capacity.get_limit()
+    capacity.set_limit(3**6)
+    outcomes = set()
+    try:
+        for (e1, inv1), (e2, inv2) in pairs:
+            got = B.weyl_class_equal(e1, inv1, e2, inv2)
+            assert type(got) is bool
+            try:
+                want = weyl_class_equal_reference(e1, inv1, e2, inv2)
+            except capacity.CapacityError:
+                want = "capacity"
+            assert want == "capacity" or got == want
+            outcomes.add((got, want))
+    finally:
+        capacity.set_limit(old)
+    assert outcomes == {(True, True), (False, False), (False, "capacity")}
+
+
+def test_weyl_class_equal_separates_a_letter_swap_from_a_level_four_inverse():
+    # the oracle's extract_code builds a level-14 table here (4782969 cylinders)
+    # and raises CapacityError
+    swap = U.letter_permutation(3, (2, 1, 3))
+    e = E.endomorphism(U.PermutationUnitary(3, 2, (1, 0, 2, 7, 3, 4, 5, 6, 8)))
+    verdict = E.certify_automorphism(e, budget=5)
+    assert verdict.verdict == "automorphism" and verdict.inverse.level == 4
+    assert B.weyl_class_equal(E.endomorphism(swap), swap, e, verdict.inverse) is False
+
+
+def test_weyl_class_equal_refuses_a_wrong_certificate():
+    kit_u, swap = U.kitchens_unitary(), U.letter_permutation(3, (2, 1, 3))
+    e = E.endomorphism(kit_u)
+    with pytest.raises(ValueError, match="does not invert"):
+        B.weyl_class_equal(e, swap, e, kit_u)
+    with pytest.raises(ValueError, match="does not invert"):
+        B.weyl_class_equal(e, kit_u, E.endomorphism(swap), kit_u)
 
 
 def test_phi_commuting_automorphism_unitaries_level_two():

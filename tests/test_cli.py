@@ -217,10 +217,11 @@ def test_deeply_nested_json_is_an_input_error(runner, tmp_path):
 
 
 def test_words_that_are_not_digit_strings_exit_one(runner, tmp_path):
-    f = write(tmp_path / "u.json", {"n": 2, "level": 1, "map": [[[1], [2]], [[2], [1]]]})
-    result = runner.invoke(main, ["certify", f])
-    assert result.exit_code == 1
-    assert result.stderr == "input error: word [1] is not a string of ASCII digits\n"
+    for entries, word in (([[[1], [2]], [[2], [1]]], "[1]"), ([[12, "1"], ["2", "1"]], "12")):
+        f = write(tmp_path / "u.json", {"n": 2, "level": 1, "map": entries})
+        result = runner.invoke(main, ["certify", f])
+        assert result.exit_code == 1
+        assert result.stderr == "input error: word %s is not a string of ASCII digits\n" % word
 
 
 def test_output_is_byte_stable(runner, tmp_path):
