@@ -57,6 +57,7 @@ from .endo import (
     compose,
     convolution,
     endomorphism,
+    eventual_commutation,
     is_identity_on_diagonal,
     is_in_ign,
     phi_commutation_identity,

@@ -17,7 +17,7 @@ lexicographic order (`jsonio` names them), periodic points among them.
 One-sided shift automorphisms are decided exactly on a pair graph, with no
 window bound, and their inverse rule is read off at that graph's window.
 F_c and the point map T_u of lambda_u are both a `Transducer`, which holds
-the run kernel, the pair graph, lockstep agreement and the lag sets R_k.
+the run kernel, the pair graph and lockstep agreement, at once or eventually.
 """
 from __future__ import annotations
 
@@ -114,13 +114,12 @@ class Transducer:
                 return None
         return max((height[node] for node in nodes), default=0)
 
-    def agrees(self, other: Transducer, starts=None) -> bool:
-        """Do the two, run in lockstep on one input from any pair in `starts`
-        (the diagonal by default), emit the same letters?  Exact, over the
-        finitely many reachable pairs; breadth first, so the start pairs are
-        checked first."""
+    def agrees(self, other: Transducer) -> bool:
+        """Do the two, run in lockstep on one input from the diagonal pairs,
+        emit the same letters?  Exact, over the finitely many reachable pairs,
+        breadth first; it stops at the first letter that differs."""
         n, step_a, step_b = self.n, self.step, other.step
-        seen = set(self.diagonal if starts is None else starts)
+        seen = set(self.diagonal)
         todo = list(seen)
         for p, q in todo:
             for (x, s), (y, t) in zip(step_a[p * n : p * n + n], step_b[q * n : q * n + n]):
@@ -131,23 +130,23 @@ class Transducer:
                     todo.append((s, t))
         return True
 
-    def lags(self) -> list:
-        """R_0, R_1, ... up to the first repeat, as sets.  R_d holds the
-        pairs (p, q) with p the state after d letters of an input z and q the
-        state a run on sigma^d z starts from, so R_0 is the diagonal.  On the
-        letter a, p steps as the transducer does and q as the window of the
-        last L - 1 letters read.  R_{d+1} is a function of R_d, so from the
-        first repeat on the sequence cycles through sets already listed."""
-        n, tail, step = self.n, self.tail, self.step
-        moves = [
-            ([step[p * n + a][1] for p in range(tail)], [(q * n + a) % tail for q in range(tail)])
-            for a in range(n)
-        ]
-        pairs, lags = set(self.diagonal), []
-        while pairs not in lags:
-            lags.append(pairs)
-            pairs = {(nxt[p], shift[q]) for p, q in pairs for nxt, shift in moves}
-        return lags
+    def agree_after(self, other: Transducer, starts) -> Optional[int]:
+        """Least k such that the two, run in lockstep on one input from any
+        pair in `starts`, emit the same letters from the (k+1)-th on, or None.
+        The pairs reached after j letters are a function of those after j - 1,
+        so the sets cycle, and a letter that differs in the cycle recurs."""
+        n, step_a, step_b = self.n, self.step, other.step
+        pairs, seen, after = frozenset(starts), {}, 0
+        while pairs not in seen:
+            seen[pairs] = j = len(seen)
+            reached = set()
+            for p, q in pairs:
+                for (x, s), (y, t) in zip(step_a[p * n : p * n + n], step_b[q * n : q * n + n]):
+                    if x != y:
+                        after = j + 1
+                    reached.add((s, t))
+            pairs = frozenset(reached)
+        return None if after > seen[pairs] else after
 
 
 @dataclass(frozen=True)

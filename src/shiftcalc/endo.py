@@ -12,13 +12,13 @@ one-sided n-shift, and T_u is read only as a `codes.Transducer`
 letter it emits.  `apply_diag` reads x through the emitted letters
 (`Transducer.runs`); every equality on the diagonal is one of transducers
 run in lockstep on one input from the diagonal pairs (`Transducer.agrees`):
-T_a against T_b (`agree_on_diagonal`), T_u against the identity k letters
-later (`is_in_ign`) and against the code of its emitted letters
-(`read_code`, the one shift-commutation test).  Property (P) compares T_u(z)
-with T_u(sigma^d z) on the same pairs of states.  Both of those read the
-lag sets R_d (`Transducer.lags`) up to their first repeat, so they are
-decided exactly, with no budget.  None of them builds a cocycle product,
-and the braiding automorphism is Ad(u) (`braiding`).
+T_a against T_b (`agree_on_diagonal`) and T_u against the code of its
+emitted letters (`read_code`, the one shift-commutation test).  The paper's
+eventual questions ask from which letter on two such runs agree
+(`Transducer.agree_after`, exact, with no budget): T_u against the identity
+(`is_in_ign`, the inner kernel) and T_u after one letter of z against T_u on
+sigma z (`eventual_commutation`, property (P)'s least m).  None of them
+builds a cocycle product, and the braiding automorphism is Ad(u).
 
 Certification builds the inverse by algebra, not by search: lambda_u has a
 permutative inverse v exactly when lambda_u(v) = u^*, and then v is
@@ -235,18 +235,20 @@ def phi_commutation_identity(v: PermutationUnitary) -> bool:
 
 
 def is_in_ign(e: PermutativeEndomorphism) -> Optional[int]:
-    """Least k with (lambda_u o phi^k) = phi^k on the diagonal, or None if
-    there is none.
+    """Least k with (lambda_u o phi^k) = phi^k on the diagonal, or None: on
+    points sigma^k o T_u = sigma^k, so T_u and the identity transducer, run
+    on one input, emit the same letters from the (k+1)-th on, exactly."""
+    t = e.point_map
+    return t.agree_after(C.Transducer.identity(t.n, t.tail), t.diagonal)
 
-    On points that is sigma^k o T_u = sigma^k: from every pair of R_k, T_u
-    runs in lockstep with the identity transducer (whose first step is the
-    cheap test that lambda_u fixes every phi^k(P_i)).  The test at k depends
-    only on R_k, and `Transducer.lags` lists every set R_k takes, so a k
-    that passes is among them; the answer is exact.
+
+def eventual_commutation(e: PermutativeEndomorphism) -> Optional[int]:
+    """Least m with sigma^m o T_u o sigma = sigma^{m+1} o T_u, or None: T_u
+    after the first window w of z and T_u on sigma z, from the state of w's
+    last L - 1 letters, emit the same letters from the (m+1)-th on, exactly.
     """
     t = e.point_map
-    ident = C.Transducer.identity(t.n, t.tail)
-    return next((k for k, pairs in enumerate(t.lags()) if t.agrees(ident, pairs)), None)
+    return t.agree_after(t, {(s, w % t.tail) for w, (_, s) in enumerate(t.step)})
 
 
 @dataclass(frozen=True)
@@ -341,26 +343,17 @@ def property_p_data(
     alpha phi^k(x) = phi^{k-m} alpha phi^m(x) holds for all level-1 x and
     every k >= m, decided exactly.
 
-    On points that is T_u(z)_{k+1} = T_u(sigma^{k-m} z)_{m+1}: for every pair
-    (p, q) of R_d, d = k - m, the (m+1)-th letters T_u emits from p and from q
-    agree on every input.  Every d is covered by the union of `lags()`, which
-    is stepped one letter, read on both sides, per m.
+    On points that is T_u(z)_{d+m+1} = T_u(sigma^d z)_{m+1} for every d >= 0,
+    which is sigma^m o T_u o sigma = sigma^{m+1} o T_u (`eventual_commutation`).
+    That is the case d = 1 read at every later letter; conversely, by
+    induction on d, T_u(z)_{d+m+1} = T_u(sigma z)_{d+m} = ... =
+    T_u(sigma^d z)_{m+1}.  So m_min is the eventual-commutation index.
     """
     m_upper = max(U.reduce(inverse).level - 1, 0)
-    t = e.point_map
-    n, step = t.n, t.step
-    letters, states = zip(*step)
-    emitted = [letters[i : i + n] for i in range(0, len(step), n)]
-    moves = [states[i : i + n] for i in range(0, len(step), n)]
-    pairs = set().union(*t.lags())
-    held = []
-    for m in range(m_upper + 1):
-        if m:
-            pairs = {pair for p, q in pairs for pair in zip(moves[p], moves[q])}
-        held.append(all(emitted[p] == emitted[q] for p, q in pairs))
-    if not held[m_upper]:
+    m_min = eventual_commutation(e)
+    if m_min is None or m_min > m_upper:
         raise ValueError("inverse certificate violates the guaranteed property-(P) bound")
-    return m_upper, held.index(True)
+    return m_upper, m_min
 
 
 def braiding(e: PermutativeEndomorphism) -> PermutationUnitary:

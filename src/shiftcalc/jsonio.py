@@ -77,9 +77,16 @@ def diag_to_dict(x: DiagonalElement) -> dict:
     }
 
 
-def _table(data: dict, key: str) -> dict:
+def _field(data, key: str, kind: str):
+    """data[key], where data must be the JSON object of a `kind`."""
+    if type(data) is not dict or key not in data:
+        raise ValueError("%s must be a JSON object with the key %r" % (kind, key))
+    return data[key]
+
+
+def _table(data: dict, key: str, kind: str) -> dict:
     """data[key], which must be a JSON object keyed by words."""
-    entries = data[key]
+    entries = _field(data, key, kind)
     if not isinstance(entries, dict):
         raise ValueError("%r must be an object keyed by words" % key)
     return entries
@@ -95,7 +102,7 @@ def _rational(value) -> Fraction:
 
 
 def diag_from_dict(data: dict) -> DiagonalElement:
-    n = _integer(data["n"], "n")
+    n = _integer(_field(data, "n", "a diagonal element"), "n")
     if "support" in data:
         support = data["support"]
         if type(support) is not list:
@@ -110,9 +117,9 @@ def diag_from_dict(data: dict) -> DiagonalElement:
         for rank in _ranks(support, n, level, "support words do not match the stated level"):
             coeffs[rank] = Fraction(1)
         return DiagonalElement(n, level, tuple(coeffs))
-    level = _integer(data["level"], "level")
+    level = _integer(_field(data, "level", "a diagonal element"), "level")
     coeffs = [Fraction(0)] * _check_capacity(n, level)
-    entries = _table(data, "coeffs")
+    entries = _table(data, "coeffs", "a diagonal element")
     wrong_level = "coefficient word {!r} is not at level {}"
     for rank, value in zip(_ranks(entries, n, level, wrong_level), entries.values()):
         coeffs[rank] = _rational(value)
@@ -130,9 +137,9 @@ def unitary_to_dict(u: PermutationUnitary) -> dict:
 
 
 def unitary_from_dict(data: dict) -> PermutationUnitary:
-    n = _integer(data["n"], "n")
-    level = _integer(data["level"], "level")
-    entries = data["map"]
+    n = _integer(_field(data, "n", "a unitary"), "n")
+    level = _integer(_field(data, "level", "a unitary"), "level")
+    entries = _field(data, "map", "a unitary")
     if type(entries) is not list or any(type(e) is not list or len(e) != 2 for e in entries):
         raise ValueError("map must be a list of [source, target] pairs")
     size = _check_capacity(n, level)
@@ -161,10 +168,10 @@ def code_to_dict(c: SlidingBlockCode) -> dict:
 
 
 def code_from_dict(data: dict) -> SlidingBlockCode:
-    n = _integer(data["n"], "n")
-    radius = _integer(data["radius"], "radius")
+    n = _integer(_field(data, "n", "a code"), "n")
+    radius = _integer(_field(data, "radius", "a code"), "radius")
     rule = [0] * _check_capacity(n, radius)
-    entries = _table(data, "rule")
+    entries = _table(data, "rule", "a code")
     if len(entries) != len(rule):
         raise ValueError("rule table must cover every window exactly once")
     wrong_radius = "window {!r} does not have the stated radius"

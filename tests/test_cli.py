@@ -313,6 +313,25 @@ def test_numbers_must_be_json_integers(runner, tmp_path, argv, doc):
     assert len(result.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, doc, kind, key",
+    [
+        (["certify", "{doc}"], [], "a unitary", "n"),
+        (["certify", "{doc}"], "x", "a unitary", "n"),
+        (["certify", "{doc}"], {"n": 2, "level": 1}, "a unitary", "map"),
+        (["degree", "--code", "{doc}"], {"n": 2}, "a code", "radius"),
+        (["apply", "{flip}", "{doc}"], {"n": 2, "coeffs": {"1": "1/2"}}, "a diagonal element", "level"),
+    ],
+    ids=["list", "string", "no-map", "no-radius", "no-level"],
+)
+def test_a_missing_object_or_key_is_named(runner, tmp_path, argv, doc, kind, key):
+    # these used to print Python's own messages, such as "input error: 'map'"
+    files = {"doc": write(tmp_path / "doc.json", doc), "flip": write(tmp_path / "u.json", FLIP)}
+    result = runner.invoke(main, [arg.format(**files) for arg in argv])
+    assert result.exit_code == 1
+    assert result.stderr == "input error: %s must be a JSON object with the key '%s'\n" % (kind, key)
+
+
 # --- fuzzing: every subcommand is total on small documents -----------------
 
 # Bounded scalars only: a large n or level would ask for a huge table.

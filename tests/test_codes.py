@@ -462,6 +462,80 @@ def test_the_depth_first_pair_graph_matches_the_topological_order():
     assert heights.count(None) >= 100 and {None, 0, 1, 2} <= set(heights)
 
 
+def agree_after_reference(a, b, starts):
+    """`agree_after` as a longest path in the graph of ordered pairs (one
+    letter read on both sides): a pair is bad when some letter makes the two
+    emit different letters, k is one more than the most letters read from a
+    start to a bad pair, and None when a cycle reaches a bad pair."""
+    n = a.n
+
+    def rows(v):
+        p, q = v
+        return list(zip(a.step[p * n : p * n + n], b.step[q * n : q * n + n]))
+
+    def bad(v):
+        return any(x != y for (x, _), (y, _) in rows(v))
+
+    def succ(v):
+        return [(s, t) for (_, s), (_, t) in rows(v)]
+
+    reach, todo = set(starts), list(starts)
+    for v in todo:
+        for w in succ(v):
+            if w not in reach:
+                reach.add(w)
+                todo.append(w)
+    live = {v for v in reach if bad(v)}
+    while True:  # the pairs from which a bad pair can be reached
+        grown = live | {v for v in reach if any(w in live for w in succ(v))}
+        if grown == live:
+            break
+        live = grown
+    depth = {}
+
+    def longest(v, path):
+        if v in path:
+            raise LookupError("a cycle reaches a bad pair")
+        if v not in depth:
+            below = [longest(w, path | {v}) + 1 for w in succ(v) if w in live]
+            depth[v] = max(below + [0] * bad(v))
+        return depth[v]
+
+    try:
+        return max((longest(v, frozenset()) + 1 for v in starts if v in live), default=0)
+    except LookupError:
+        return None
+
+
+def test_agree_after_matches_the_longest_path_to_a_disagreement():
+    # seeded step tables against copies with a few emitted letters changed,
+    # and T_u against the identity and, one letter on, against itself
+    rng = random.Random(73)
+    cases = []
+    for _ in range(400):
+        n, states = rng.choice((2, 3)), rng.randint(1, 5)
+        step = [(rng.randrange(n), rng.randrange(states)) for _ in range(states * n)]
+        other = list(step)
+        for w in rng.sample(range(states * n), rng.randint(0, 2)):
+            other[w] = (rng.randrange(n), other[w][1])
+        pairs = [(p, q) for p in range(states) for q in range(states)]
+        starts = rng.sample(pairs, rng.randint(1, states))
+        a, b = (C.Transducer(n, states, tuple(table)) for table in (step, other))
+        cases.append((a, b, starts))
+    for n, level in ((2, 2), (2, 3), (3, 2)):
+        for _ in range(30):
+            ranks = tuple(rng.sample(range(n**level), n**level))
+            t = E.endomorphism(U.PermutationUnitary(n, level, ranks)).point_map
+            cases.append((t, C.Transducer.identity(n, t.tail), t.diagonal))
+            cases.append((t, t, [(s, w % t.tail) for w, (_, s) in enumerate(t.step)]))
+    found = []
+    for a, b, starts in cases:
+        got = a.agree_after(b, starts)
+        assert got == agree_after_reference(a, b, starts)
+        found.append(got)
+    assert found.count(None) >= 50 and {0, 1, 2, 3} <= set(found)
+
+
 def ordered_pair_height_reference(t, starts):
     """The pair-graph search on ordered pairs: the node (p, q) is p tail + q,
     apart from (q, p), with the same depth-first search as `Transducer.height`."""

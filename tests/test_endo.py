@@ -202,7 +202,7 @@ def test_is_in_ign_matches_the_unfiltered_search():
         e = E.endomorphism(u)
         # exact: a budget one past the first repeat of R_k finds no more
         k = E.is_in_ign(e)
-        assert k == is_in_ign_reference(e, len(e.point_map.lags()))
+        assert k == is_in_ign_reference(e, lag_count_reference(e))
         found.add(k)
     assert None in found and {0, 1, 2, 3, 5} <= found
 
@@ -248,7 +248,7 @@ def test_the_point_map_tests_match_their_cylinder_oracles():
         commutes = E.commutes_with_shift_on_diagonal(e)
         assert commutes == commutes_reference(fresh)
         k = E.is_in_ign(e)
-        assert k == is_in_ign_reference(fresh, len(e.point_map.lags()))
+        assert k == is_in_ign_reference(fresh, lag_count_reference(e))
         commuting += commutes
         inner += k is not None
     assert commuting >= 30 and inner >= 30
@@ -350,21 +350,13 @@ def lag_set_reference(e, d):
     return frozenset(pairs)
 
 
-def test_lags_are_the_distinct_lag_sets_up_to_the_first_repeat():
-    rng = random.Random(73)
-    inner = [
-        E.endomorphism(E.ad_unitary(random_unitary(rng, n, level)))
-        for n, level in ((2, 2), (2, 3), (3, 2), (2, 4))
-        for _ in range(4)
-    ]
-    lengths = set()
-    for e in certify_census()[::4] + inner:
-        lags = e.point_map.lags()
-        want = [lag_set_reference(e, d) for d in range(len(lags) + 1)]
-        assert lags == want[:-1] and len(set(map(frozenset, lags))) == len(lags)
-        assert want[-1] in lags
-        lengths.add(len(lags))
-    assert {1, 2, 3, 4, 5} <= lengths
+def lag_count_reference(e):
+    """The number of distinct R_d: R_{d+1} is a function of R_d, so they are
+    R_0, ..., R_{d-1} for the first d whose R_d is among them."""
+    lags = []
+    while lag_set_reference(e, len(lags)) not in lags:
+        lags.append(lag_set_reference(e, len(lags)))
+    return len(lags)
 
 
 def test_is_in_ign_identity_and_flip():
@@ -691,6 +683,52 @@ def test_property_p_on_the_point_map_matches_the_cylinder_test():
             claim = U.shift_power_unitary(e.n, j)
             got = property_p_outcome(E.property_p_data, e, claim)
             assert got == property_p_outcome(property_p_reference, e, claim)
+
+
+def eventual_commutation_reference(e, length=8):
+    """Least k <= 3 with sigma^k o T_u o sigma = sigma^{k+1} o T_u on every
+    word z of one length, length + L - 1, or None: T_u(z) past its (k+1)-th
+    letter against T_u(sigma z) past its k-th, read off the emitted ranks
+    (`runs`), with sigma z the word z without its first letter."""
+    n = e.n
+    tz, tsz = e.point_map.runs(length), e.point_map.runs(length - 1)
+    for k in range(4):
+        keep = n ** (length - 1 - k)
+        if all(y % keep == tsz[z % len(tsz)] % keep for z, y in enumerate(tz)):
+            return k
+    return None
+
+
+def test_eventual_commutation_matches_the_word_oracle():
+    # on every map of the census, and on T_u and the inverse's point map of
+    # each certified automorphism, where it is property (P)'s least m
+    indices, outcomes = [], set()
+    for e in certify_census():
+        k = E.eventual_commutation(e)
+        assert k == eventual_commutation_reference(e)
+        outcomes.add(k)
+        verdict = E.certify_automorphism(e, 5)
+        if verdict.verdict == "automorphism":
+            inverse = E.endomorphism(verdict.inverse)
+            k_inv = E.eventual_commutation(inverse)
+            assert k_inv == eventual_commutation_reference(inverse)
+            assert E.property_p_data(e, verdict.inverse)[1] == k
+            indices.append((k, k_inv))
+    assert None in outcomes and {0, 1, 2} <= outcomes
+    assert len(indices) == 84 and None not in itertools.chain(*indices)
+    assert {0, 1, 2} <= {k for k, _ in indices}
+
+
+def test_an_automorphism_and_its_inverse_can_have_different_indices():
+    u = U.PermutationUnitary(3, 2, (2, 6, 1, 4, 3, 5, 8, 0, 7))
+    e = E.endomorphism(u)
+    verdict = E.certify_automorphism(e, 5)
+    inverse = E.endomorphism(verdict.inverse)
+    assert (E.eventual_commutation(e), E.eventual_commutation(inverse)) == (2, 1)
+    assert eventual_commutation_reference(e) == 2
+    assert eventual_commutation_reference(inverse) == 1
+    assert E.property_p_data(e, verdict.inverse) == (2, 2)
+    assert E.property_p_data(inverse, u) == (1, 1)
 
 
 def run_point_map(e, z):
