@@ -3,12 +3,12 @@
 One direction turns a certified automorphism of the one-sided shift into the
 unique permutation unitary implementing it on the diagonal (tail-matching
 construction); the other extracts the sliding block code of lambda_u o phi^m
-(`endo.read_code` reads it off the letters the point map emits).  On top of
-both sit the outer-class equality tests.  Codes are compared modulo shift
-powers exactly.  Two certified diagonal automorphisms lie in one outer class
-exactly when their quotient is in the inner kernel, which `endo.is_in_ign`
-decides exactly: the image of the restricted Weyl group in Out(O_n) embeds
-into Aut(X_n)/<sigma>, so no second route through the codes is needed.
+(`endo.read_code` reads it off the letters the point map emits).  The
+outer-class equality test needs neither: two certified diagonal
+automorphisms lie in one outer class exactly when their quotient is in the
+inner kernel, which `endo.is_in_ign` decides exactly.  The image of the
+restricted Weyl group in Out(O_n) embeds into Aut(X_n)/<sigma>, so comparing
+the extracted codes modulo shift powers would add nothing.
 """
 from __future__ import annotations
 
@@ -96,17 +96,6 @@ def weyl_class_equal(
     quotient's point map.
     """
     for e, inv in ((e1, inv1), (e2, inv2)):
-        both = (e.convolve(inv), E.convolution(inv, e.unitary))
-        if not all(map(E.is_identity_on_diagonal, both)):
+        if not E.is_inverse(e, inv):
             raise ValueError("inverse certificate does not invert its automorphism")
-    return E.is_in_ign(E.compose(e1, E.endomorphism(inv2))) is not None
-
-
-def en_class_equal(c1: SlidingBlockCode, c2: SlidingBlockCode) -> bool:
-    """Equality in E_n modulo shift powers: c1 = c2 sigma^k or vice versa.
-
-    Exact: with c = core o sigma^j (`codes.shift_factor`), that holds for
-    some k >= 0 exactly when the cores are equal.
-    """
-    (core1, _), (core2, _) = C.shift_factor(c1), C.shift_factor(c2)
-    return C.code_equal(core1, core2)
+    return E.is_in_ign(E.endomorphism(e1.convolve(inv2))) is not None

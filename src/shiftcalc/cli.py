@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import click
 
-from . import bridge as B
 from . import codes as C
 from . import endo as E
 from . import jsonio
@@ -170,20 +169,13 @@ def compose(cfg: RunConfig, left_file, right_file):
     """Compose two unitaries (as diagonal endomorphisms) or two codes."""
 
     def body():
-        left, right = _load(left_file), _load(right_file)
-        if ("map" in left) != ("map" in right):
+        left, right = (jsonio.operator_from_dict(_load(f)) for f in (left_file, right_file))
+        if type(left) is not type(right):
             raise ValueError("cannot compose a unitary with a code")
-        if "map" in left:
-            e = E.compose(
-                E.endomorphism(jsonio.unitary_from_dict(left)),
-                E.endomorphism(jsonio.unitary_from_dict(right)),
-            )
-            _emit(jsonio.unitary_to_dict(e.unitary), cfg.fmt)
+        if isinstance(left, C.SlidingBlockCode):
+            _emit(jsonio.code_to_dict(C.code_compose(left, right)), cfg.fmt)
         else:
-            c = C.code_compose(
-                jsonio.code_from_dict(left), jsonio.code_from_dict(right)
-            )
-            _emit(jsonio.code_to_dict(c), cfg.fmt)
+            _emit(jsonio.unitary_to_dict(E.convolution(left, right)), cfg.fmt)
 
     _run(body)
 
@@ -196,12 +188,13 @@ def apply_cmd(cfg: RunConfig, operator_file, diag_file):
     """Apply a unitary's endomorphism, or a code, to a diagonal element."""
 
     def body():
-        op = _load(operator_file)
+        doc = _load(operator_file)
         x = jsonio.diag_from_dict(_load(diag_file))
-        if "map" in op:
-            image = E.apply_diag(E.endomorphism(jsonio.unitary_from_dict(op)), x)
+        op = jsonio.operator_from_dict(doc)
+        if isinstance(op, C.SlidingBlockCode):
+            image = C.code_apply_diag(op, x)
         else:
-            image = C.code_apply_diag(jsonio.code_from_dict(op), x)
+            image = E.apply_diag(E.endomorphism(op), x)
         _emit(jsonio.diag_to_dict(image), cfg.fmt)
 
     _run(body)

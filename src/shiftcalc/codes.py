@@ -11,8 +11,8 @@ round: the convention fixed here (and pinned by tests) is
 with code_compose(c1, c2) returning the code of F_{c1} o F_{c2}.
 
 Inverse-to-shift-power search, degree, periodic orbits and the
-orbit-permutation separations all live here; every returned certificate is
-verified exactly against rule tables before it escapes.  Words are ranks in
+permutation a code induces on them all live here; every returned
+certificate is verified exactly against rule tables before it escapes.  Words are ranks in
 lexicographic order (`jsonio` names them), periodic points among them.
 One-sided shift automorphisms are decided exactly on a pair graph, with no
 window bound, and their inverse rule is read off at that graph's window.
@@ -212,10 +212,6 @@ def shift_power_code(n: int, m: int) -> SlidingBlockCode:
     return SlidingBlockCode(n, m + 1, tuple(w % n + 1 for w in range(_check_capacity(n, m + 1))))
 
 
-def shift_code(n: int) -> SlidingBlockCode:
-    return shift_power_code(n, 1)
-
-
 def kitchens_code() -> SlidingBlockCode:
     """The order-two automorphism of the one-sided 3-shift swapping 13 and 23:
     over the windows 11, 12, ..., 33, rule(a b) = a but rule(13) = 2, rule(23) = 1."""
@@ -267,22 +263,6 @@ def code_apply_diag(c: SlidingBlockCode, x: DiagonalElement) -> DiagonalElement:
     n, k, r = c.n, x.level, c.radius
     coeffs = tuple(x.coeffs[y] for y in c.output_ranks(k + r - 1))
     return W.reduce(DiagonalElement(n, k + r - 1, coeffs))
-
-
-def trace_necessary_check(c: SlidingBlockCode, max_level: int) -> bool:
-    """Necessary condition for E_n membership: dual images keep the trace.
-
-    Checks |support(alpha(P_mu))| = n^{r-1} at level |mu| + r - 1 for all
-    words up to max_level; a failure soundly rules E_n membership out.
-    """
-    n, r = c.n, c.radius
-    for k in range(1, max_level + 1):
-        counts = [0] * n**k
-        for y in c.output_ranks(k + r - 1):
-            counts[y] += 1
-        if any(cnt != n ** (r - 1) for cnt in counts):
-            return False
-    return True
 
 
 def shift_factor(c: SlidingBlockCode) -> tuple:
@@ -448,28 +428,6 @@ def orbit_permutation(c: SlidingBlockCode, r: int) -> dict:
             "induced orbit map is not a permutation at r=%d; certificate refuted" % r
         )
     return perm
-
-
-def is_shift_power(c: SlidingBlockCode) -> Optional[int]:
-    """The j with c = sigma^j, if any: the j of c = core o sigma^j
-    (`shift_factor`) when the core is the identity."""
-    core, j = shift_factor(c)
-    return j if code_equal(core, identity_code(c.n)) else None
-
-
-def residual_separation(c: SlidingBlockCode, max_r: int) -> Optional[int]:
-    """Least r <= max_r at which c moves a periodic orbit.
-
-    Shift powers are screened out first (they fix every orbit); for
-    anything else in E_n a moved orbit exists at some finite r.
-    """
-    if is_shift_power(c) is not None:
-        return None
-    for r in range(1, max_r + 1):
-        perm = orbit_permutation(c, r)
-        if any(src != dst for src, dst in perm.items()):
-            return r
-    return None
 
 
 def enumerate_one_sided_automorphisms(n: int, max_radius: int):

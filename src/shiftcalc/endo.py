@@ -18,7 +18,7 @@ eventual questions ask from which letter on two such runs agree
 (`Transducer.agree_after`, exact, with no budget): T_u against the identity
 (`is_in_ign`, the inner kernel) and T_u after one letter of z against T_u on
 sigma z (`eventual_commutation`, property (P)'s least m).  None of them
-builds a cocycle product, and the braiding automorphism is Ad(u).
+builds a cocycle product.
 
 Certification builds the inverse by algebra, not by search: lambda_u has a
 permutative inverse v exactly when lambda_u(v) = u^*, and then v is
@@ -36,10 +36,11 @@ T_u collides (`point_map_is_injective` is false, decided on the pair graph of
 T_u) no level can return and certification goes straight to the degree
 route.  Each cocycle u_s is built with its inverse u_s^*, once, and w_s
 gathers through them.  Both convolutions of w_s with u are checked as rank
-identities: u_m w u_m^* u = 1 (m = level(w)) exactly when
-w (u_m^* u) = u_m^*, and w_l u w_l^* w = 1 (l = level(u)) exactly when
-u (w_l^* w) = w_l^*, each one block copy and one lifted gather, with no
-reduce and no u_m or w_l.
+identities (`is_inverse`, which also checks the certificates that
+`bridge.weyl_class_equal` is given): u_m w u_m^* u = 1 (m = level(w))
+exactly when w (u_m^* u) = u_m^*, and w_l u w_l^* w = 1 (l = level(u))
+exactly when u (w_l^* w) = w_l^*, each one block copy and one lifted
+gather, with no reduce and no u_m or w_l.
 """
 from __future__ import annotations
 
@@ -188,12 +189,6 @@ def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElemen
     return W.reduce(DiagonalElement(e.n, level, itemgetter(*e.runs(x.level))(x.coeffs)))
 
 
-def compose(e1: PermutativeEndomorphism, e2: PermutativeEndomorphism) -> PermutativeEndomorphism:
-    """lambda_u o lambda_w as a permutative endomorphism, read through e1's
-    cached cocycles."""
-    return endomorphism(e1.convolve(e2.unitary))
-
-
 def agree_on_diagonal(a: PermutationUnitary, b: PermutationUnitary) -> bool:
     """Exact test: do lambda_a and lambda_b restrict to the same map on D_n?
     That is T_a = T_b, both written at one level, in lockstep on one input."""
@@ -202,36 +197,6 @@ def agree_on_diagonal(a: PermutationUnitary, b: PermutationUnitary) -> bool:
     level = max(a.level, b.level, 1)
     t_a, t_b = (PermutativeEndomorphism(U.embed(v, level)).point_map for v in (a, b))
     return t_a.agrees(t_b)
-
-
-def is_identity_on_diagonal(u: PermutationUnitary) -> bool:
-    """Is lambda_u the identity on the diagonal?
-
-    Exact by the reduction test: the diagonal restriction determines a
-    permutative unitary.  A point-map cross-check would be empty, since u
-    reduces to level 0 only when its ranks are the identity permutation, and
-    then T_u is the identity transducer.
-    """
-    return u.is_identity()
-
-
-def commutes_with_shift_on_diagonal(e: PermutativeEndomorphism) -> bool:
-    """Does lambda_u commute with the canonical shift on the diagonal?
-    Exactly when its code can be read off (`read_code`)."""
-    return read_code(e) is not None
-
-
-def phi_commutation_identity(v: PermutationUnitary) -> bool:
-    """Evaluate v phi(v) theta phi(v^*) == phi(v) theta, exactly.
-
-    Holds iff lambda_v commutes with the canonical shift on the whole
-    algebra; every level-1 v passes, genuinely level-2 unitaries need not.
-    """
-    theta = U.flip_unitary(v.n)
-    pv = U.phi_shift(v, 1)
-    lhs = U.multiply(U.multiply(U.multiply(v, pv), theta), U.phi_shift(U.inverse(v), 1))
-    rhs = U.multiply(pv, theta)
-    return lhs == rhs
 
 
 def is_in_ign(e: PermutativeEndomorphism) -> Optional[int]:
@@ -309,15 +274,23 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
 def _direct_inverse(e: PermutativeEndomorphism, s: int):
     """w_s = u_s^* u^* u_s, or None if level(w_s) > s; a w_s of level <= s is
     verified by both convolutions, convolution(u, w_s) = 1 and
-    convolution(w_s, u) = 1, each checked as a rank identity
-    (`_convolves_to_one`).  u^* and u_s^* are the cached cocycle inverses, so
-    w_s is one gather."""
+    convolution(w_s, u) = 1 (`is_inverse`).  u^* and u_s^* are the cached
+    cocycle inverses, so w_s is one gather."""
     w = U.reduce(U.conjugate(e.u_k_star(1), e.u_k(s), e.u_k_star(s)))
     if w.level > s:
         return None
-    if _convolves_to_one(e, w) and _convolves_to_one(endomorphism(w), e.unitary):
+    if is_inverse(e, w):
         return w
     raise AssertionError("the direct inverse fails verification")
+
+
+def is_inverse(e: PermutativeEndomorphism, w: PermutationUnitary) -> bool:
+    """Is lambda_w the inverse of lambda_u, u = e.unitary?  Exactly when
+    convolution(u, w) = 1 and convolution(w, u) = 1, each checked as a rank
+    identity (`_convolves_to_one`), with no convolution built or reduced."""
+    if e.n != w.n:
+        raise ValueError("alphabet sizes differ")
+    return _convolves_to_one(e, w) and _convolves_to_one(endomorphism(w), e.unitary)
 
 
 def _convolves_to_one(e: PermutativeEndomorphism, w: PermutationUnitary) -> bool:
@@ -354,20 +327,3 @@ def property_p_data(
     if m_min is None or m_min > m_upper:
         raise ValueError("inverse certificate violates the guaranteed property-(P) bound")
     return m_upper, m_min
-
-
-def braiding(e: PermutativeEndomorphism) -> PermutationUnitary:
-    """The unitary w with beta = Ad(w) the braiding automorphism of
-    alpha = lambda_u, alpha phi = beta phi alpha: w = u.
-
-    By the Cuntz relations lambda_u(S_i x S_i^*) = u S_i lambda_u(x) S_i^* u^*,
-    and summing over i gives lambda_u phi = Ad(u) phi lambda_u; so the formula
-    alpha( sum_j P_j phi(alpha^{-1}(x_j)) ) is u x u^* on the diagonal.  The
-    braid identity is checked exactly, on the two convolutions.
-    """
-    theta = U.flip_unitary(e.n)
-    lhs = convolution(e.unitary, theta)
-    rhs = convolution(convolution(ad_unitary(e.unitary), theta), e.unitary)
-    if not agree_on_diagonal(lhs, rhs):
-        raise AssertionError("Ad(u) fails the braid identity")
-    return e.unitary

@@ -180,6 +180,13 @@ def code_from_dict(data: dict) -> SlidingBlockCode:
     return SlidingBlockCode(n, radius, tuple(rule))
 
 
+def operator_from_dict(data) -> PermutationUnitary | SlidingBlockCode:
+    """A unitary (an object with the key 'map') or else a code."""
+    if type(data) is not dict:
+        raise ValueError("an operator must be a JSON object: a unitary or a code")
+    return unitary_from_dict(data) if "map" in data else code_from_dict(data)
+
+
 def verdict_to_dict(v: AutomorphismVerdict, property_p_m=None) -> dict:
     if v.verdict == "automorphism":
         out = {"verdict": "automorphism", "inverse": unitary_to_dict(v.inverse)}

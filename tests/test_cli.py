@@ -114,7 +114,7 @@ def test_stray_arithmetic_error_is_not_a_refutation(runner, tmp_path, monkeypatc
 
 
 def test_degree_of_the_shift(runner, tmp_path):
-    f = write(tmp_path / "c.json", jsonio.code_to_dict(C.shift_code(2)))
+    f = write(tmp_path / "c.json", jsonio.code_to_dict(C.shift_power_code(2, 1)))
     result = runner.invoke(main, ["degree", "--code", f])
     assert result.exit_code == 0
     out = json.loads(result.output)
@@ -232,7 +232,7 @@ def test_output_is_byte_stable(runner, tmp_path):
 
 
 def test_table_format_flattens_canonical_json(runner, tmp_path):
-    f = write(tmp_path / "c.json", jsonio.code_to_dict(C.shift_code(2)))
+    f = write(tmp_path / "c.json", jsonio.code_to_dict(C.shift_power_code(2, 1)))
     result = runner.invoke(main, ["--format", "table", "degree", "--code", f])
     assert result.exit_code == 0
     assert "degree\t2" in result.output
@@ -330,6 +330,23 @@ def test_a_missing_object_or_key_is_named(runner, tmp_path, argv, doc, kind, key
     result = runner.invoke(main, [arg.format(**files) for arg in argv])
     assert result.exit_code == 1
     assert result.stderr == "input error: %s must be a JSON object with the key '%s'\n" % (kind, key)
+
+
+@pytest.mark.parametrize("operator", [5, True, None], ids=["number", "true", "null"])
+@pytest.mark.parametrize(
+    "argv", [["apply", "{op}", "{x}"], ["compose", "{op}", "{flip}"], ["compose", "{flip}", "{op}"]],
+    ids=["apply", "compose-left", "compose-right"],
+)
+def test_an_operator_that_is_not_an_object_is_named(runner, tmp_path, argv, operator):
+    # these used to print "argument of type 'int' is not iterable"
+    files = {
+        "op": write(tmp_path / "op.json", operator),
+        "flip": write(tmp_path / "u.json", FLIP),
+        "x": write(tmp_path / "x.json", {"n": 2, "level": 1, "support": ["1"]}),
+    }
+    result = runner.invoke(main, [arg.format(**files) for arg in argv])
+    assert result.exit_code == 1
+    assert result.stderr == "input error: an operator must be a JSON object: a unitary or a code\n"
 
 
 # --- fuzzing: every subcommand is total on small documents -----------------

@@ -38,11 +38,11 @@ INPUTS = {
         U.PermutationUnitary(3, 2, (1, 5, 6, 0, 8, 4, 7, 2, 3))
     ),
     "kitchens_c": lambda: jsonio.code_to_dict(C.kitchens_code()),
-    "shift3_c": lambda: jsonio.code_to_dict(C.shift_code(3)),
+    "shift3_c": lambda: jsonio.code_to_dict(C.shift_power_code(3, 1)),
     "kitchens_shift2_c": lambda: jsonio.code_to_dict(
         C.code_compose(C.kitchens_code(), C.shift_power_code(3, 2))
     ),
-    "shift2_c": lambda: jsonio.code_to_dict(C.shift_code(2)),
+    "shift2_c": lambda: jsonio.code_to_dict(C.shift_power_code(2, 1)),
     "shift2sq_c": lambda: jsonio.code_to_dict(C.shift_power_code(2, 2)),
     "p1": lambda: jsonio.diag_to_dict(W.cylinder(3, (1,))),
     "x": lambda: jsonio.diag_to_dict(

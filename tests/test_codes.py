@@ -8,6 +8,40 @@ from shiftcalc import codes as C
 from shiftcalc import endo as E
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
+from test_unitaries import all_unitaries
+
+
+def trace_necessary_check(c, max_level):
+    """Oracle: the dual images keep the trace, a necessary condition for E_n
+    membership; |support(alpha(P_mu))| = n^{r-1} at level |mu| + r - 1 for
+    every word mu up to max_level."""
+    n, r = c.n, c.radius
+    for k in range(1, max_level + 1):
+        counts = [0] * n**k
+        for y in c.output_ranks(k + r - 1):
+            counts[y] += 1
+        if any(cnt != n ** (r - 1) for cnt in counts):
+            return False
+    return True
+
+
+def is_shift_power(c):
+    """Oracle: the j with c = sigma^j, if any: the j of c = core o sigma^j
+    (`shift_factor`) when the core is the identity."""
+    core, j = C.shift_factor(c)
+    return j if C.code_equal(core, C.identity_code(c.n)) else None
+
+
+def residual_separation(c, max_r):
+    """Oracle: the least r <= max_r at which c moves a periodic orbit, or
+    None; shift powers fix every orbit and are screened out first."""
+    if is_shift_power(c) is not None:
+        return None
+    for r in range(1, max_r + 1):
+        perm = C.orbit_permutation(c, r)
+        if any(src != dst for src, dst in perm.items()):
+            return r
+    return None
 
 
 def brute_image_word(c, x, length):
@@ -55,14 +89,14 @@ def test_pad_and_minimize_are_inverse():
 
 
 def test_code_equal_across_radii():
-    assert C.code_equal(C.shift_code(2), C.pad(C.shift_code(2), 4))
-    assert not C.code_equal(C.shift_code(2), C.identity_code(2))
+    assert C.code_equal(C.shift_power_code(2, 1), C.pad(C.shift_power_code(2, 1), 4))
+    assert not C.code_equal(C.shift_power_code(2, 1), C.identity_code(2))
 
 
 def test_compose_tracks_function_composition():
     rng = random.Random(9)
     c1 = C.kitchens_code()
-    c2 = C.shift_code(3)
+    c2 = C.shift_power_code(3, 1)
     comp = C.code_compose(c1, c2)
     for _ in range(30):
         x = tuple(rng.randint(1, 3) for _ in range(10))
@@ -111,7 +145,7 @@ def test_en_inverse_search_on_shift_powers():
 
 
 def test_degree_facts():
-    shift = C.shift_code(2)
+    shift = C.shift_power_code(2, 1)
     beta, m = C.en_inverse_search(shift, 3, 6)
     assert C.degree(shift, beta, m) == 2
     sq = C.shift_power_code(2, 2)
@@ -128,7 +162,7 @@ def test_degree_facts():
     cases += [
         (kit, 0, 1),
         (C.code_compose(kit, C.shift_power_code(3, 2)), 2, 9),
-        (C.code_compose(C.shift_code(3), kit), 1, 3),
+        (C.code_compose(C.shift_power_code(3, 1), kit), 1, 3),
     ]
     for c, m, k in cases:
         beta, found_m = C.en_inverse_search(c, 3, 8)
@@ -147,11 +181,11 @@ def test_degree_refutes_wrong_certificates():
 
 
 def test_trace_necessary_check():
-    assert C.trace_necessary_check(C.kitchens_code(), 4)
-    assert C.trace_necessary_check(C.shift_code(2), 4)
+    assert trace_necessary_check(C.kitchens_code(), 4)
+    assert trace_necessary_check(C.shift_power_code(2, 1), 4)
     # a non-balanced rule collapses measure and fails
     bad = C.SlidingBlockCode(2, 1, (1, 1))
-    assert not C.trace_necessary_check(bad, 2)
+    assert not trace_necessary_check(bad, 2)
 
 
 def primitive_root(word):
@@ -263,10 +297,22 @@ def test_shift_powers_fix_all_orbits():
             assert all(src == dst for src, dst in perm.items())
 
 
+def test_one_preimage_count_decides_the_trace_check_below_it():
+    # the fixtures count preimages at the top level only: a word's preimages
+    # are those of its extensions, cut, so every lower level follows
+    for codes, _ in census_codes():
+        for c in codes:
+            counts = [0] * c.n**3
+            for y in c.output_ranks(3 + c.radius - 1):
+                counts[y] += 1
+            top = all(count == c.n ** (c.radius - 1) for count in counts)
+            assert top == trace_necessary_check(c, 3)
+
+
 def test_residual_separation():
-    assert C.residual_separation(C.kitchens_code(), 4) == 2
-    assert C.residual_separation(C.shift_power_code(2, 2), 6) is None
-    assert C.residual_separation(C.letter_code(2, (2, 1)), 4) == 1
+    assert residual_separation(C.kitchens_code(), 4) == 2
+    assert residual_separation(C.shift_power_code(2, 2), 6) is None
+    assert residual_separation(C.letter_code(2, (2, 1)), 4) == 1
 
 
 def test_enumerate_two_letter_automorphisms():
@@ -440,7 +486,7 @@ def test_the_depth_first_pair_graph_matches_the_topological_order():
         head = states // c.n  # the starts of automorphism_window
         starts = [(p, q) for p in range(states) for q in range(states) if p // head != q // head]
         cases.append((C.transducer(c), starts))
-    units = list(U.all_unitaries(2, 2))
+    units = list(all_unitaries(2, 2))
     for n, level in ((2, 3), (3, 2)):
         for _ in range(40):
             perm = list(range(n**level))
@@ -586,8 +632,8 @@ def test_the_unordered_pair_graph_keeps_every_automorphism_window(monkeypatch):
 
 
 def test_is_shift_power():
-    assert C.is_shift_power(C.shift_power_code(2, 2)) == 2
-    assert C.is_shift_power(C.kitchens_code()) is None
+    assert is_shift_power(C.shift_power_code(2, 2)) == 2
+    assert is_shift_power(C.kitchens_code()) is None
 
 
 def code_compose_reference(c1, c2):
@@ -667,7 +713,7 @@ def test_is_shift_power_needs_no_j_past_the_radius():
     powers = set()
     for codes, _ in census_codes():
         for c in codes:
-            j = C.is_shift_power(c)
+            j = is_shift_power(c)
             assert j == is_shift_power_to_twice_the_radius(c)
             if j is not None:
                 powers.add((c.n, j))

@@ -4,9 +4,55 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from shiftcalc import capacity
 from shiftcalc import jsonio
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
+
+
+def from_mapping(n, level, mapping):
+    """Oracle: the unitary of a {word: word} dict that lists every word once."""
+    size = capacity.check(n, level)
+    ranks = [None] * size
+    if len(mapping) != size:
+        raise ValueError("mapping must list every domain word exactly once")
+    for src, dst in mapping.items():
+        if len(src) != level or len(dst) != level:
+            raise ValueError("mapping words must have the unitary's level")
+        ranks[W.word_rank(src, n)] = W.word_rank(dst, n)
+    return U.PermutationUnitary(n, level, tuple(ranks))
+
+
+def all_unitaries(n, level):
+    """Oracle: every element of P_n^level, in the order of its permutations."""
+    size = capacity.check(n, level)
+    for perm in itertools.permutations(range(size)):
+        yield U.PermutationUnitary(n, level, perm)
+
+
+def u_k_product(u, k):
+    """Oracle: the cocycle product u phi(u) ... phi^{k-1}(u), built factor by
+    factor."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    out = u
+    for j in range(1, k):
+        out = U.multiply(out, U.phi_shift(u, j))
+    return out
+
+
+def adjoint_action(u, x):
+    """Oracle: Ad(u) on the diagonal, x read through sigma_u^{-1} at a common
+    level."""
+    if u.n != x.n:
+        raise ValueError("alphabet sizes differ")
+    level = max(u.level, x.level)
+    ue = U.embed(u, level)
+    xe = W.refine(x, level)
+    out = [None] * len(xe.coeffs)
+    for src, dst in enumerate(ue.ranks):
+        out[dst] = xe.coeffs[src]
+    return W.reduce(W.DiagonalElement(x.n, level, tuple(out)))
 
 
 def test_embed_leaves_the_algebra_element_unchanged():
@@ -15,7 +61,7 @@ def test_embed_leaves_the_algebra_element_unchanged():
     assert v == u  # canonical-form equality
     for w in W.enumerate_words(2, 4):
         p = W.cylinder(2, w)
-        assert U.adjoint_action(u, p) == U.adjoint_action(v, p)
+        assert adjoint_action(u, p) == adjoint_action(v, p)
 
 
 def test_reduce_strips_trailing_identity_factors():
@@ -25,7 +71,7 @@ def test_reduce_strips_trailing_identity_factors():
 
 
 def test_group_axioms_exhaustive_at_level_two():
-    units = list(U.all_unitaries(2, 2))
+    units = list(all_unitaries(2, 2))
     assert len(units) == 24
     e = U.identity(2)
     for a in units:
@@ -97,41 +143,41 @@ def test_shift_power_unitary_edge_cases():
 def test_kitchens_unitary_adjoint_images():
     u = U.kitchens_unitary()
     assert U.multiply(u, u) == U.identity(3)
-    assert U.adjoint_action(u, W.cylinder(3, (1,))) == W.projection(
+    assert adjoint_action(u, W.cylinder(3, (1,))) == W.projection(
         3, [(1, 1), (1, 2), (2, 3)]
     )
-    assert U.adjoint_action(u, W.cylinder(3, (2,))) == W.projection(
+    assert adjoint_action(u, W.cylinder(3, (2,))) == W.projection(
         3, [(2, 1), (2, 2), (1, 3)]
     )
-    assert U.adjoint_action(u, W.cylinder(3, (3,))) == W.cylinder(3, (3,))
+    assert adjoint_action(u, W.cylinder(3, (3,))) == W.cylinder(3, (3,))
 
 
 def test_adjoint_action_is_representation_independent():
     u = U.kitchens_unitary()
     p = W.cylinder(3, (1,))
-    assert U.adjoint_action(U.embed(u, 3), W.refine(p, 2)) == U.adjoint_action(u, p)
+    assert adjoint_action(U.embed(u, 3), W.refine(p, 2)) == adjoint_action(u, p)
 
 
 def test_adjoint_action_preserves_trace():
     rng = random.Random(11)
-    units = list(U.all_unitaries(2, 2))
+    units = list(all_unitaries(2, 2))
     for _ in range(20):
         u = rng.choice(units)
         words = [w for w in W.enumerate_words(2, 3) if rng.random() < 0.5]
         p = W.projection(2, words) if words else W.zero(2)
-        assert W.trace(U.adjoint_action(u, p)) == W.trace(p)
+        assert W.trace(adjoint_action(u, p)) == W.trace(p)
 
 
 def test_u_k_product_recursions():
     rng = random.Random(13)
-    pool = list(U.all_unitaries(2, 2))
+    pool = list(all_unitaries(2, 2))
     for _ in range(20):
         u = rng.choice(pool)
         for k in range(1, 5):
-            uk = U.u_k_product(u, k)
+            uk = u_k_product(u, k)
             left = U.multiply(uk, U.phi_shift(u, k))
             right = U.multiply(u, U.phi_shift(uk, 1))
-            assert U.u_k_product(u, k + 1) == left == right
+            assert u_k_product(u, k + 1) == left == right
 
 
 def test_phi_shift_acts_past_leading_letters():
@@ -144,16 +190,16 @@ def test_phi_shift_acts_past_leading_letters():
 
 def test_from_mapping_validates():
     with pytest.raises(ValueError):
-        U.from_mapping(2, 1, {(1,): (1,)})
+        from_mapping(2, 1, {(1,): (1,)})
     with pytest.raises(ValueError):
-        U.from_mapping(2, 1, {(1,): (1,), (2,): (1,)})
+        from_mapping(2, 1, {(1,): (1,), (2,): (1,)})
 
 
 def test_ranks_from_outside_the_module_are_validated():
     with pytest.raises(ValueError):
         U.PermutationUnitary(2, 1, (0, 0))
     with pytest.raises(ValueError):
-        U.from_mapping(2, 1, {(1,): (1,), (2,): (1,)})
+        from_mapping(2, 1, {(1,): (1,), (2,): (1,)})
     with pytest.raises(ValueError):
         jsonio.unitary_from_dict({"n": 2, "level": 1, "map": [["1", "2"], ["2", "2"]]})
 
