@@ -28,11 +28,11 @@ def unitary_from_shift_automorphism(c: SlidingBlockCode) -> PermutationUnitary:
     construction keeps the tail: u^* sends the window h t (t of length r - 1)
     to rule(h t) t, so T_u = F_c.  That is a permutation exactly when c is
     tail-bijective, which every automorphism is.  T_u = F_c needs no check:
-    u^* is the step table of `codes.transducer(c)` flattened, and the point
+    u^* is the one-letter run table of `codes.transducer(c)`, and the point
     map splits it back.
     """
-    tails = capacity.check(c.n, c.radius) // c.n
-    star = tuple(y * tails + t for y, t in C.transducer(c).step)
+    capacity.check(c.n, c.radius)
+    star = tuple(C.transducer(c).runs(1))
     if len(set(star)) != len(star):
         raise ValueError(
             "rule is not tail-bijective; input is not a certified shift automorphism"

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .capacity import CapacityError, check as _check_capacity, get_limit
@@ -60,15 +61,27 @@ class Transducer:
         return [(p, p) for p in range(self.tail)]
 
     def runs(self, k: int) -> list:
-        """Per input word of length k + L - 1, in rank order, the rank of the
-        first k letters emitted.  Grown a letter at a time as runs, emitted
-        rank times tail plus state."""
-        n, tail, step = self.n, self.tail, self.step
-        rows = [[y * tail + s - p * n for y, s in step[p * n : p * n + n]] for p in range(tail)]
-        runs = range(tail)
-        for _ in range(k):
-            runs = [r * n + d for r in runs for d in rows[r % tail]]
-        return [r // tail for r in runs]
+        """Per input word of length k + L - 1, in rank order, its run of k
+        letters: the rank of the letters emitted times tail plus the state
+        reached.  The emitted rank is run // tail; for T_u of lambda_u the
+        table is the cocycle u_k^* (`endo`).  Grown a letter at a time at the
+        front: if the window p a emits y and moves to s, the run of j + 1
+        letters on p a z is y n^j tail plus the run of j letters on s z.  So
+        the longer table is the shorter one shifted by each y, one block per
+        window, copied in window order."""
+        n, tail = self.n, self.tail
+        if k == 0:
+            return list(range(tail))
+        one = runs = [y * tail + s for y, s in self.step]
+        block = n
+        for _ in range(k - 1):
+            weight = block * tail
+            shifted = [y + r for y in range(0, n * weight, weight) for r in runs]
+            runs = []
+            for q in one:
+                runs += shifted[q * block : q * block + block]
+            block *= n
+        return runs
 
     def height(self, starts) -> Optional[int]:
         """Longest path from a start pair in the pair graph, or None if a cycle
@@ -191,7 +204,8 @@ class SlidingBlockCode:
         if length < r:
             raise ValueError("output needs words of length at least the radius")
         _check_capacity(n, length)
-        return transducer(self).runs(length - r + 1)
+        t = transducer(self)
+        return [y // t.tail for y in t.runs(length - r + 1)]
 
 
 def identity_code(n: int) -> SlidingBlockCode:
@@ -260,9 +274,18 @@ def code_apply_diag(c: SlidingBlockCode, x: DiagonalElement) -> DiagonalElement:
     x = W.reduce(x)
     if x.level == 0:
         return x
-    n, k, r = c.n, x.level, c.radius
-    coeffs = tuple(x.coeffs[y] for y in c.output_ranks(k + r - 1))
-    return W.reduce(DiagonalElement(n, k + r - 1, coeffs))
+    level = x.level + c.radius - 1
+    _check_capacity(c.n, level)
+    t = transducer(c)
+    return _pull_back(x, level, t.runs(x.level), t.tail)
+
+
+def _pull_back(x: DiagonalElement, level: int, runs: Sequence[int], tail: int) -> DiagonalElement:
+    """x o T on the words of `level` letters, from T's runs of level(x) letters
+    (`Transducer.runs`) on them: each word takes x at the letters T emits, its
+    run // tail.  One gather, shared by a code's and lambda_u's dual action."""
+    emitted = itemgetter(*map(tail.__rfloordiv__, runs))(x.coeffs)
+    return W.reduce(DiagonalElement(x.n, level, emitted))
 
 
 def shift_factor(c: SlidingBlockCode) -> tuple:

@@ -9,16 +9,19 @@ statement about finite permutations.
 On the diagonal lambda_u(x) = x o T_u for a homeomorphism T_u of the
 one-sided n-shift, and T_u is read only as a `codes.Transducer`
 (`point_map`, cached) whose state is the rest of u^{-1}(window) after the
-letter it emits.  `apply_diag` reads x through the emitted letters
-(`Transducer.runs`); every equality on the diagonal is one of transducers
-run in lockstep on one input from the diagonal pairs (`Transducer.agrees`):
-T_a against T_b (`agree_on_diagonal`) and T_u against the code of its
-emitted letters (`read_code`, the one shift-commutation test).  The paper's
-eventual questions ask from which letter on two such runs agree
-(`Transducer.agree_after`, exact, with no budget): T_u against the identity
-(`is_in_ign`, the inner kernel) and T_u after one letter of z against T_u on
-sigma z (`eventual_commutation`, property (P)'s least m).  None of them
-builds a cocycle product.
+letter it emits.  The cocycle inverse u_k^* is T_u's run table of k letters
+(`Transducer.runs`): on a word of length k + level(u) - 1 it is the rank of
+the first k letters T_u emits times n^(level(u)-1) plus the state reached.
+`apply_diag` reads x through the emitted letters of that table, as a code's
+dual action reads its transducer's.  Every equality on the diagonal is one
+of transducers run in lockstep on one input from the diagonal pairs
+(`Transducer.agrees`): T_a against T_b (`agree_on_diagonal`) and T_u
+against the code of its emitted letters (`read_code`, the one
+shift-commutation test).  The paper's eventual questions ask from which
+letter on two such runs agree (`Transducer.agree_after`, exact, with no
+budget): T_u against the identity (`is_in_ign`, the inner kernel) and T_u
+after one letter of z against T_u on sigma z (`eventual_commutation`,
+property (P)'s least m).  None of them builds a cocycle product.
 
 Certification builds the inverse by algebra, not by search: lambda_u has a
 permutative inverse v exactly when lambda_u(v) = u^*, and then v is
@@ -34,9 +37,9 @@ up to b, then the degree route.  A
 permutative inverse v gives T_u o T_v = T_v o T_u = id on points, so when
 T_u collides (`point_map_is_injective` is false, decided on the pair graph of
 T_u) no level can return and certification goes straight to the degree
-route.  Each cocycle u_s is built with its inverse u_s^*, once, and w_s
-gathers through them.  Both convolutions of w_s with u are checked as rank
-identities (`is_inverse`, which also checks the certificates that
+route.  w_s is one scatter through the run tables u_s^* and u^*, so
+certification builds no u_s.  Both convolutions of w_s with u are checked
+as rank identities (`is_inverse`, which also checks the certificates that
 `bridge.weyl_class_equal` is given): u_m w u_m^* u = 1 (m = level(w))
 exactly when w (u_m^* u) = u_m^*, and w_l u w_l^* w = 1 (l = level(u))
 exactly when u (w_l^* w) = w_l^*, each one block copy and one lifted
@@ -47,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from operator import itemgetter
 from typing import Optional
 
 from . import codes as C
@@ -74,13 +76,12 @@ def ad_unitary(w: PermutationUnitary) -> PermutationUnitary:
 
 @dataclass(frozen=True)
 class PermutativeEndomorphism:
-    """lambda_u for a permutation unitary u, with cached cocycle products and
-    their inverses, point map and emitted runs."""
+    """lambda_u for a permutation unitary u, with its point map and cached
+    cocycle inverses, and the cocycle products that `convolve` reads."""
 
     unitary: PermutationUnitary
     _uk: dict = field(default_factory=dict, compare=False, repr=False)
     _uk_star: dict = field(default_factory=dict, compare=False, repr=False)
-    _runs: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -94,51 +95,47 @@ class PermutativeEndomorphism:
         return self._uk[k]
 
     def u_k_star(self, k: int) -> PermutationUnitary:
-        """u_k^*, cached, built as phi(u_{k-1}^*) u^*: the shifted larger
-        factor with its blocks reordered by u^*.  So each cocycle is inverted
-        once, and the tables are shared by certification, `convolve` and
-        `point_map`."""
+        """u_k^*, cached: T_u's runs of k letters (`Transducer.runs`), at
+        level k + level(u) - 1.  On a word of that length it is the rank of
+        the first k letters T_u emits, times n^(level(u)-1), plus the state
+        T_u reaches, since u_k^* = phi(u_{k-1}^*) u^*: u^* emits the first
+        letter and leaves the state that phi(u_{k-1}^*) reads on.  The runs
+        of one letter are u^* itself, which T_u is read off.  For
+        level(u) = 0, u_k^* is the identity at level k - 1, the runs of
+        k - 1 letters of the identity."""
         if k < 1:
             raise ValueError("k must be at least 1")
         if k not in self._uk_star:
             if k == 1:
                 self._uk_star[k] = U.inverse(self.unitary)
             else:
-                shifted = U.phi_shift(self.u_k_star(k - 1), 1)
-                self._uk_star[k] = U.multiply(shifted, self.u_k_star(1))
+                level = k + self.unitary.level - 1
+                _check_capacity(self.n, level)
+                runs = self.point_map.runs(k if self.unitary.level else level)
+                self._uk_star[k] = U._trusted(self.n, level, tuple(runs))
         return self._uk_star[k]
 
     def convolve(self, w: PermutationUnitary) -> PermutationUnitary:
-        """convolution(u, w), with u_m and u_m^* read from the cache."""
+        """convolution(u, w) = u_m w u_m^* u, with u_m and u_m^* read from
+        the cache."""
         if self.n != w.n:
             raise ValueError("alphabet sizes differ")
         m = w.level
         if m == 0:
             return self.unitary
-        conj = U.conjugate(w, self.u_k_star(m), self.u_k(m))
+        conj = U.multiply(U.multiply(self.u_k(m), w), self.u_k_star(m))
         return U.reduce(U.multiply(conj, self.unitary))
 
     @cached_property
     def point_map(self) -> C.Transducer:
-        """T_u as a transducer (`_point_map`), cached, read off the cached u^*."""
-        return _point_map(self.u_k_star(1))
-
-    def runs(self, k: int) -> list:
-        """Per word of length k + L - 1, in rank order, the rank of the first k
-        letters T_u emits (`Transducer.runs`); cached."""
-        if k not in self._runs:
-            self._runs[k] = self.point_map.runs(k)
-        return self._runs[k]
-
-
-def _point_map(u_star: PermutationUnitary) -> C.Transducer:
-    """T_u as a transducer, from u^*: with L = max(level(u), 1), the step on
-    the window p a splits u^{-1}(p a) into its first letter, emitted, and the
-    rest, which is the next state, one of n^(L-1) (for the flip, 12 emits 2
-    and leaves 1)."""
-    src = U.embed(u_star, max(u_star.level, 1)).ranks
-    tail = len(src) // u_star.n
-    return C.Transducer(u_star.n, tail, tuple(map(divmod, src, repeat(tail))))
+        """T_u as a transducer, cached: with L = max(level(u), 1), the step
+        on the window p a splits u^{-1}(p a) into its first letter, emitted,
+        and the rest, which is the next state, one of n^(L-1) (for the flip,
+        12 emits 2 and leaves 1)."""
+        u_star = self.u_k_star(1)
+        src = U.embed(u_star, max(u_star.level, 1)).ranks
+        tail = len(src) // self.n
+        return C.Transducer(self.n, tail, tuple(map(divmod, src, repeat(tail))))
 
 
 def endomorphism(u: PermutationUnitary) -> PermutativeEndomorphism:
@@ -177,16 +174,17 @@ def read_code(e: PermutativeEndomorphism) -> Optional[C.SlidingBlockCode]:
 
 
 def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElement:
-    """lambda_u(x) = x o T_u: on each word of length k + L - 1, k = level(x),
-    x at the first k letters T_u emits, read through the cached `e.runs(k)`."""
+    """lambda_u(x) = x o T_u: on each word of length k + level(u) - 1,
+    k = level(x), x at the first k letters T_u emits, read through the cached
+    run table u_k^* as a code's dual action reads its transducer's runs.
+    lambda_u fixes x when u = 1 has level 0."""
     if e.n != x.n:
         raise ValueError("alphabet sizes differ")
     x = W.reduce(x)
-    if x.level == 0:
+    if x.level == 0 or e.unitary.level == 0:
         return x
-    level = x.level + max(e.unitary.level, 1) - 1
-    _check_capacity(e.n, level)
-    return W.reduce(DiagonalElement(e.n, level, itemgetter(*e.runs(x.level))(x.coeffs)))
+    star = e.u_k_star(x.level)
+    return C._pull_back(x, star.level, star.ranks, e.point_map.tail)
 
 
 def agree_on_diagonal(a: PermutationUnitary, b: PermutationUnitary) -> bool:
@@ -272,16 +270,26 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
 
 
 def _direct_inverse(e: PermutativeEndomorphism, s: int):
-    """w_s = u_s^* u^* u_s, or None if level(w_s) > s; a w_s of level <= s is
-    verified by both convolutions, convolution(u, w_s) = 1 and
-    convolution(w_s, u) = 1 (`is_inverse`).  u^* and u_s^* are the cached
-    cocycle inverses, so w_s is one gather."""
-    w = U.reduce(U.conjugate(e.u_k_star(1), e.u_k(s), e.u_k_star(s)))
+    """w_s = u_s^* u^* u_s (`_w_scatter`) reduced, or None if
+    level(w_s) > s; a w_s of level <= s is verified by both convolutions,
+    convolution(u, w_s) = 1 and convolution(w_s, u) = 1 (`is_inverse`)."""
+    w = U.reduce(_w_scatter(e, s))
     if w.level > s:
         return None
     if is_inverse(e, w):
         return w
     raise AssertionError("the direct inverse fails verification")
+
+
+def _w_scatter(e: PermutativeEndomorphism, s: int) -> PermutationUnitary:
+    """u_s^* u^* u_s at u_s^*'s level.  It sends u_s^*(i) to u_s^*(u^*(i)),
+    so it is one scatter of u_s^* u^* (a block copy, `multiply`) through
+    u_s^*, from the cached run tables alone: no cocycle is inverted."""
+    star = e.u_k_star(s)
+    ranks = [0] * len(star.ranks)
+    for i, image in zip(star.ranks, U.multiply(star, e.u_k_star(1)).ranks):
+        ranks[i] = image
+    return U._trusted(e.n, star.level, tuple(ranks))
 
 
 def is_inverse(e: PermutativeEndomorphism, w: PermutationUnitary) -> bool:

@@ -14,7 +14,6 @@ from operator import itemgetter
 from typing import Sequence
 
 from .capacity import check as _check_capacity
-from .words import word_rank, word_unrank
 
 
 @dataclass(frozen=True)
@@ -43,14 +42,6 @@ class PermutationUnitary:
     def __hash__(self):
         r = reduce(self)
         return hash((r.n, r.level, r.ranks))
-
-    def apply(self, word: Sequence[int]) -> tuple:
-        """Image of a word of length >= level under the permutation."""
-        k = self.level
-        if len(word) < k:
-            raise ValueError("word shorter than the unitary's level")
-        head = word_unrank(self.ranks[word_rank(word[:k], self.n)], self.n, k)
-        return head + tuple(word[k:])
 
     def is_identity(self) -> bool:
         return reduce(self).level == 0
@@ -148,15 +139,6 @@ def inverse(u: PermutationUnitary) -> PermutationUnitary:
     for src, dst in enumerate(u.ranks):
         out[dst] = src
     return _trusted(u.n, u.level, tuple(out))
-
-
-def conjugate(
-    u: PermutationUnitary, v: PermutationUnitary, v_star: PermutationUnitary
-) -> PermutationUnitary:
-    """v^* u v, given v^* = inverse(v), so no inverse is built.  For
-    level(v) >= level(u), `multiply` reads u as v^*'s rank array with its
-    blocks reordered, then gathers that through v's ranks."""
-    return multiply(multiply(v_star, u), v)
 
 
 def phi_shift(u: PermutationUnitary, j: int = 1) -> PermutationUnitary:

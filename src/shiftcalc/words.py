@@ -111,16 +111,6 @@ class DiagonalElement:
         return [word_unrank(r, n, k) for r, c in enumerate(self.coeffs) if c]
 
 
-def diagonal(n: int, level: int, coeffs: Iterable) -> DiagonalElement:
-    """Build a diagonal element, coercing coefficients to Fraction."""
-    _check_capacity(n, level)
-    return DiagonalElement(n, level, tuple(Fraction(c) for c in coeffs))
-
-
-def unit(n: int) -> DiagonalElement:
-    return DiagonalElement(n, 0, (ONE,))
-
-
 def zero(n: int) -> DiagonalElement:
     return DiagonalElement(n, 0, (ZERO,))
 
@@ -191,19 +181,6 @@ def reduce(x: DiagonalElement) -> DiagonalElement:
     if level == x.level:
         return x
     return DiagonalElement(x.n, level, coeffs)
-
-
-def _common(p: DiagonalElement, q: DiagonalElement):
-    if p.n != q.n:
-        raise ValueError("alphabet sizes differ")
-    level = max(p.level, q.level)
-    return refine(p, level), refine(q, level)
-
-
-def add(p: DiagonalElement, q: DiagonalElement) -> DiagonalElement:
-    """Linear sum, used to assemble elements."""
-    a, b = _common(p, q)
-    return reduce(DiagonalElement(a.n, a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))))
 
 
 def trace(x: DiagonalElement) -> Fraction:

@@ -19,6 +19,7 @@ from shiftcalc import jsonio
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
 from shiftcalc.cli import main
+from test_words import diagonal
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -46,7 +47,7 @@ INPUTS = {
     "shift2sq_c": lambda: jsonio.code_to_dict(C.shift_power_code(2, 2)),
     "p1": lambda: jsonio.diag_to_dict(W.cylinder(3, (1,))),
     "x": lambda: jsonio.diag_to_dict(
-        W.diagonal(3, 2, ["1/3", 0, 2, 0, 0, "-1/2", 0, 1, 0])
+        diagonal(3, 2, ["1/3", 0, 2, 0, 0, "-1/2", 0, 1, 0])
     ),
 }
 

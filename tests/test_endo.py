@@ -11,7 +11,7 @@ from shiftcalc import unitaries as U
 from shiftcalc import words as W
 from test_codes import ordered_pair_height_reference
 from test_unitaries import adjoint_action, all_unitaries, from_mapping, u_k_product
-from test_words import decompose, recompose
+from test_words import decompose, diagonal, recompose
 
 
 def endos_agree_on_cylinders(e1, e2, depth):
@@ -442,7 +442,7 @@ def random_unitary(rng, n, level):
 
 def random_element(rng, n, level):
     values = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n**level)]
-    return W.diagonal(n, level, values)
+    return diagonal(n, level, values)
 
 
 def test_owner_table_matches_the_adjoint_action():
@@ -707,9 +707,9 @@ def eventual_commutation_reference(e, length=8):
     """Least k <= 3 with sigma^k o T_u o sigma = sigma^{k+1} o T_u on every
     word z of one length, length + L - 1, or None: T_u(z) past its (k+1)-th
     letter against T_u(sigma z) past its k-th, read off the emitted ranks
-    (`runs`), with sigma z the word z without its first letter."""
-    n = e.n
-    tz, tsz = e.point_map.runs(length), e.point_map.runs(length - 1)
+    (`runs` over the tail), with sigma z the word z without its first letter."""
+    n, t = e.n, e.point_map
+    tz, tsz = ([r // t.tail for r in t.runs(k)] for k in (length, length - 1))
     for k in range(4):
         keep = n ** (length - 1 - k)
         if all(y % keep == tsz[z % len(tsz)] % keep for z, y in enumerate(tz)):
@@ -777,23 +777,68 @@ def test_point_map_preimages_are_the_cylinder_images():
                 assert E.apply_diag(e, W.cylinder(n, w)) == expected
 
 
+def run_state(e, z):
+    """The state T_u reaches on a finite word z of 0-based letters."""
+    step, held, state = e.point_map.step, max(e.unitary.level, 1) - 1, 0
+    for a in z[:held]:
+        state = state * e.n + a
+    for a in z[held:]:
+        state = step[state * e.n + a][1]
+    return state
+
+
 def test_runs_are_the_letters_the_point_map_emits():
-    # Transducer.runs runs T_u as it runs a code's transducer; e.runs caches it
+    # Transducer.runs runs T_u as it runs a code's transducer: per word, the
+    # emitted rank times the tail plus the state reached; e.u_k_star caches it
     maps, _ = census()
     for e in maps:
-        held = max(e.unitary.level, 1) - 1
+        t, held = e.point_map, max(e.unitary.level, 1) - 1
         for k in (1, 2, 3):
-            words = W.enumerate_words(e.n, k + held)
-            emitted = [run_point_map(e, [a - 1 for a in z]) for z in words]
-            want = [W.word_rank([a + 1 for a in y], e.n) for y in emitted]
-            assert e.point_map.runs(k) == want and e.runs(k) == want
+            words = [[a - 1 for a in z] for z in W.enumerate_words(e.n, k + held)]
+            want = [
+                W.word_rank([a + 1 for a in run_point_map(e, z)], e.n) * t.tail + run_state(e, z)
+                for z in words
+            ]
+            assert t.runs(k) == want
+            if e.unitary.level:
+                assert list(e.u_k_star(k).ranks) == want
+
+
+def u_k_star_reference(u, k):
+    """Oracle: u_k^* by the recursion u_k^* = phi(u_{k-1}^*) u^* from
+    u_1^* = u^*, each step a shift and a product."""
+    star = out = U.inverse(u)
+    for _ in range(k - 1):
+        out = U.multiply(U.phi_shift(out, 1), star)
+    return out
+
+
+def test_the_cocycle_inverses_are_the_run_tables():
+    # on the census and on seeded P_2^2, P_2^3, P_3^2 and P_3^3, with the
+    # identity at level 0, rank for rank
+    rng = random.Random(71)
+    units = [U.identity(2), U.identity(3)]
+    for n, level in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for _ in range(12):
+            perm = list(range(n**level))
+            rng.shuffle(perm)
+            units.append(U.PermutationUnitary(n, level, tuple(perm)))
+    pairs = 0
+    for u in units + [e.unitary for e in certify_census()]:
+        e = E.endomorphism(u)
+        for k in range(1, 5):
+            want = u_k_star_reference(e.unitary, k)
+            assert e.u_k_star(k).ranks == want.ranks
+            assert e.u_k_star(k).level == want.level == k + e.unitary.level - 1
+            pairs += 1
+    assert pairs >= 4 * 250
 
 
 def test_apply_diag_reads_x_with_no_lifted_copy(monkeypatch):
     from shiftcalc import capacity
 
     e = E.endomorphism(U.kitchens_unitary())
-    x, y = W.diagonal(3, 2, range(9)), W.diagonal(3, 3, range(27))
+    x, y = diagonal(3, 2, range(9)), diagonal(3, 3, range(27))
     want = apply_reference(e, x)
     monkeypatch.setattr(W, "lift_table", None)
     assert E.apply_diag(e, x) == want
@@ -831,7 +876,7 @@ def preimage_reference(e, y, max_depth):
         coeffs = [None] * n**s
         for w, c in zip(W.lift_table(owner, n, level), W.refine(y, level).coeffs):
             coeffs[w] = c
-        x = W.reduce(W.diagonal(n, s, coeffs))
+        x = W.reduce(diagonal(n, s, coeffs))
         if E.apply_diag(e, x) == y:
             return x
     return None
@@ -1061,13 +1106,21 @@ def counted(monkeypatch, name):
     return calls
 
 
-def test_certify_builds_no_cocycle_past_the_verification_depth(monkeypatch):
+def test_certification_builds_no_u_s(monkeypatch):
     # a refutation: the one level tried is s = level(u) = 3, then T_u collides,
     # so no level above it is tried, and the degree route reads the code off e
-    # once, and that check on the point map is its one shift-commutation test,
-    # so no cocycle past u_{level(u)} is built
+    # once, and that check on the point map is its one shift-commutation test;
+    # w_s and both rank identities read only run tables u_k^*, none past
+    # u_{level(u)}^*, so no cocycle u_s is built, for u or for an inverse
+    built = []
+    u_k = E.PermutativeEndomorphism.u_k
+    monkeypatch.setattr(
+        E.PermutativeEndomorphism, "u_k", lambda self, k: built.append(k) or u_k(self, k)
+    )
     pi, pi2 = U.letter_permutation(3, (2, 3, 1)), U.letter_permutation(3, (2, 1, 3))
     u = E.convolution(E.convolution(pi, U.shift_power_unitary(3, 2)), pi2)
+    cases = [E.endomorphism(case.unitary) for case in certify_census()]
+    built.clear()  # the convolutions above build u_m
     e = E.endomorphism(u)
     attempts = counted(monkeypatch, "_direct_inverse")
     commutation_tests = counted(monkeypatch, "read_code")
@@ -1075,8 +1128,9 @@ def test_certify_builds_no_cocycle_past_the_verification_depth(monkeypatch):
     verdict = E.certify_automorphism(e, budget=8)
     assert verdict == E.AutomorphismVerdict("not_automorphism", degree=9)
     assert [s for _, s in attempts] == [e.unitary.level] == [3]
-    assert max(e._uk) <= e.unitary.level and max(e._uk_star) <= e.unitary.level
+    assert max(e._uk_star) <= e.unitary.level and not e._uk
     assert len(commutation_tests) == len(collision_tests) == 1
+    assert built == []
     # an inverse found at s <= level(u) needs no collision test: Kitchens is
     # certified by the one attempt at s = level(u) = 2
     attempts.clear()
@@ -1084,6 +1138,10 @@ def test_certify_builds_no_cocycle_past_the_verification_depth(monkeypatch):
     assert verdict.inverse == U.kitchens_unitary()
     assert [s for _, s in attempts] == [2]
     assert len(collision_tests) == 1
+    # nor does certifying any map of the census, automorphism or not
+    for case in cases:
+        E.certify_automorphism(case, budget=5)
+    assert built == []
 
 
 def test_certify_starts_at_the_level_of_u():
@@ -1171,7 +1229,7 @@ def test_a_wrong_direct_inverse_is_caught(monkeypatch):
         for wrong in wrongs:
             if wrong == v:
                 continue
-            monkeypatch.setattr(U, "conjugate", lambda *args: wrong)
+            monkeypatch.setattr(E, "_w_scatter", lambda *args: wrong)
             with pytest.raises(AssertionError, match="the direct inverse fails verification"):
                 E._direct_inverse(E.endomorphism(e.unitary), s)
             cases += 1

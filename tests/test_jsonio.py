@@ -6,6 +6,7 @@ from shiftcalc import codes as C
 from shiftcalc import jsonio
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
+from test_words import diagonal
 
 
 def test_diag_roundtrip_projection():
@@ -16,7 +17,7 @@ def test_diag_roundtrip_projection():
 
 
 def test_diag_roundtrip_general():
-    x = W.diagonal(2, 1, (Fraction(1, 3), Fraction(0)))
+    x = diagonal(2, 1, (Fraction(1, 3), Fraction(0)))
     data = jsonio.diag_to_dict(x)
     assert data["coeffs"] == {"1": "1/3"}
     assert jsonio.diag_from_dict(data) == x
