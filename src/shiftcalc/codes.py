@@ -14,10 +14,10 @@ Inverse-to-shift-power search, degree, periodic orbits and the
 permutation a code induces on them all live here; every returned
 certificate is verified exactly against rule tables before it escapes.  Words are ranks in
 lexicographic order (`jsonio` names them), periodic points among them.
-One-sided shift automorphisms are decided exactly on a pair graph, with no
-window bound, and their inverse rule is read off at that graph's window.
-F_c and the point map T_u of lambda_u are both a `Transducer`, which holds
-the run kernel, the pair graph and lockstep agreement, at once or eventually.
+F_c and the point map T_u of lambda_u are both a `Transducer`: the run
+kernel, lockstep agreement and one depth-first pair-graph search (tail^2 n
+edges for T_u or lockstep runs) for collisions, one-sided automorphisms and
+their window, where the inverse rule is read, and eventual agreement.
 """
 from __future__ import annotations
 
@@ -85,47 +85,24 @@ class Transducer:
 
     def height(self, starts) -> Optional[int]:
         """Longest path from a start pair in the pair graph, or None if a cycle
-        is reachable from one.
-
-        A node is a pair of states, and an edge reads one letter on each side
-        with equal emitted letters: per state, the next states are grouped by
-        the letter emitted, and the two groups of one letter pair up.  An
-        infinite path from a start pair is two inputs with one output; the
-        graph is finite, so there is one exactly when a cycle is reachable.
-        Swapping the two runs maps the edges onto the edges, so (p, q) and
-        (q, p) have one height and reach cycles together.  So a node is the
-        unordered pair, numbered min(p, q) tail + max(p, q), which is exact
-        for any starts and about halves the nodes.  One depth-first search: a
-        node met again while on the current path closes a cycle, and heights
-        are set in post-order (the stack holds ~node to finish a node).
-        """
+        is reachable from one (`_longest_marked_path`, every edge marked).  An
+        edge reads one letter on each side with equal emitted letters, so an
+        infinite path is two inputs with one output.  Swapping the two runs
+        maps the edges onto the edges, so a node is the unordered pair,
+        min(p, q) tail + max(p, q): exact for any starts, and half the nodes."""
         n, tail = self.n, self.tail
         groups = [[[] for _ in range(n)] for _ in range(tail)]
         for w, (x, s) in enumerate(self.step):
             groups[w // n][x].append(s)
-        height = [-1] * (tail * tail)  # -1 unseen, -2 on the current path
-        succ = {}
+
+        def expand(node):
+            p, q = divmod(node, tail)
+            both = zip(groups[p], groups[q])  # the next states, by letter emitted
+            nxt = [s * tail + t if s <= t else t * tail + s for a, b in both for s in a for t in b]
+            return bool(nxt), nxt
+
         nodes = [p * tail + q if p <= q else q * tail + p for p, q in starts]
-        stack = list(nodes)
-        while stack:
-            node = stack.pop()
-            if node < 0:
-                node = ~node
-                height[node] = max([height[nxt] for nxt in succ.pop(node)], default=-1) + 1
-            elif height[node] == -1:
-                p, q = divmod(node, tail)
-                succ[node] = nxt = [
-                    s * tail + t if s <= t else t * tail + s
-                    for here, there in zip(groups[p], groups[q])
-                    for s in here
-                    for t in there
-                ]
-                height[node] = -2
-                stack.append(~node)
-                stack += nxt
-            elif height[node] == -2:
-                return None
-        return max((height[node] for node in nodes), default=0)
+        return _longest_marked_path(nodes, expand)
 
     def agrees(self, other: Transducer) -> bool:
         """Do the two, run in lockstep on one input from the diagonal pairs,
@@ -145,21 +122,63 @@ class Transducer:
 
     def agree_after(self, other: Transducer, starts) -> Optional[int]:
         """Least k such that the two, run in lockstep on one input from any
-        pair in `starts`, emit the same letters from the (k+1)-th on, or None.
-        The pairs reached after j letters are a function of those after j - 1,
-        so the sets cycle, and a letter that differs in the cycle recurs."""
-        n, step_a, step_b = self.n, self.step, other.step
-        pairs, seen, after = frozenset(starts), {}, 0
-        while pairs not in seen:
-            seen[pairs] = j = len(seen)
-            reached = set()
-            for p, q in pairs:
-                for (x, s), (y, t) in zip(step_a[p * n : p * n + n], step_b[q * n : q * n + n]):
-                    if x != y:
-                        after = j + 1
-                    reached.add((s, t))
-            pairs = frozenset(reached)
-        return None if after > seen[pairs] else after
+        pair in `starts`, emit the same letters from the (k+1)-th on, or None:
+        `_longest_marked_path` on the pairs p tail + q, a letter marking its
+        edge when the two emit different letters.  Against itself a transducer
+        runs on unordered pairs, as in `height`, and stops at the diagonal."""
+        n, tail, step_a, step_b, same = self.n, self.tail, self.step, other.step, self is other
+
+        def expand(node):
+            p, q = divmod(node, tail)
+            if p == q and same:
+                return False, ()
+            marked, nxt = False, []
+            for (x, s), (y, t) in zip(step_a[p * n : p * n + n], step_b[q * n : q * n + n]):
+                marked = marked or x != y
+                nxt.append(t * tail + s if same and s > t else s * tail + t)
+            return marked, nxt
+
+        nodes = [q * tail + p if same and p > q else p * tail + q for p, q in starts]
+        return _longest_marked_path(nodes, expand)
+
+
+def _longest_marked_path(starts, expand) -> Optional[int]:
+    """The most edges on a path from a start that ends with a marked edge, 0
+    if none does, or None if a reachable cycle leads to one; expand(node)
+    gives (whether it has a marked edge, its successors).  One depth-first
+    search over strongly connected components (Tarjan, "Depth-first search
+    and linear graph algorithms", 1972).  A node's count is the larger of 1,
+    if it has a marked edge, and 1 + its successors' largest positive count.
+    An edge into an open node puts its node on a cycle, where a positive
+    count answers None: a component closes as one node or with counts 0."""
+    low, done = {}, {}  # open node -> least number reached, in visit order; closed -> count
+    frames = [[None, -1, iter(starts), 0, False]]  # a root whose edges are the starts
+    while frames:
+        node, number, edges, count, cyclic = frame = frames[-1]
+        for nxt in edges:
+            below = done.get(nxt)
+            if below is None and nxt not in low:
+                marked, succ = expand(nxt)
+                if succ:  # read the edge again once the child returns
+                    frame[2:] = itertools.chain((nxt,), edges), count, cyclic
+                    low[nxt] = len(low) + len(done)
+                    frames.append([nxt, low[nxt], iter(succ), int(marked), False])
+                    break
+                done[nxt] = below = int(marked)  # a node with no edge closes at once
+            if below is None:
+                if count:
+                    return None
+                cyclic, low[node] = True, min(low[node], low[nxt])
+            elif below and below >= count:
+                count = below + 1
+        else:
+            if cyclic and count:
+                return None
+            frames.pop()
+            if low.get(node) == number:  # node roots a component: close it
+                while node in low:
+                    done[low.popitem()[0]] = count
+    return max([done[node] for node in starts], default=0)
 
 
 @dataclass(frozen=True)

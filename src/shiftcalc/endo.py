@@ -18,10 +18,11 @@ of transducers run in lockstep on one input from the diagonal pairs
 (`Transducer.agrees`): T_a against T_b (`agree_on_diagonal`) and T_u
 against the code of its emitted letters (`read_code`, the one
 shift-commutation test).  The paper's eventual questions ask from which
-letter on two such runs agree (`Transducer.agree_after`, exact, with no
-budget): T_u against the identity (`is_in_ign`, the inner kernel) and T_u
-after one letter of z against T_u on sigma z (`eventual_commutation`,
-property (P)'s least m).  None of them builds a cocycle product.
+letter on two such runs agree: T_u against the identity (`is_in_ign`, the
+inner kernel) and T_u after one letter of z against T_u on sigma z
+(`eventual_commutation`, property (P)'s least m).  `Transducer.agree_after`
+answers them exactly by the one depth-first search of a pair graph (at most
+tail^2 n edges) that also decides collisions.  None builds a cocycle product.
 
 Certification builds the inverse by algebra, not by search: lambda_u has a
 permutative inverse v exactly when lambda_u(v) = u^*, and then v is

@@ -5,7 +5,6 @@ assert their wall-clock budget as well.
 """
 import itertools
 import random
-import time
 
 from shiftcalc import bridge as B
 from shiftcalc import codes as C
@@ -13,19 +12,8 @@ from shiftcalc import endo as E
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
 from test_codes import residual_separation
-from test_endo import assert_braid_identity, phi_commutation_identity
+from test_endo import assert_braid_identity, phi_commutation_identity, timed
 from test_unitaries import adjoint_action, all_unitaries, from_mapping, u_k_product
-
-
-def timed(budget_seconds):
-    def wrap(fn):
-        def run():
-            start = time.perf_counter()
-            fn()
-            assert time.perf_counter() - start < budget_seconds
-        run.__name__ = fn.__name__
-        return run
-    return wrap
 
 
 @timed(1.0)

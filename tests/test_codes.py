@@ -554,9 +554,9 @@ def agree_after_reference(a, b, starts):
         return None
 
 
-def test_agree_after_matches_the_longest_path_to_a_disagreement():
-    # seeded step tables against copies with a few emitted letters changed,
-    # and T_u against the identity and, one letter on, against itself
+def agree_after_cases():
+    """Seeded step tables against copies with a few emitted letters changed,
+    and T_u against the identity and, one letter on, against itself."""
     rng = random.Random(73)
     cases = []
     for _ in range(400):
@@ -572,20 +572,132 @@ def test_agree_after_matches_the_longest_path_to_a_disagreement():
     for n, level in ((2, 2), (2, 3), (3, 2)):
         for _ in range(30):
             ranks = tuple(rng.sample(range(n**level), n**level))
-            t = E.endomorphism(U.PermutationUnitary(n, level, ranks)).point_map
-            cases.append((t, C.Transducer.identity(n, t.tail), t.diagonal))
-            cases.append((t, t, [(s, w % t.tail) for w, (_, s) in enumerate(t.step)]))
+            cases += eventual_questions(E.endomorphism(U.PermutationUnitary(n, level, ranks)))
+    return cases
+
+
+def eventual_questions(e):
+    """The `agree_after` questions of `is_in_ign` and `eventual_commutation`."""
+    t = e.point_map
+    return [
+        (t, C.Transducer.identity(t.n, t.tail), t.diagonal),
+        (t, t, [(s, w % t.tail) for w, (_, s) in enumerate(t.step)]),
+    ]
+
+
+def test_agree_after_matches_the_longest_path_to_a_disagreement():
     found = []
-    for a, b, starts in cases:
+    for a, b, starts in agree_after_cases():
         got = a.agree_after(b, starts)
         assert got == agree_after_reference(a, b, starts)
         found.append(got)
     assert found.count(None) >= 50 and {0, 1, 2, 3} <= set(found)
 
 
+def longest_marked_path_reference(succ, marked, starts):
+    """The pair-graph search's answer on any graph, by fixed points: the
+    reached nodes that reach a marked node, None if one of them reaches
+    itself, else the longest count from a start through them."""
+    reach, todo = set(starts), list(starts)
+    for v in todo:
+        for w in succ[v]:
+            if w not in reach:
+                reach.add(w)
+                todo.append(w)
+    live = {v for v in reach if v in marked}
+    while True:
+        grown = live | {v for v in reach if live & set(succ[v])}
+        if grown == live:
+            break
+        live = grown
+    for v in live:
+        seen, todo = set(), list(succ[v])
+        while todo:
+            w = todo.pop()
+            if w == v:
+                return None
+            if w not in seen:
+                seen.add(w)
+                todo += succ[w]
+    count = {}
+    for _ in live:  # one more path edge per round
+        for v in live:
+            below = [1] * (v in marked) + [count[w] + 1 for w in succ[v] if w in count]
+            if below:
+                count[v] = max(below)
+    return max([count.get(v, 0) for v in starts], default=0)
+
+
+def test_the_pair_graph_search_matches_the_oracle_on_random_graphs():
+    # random successor lists, with self-loops, repeated edges and edges met
+    # in any order, so that a node learns it is on a cycle before or after
+    # it learns that it leads to a marked edge
+    rng = random.Random(79)
+    found = []
+    for _ in range(2000):
+        size = rng.randint(1, 7)
+        succ = [[rng.randrange(size) for _ in range(rng.randint(0, 3))] for _ in range(size)]
+        marked = set(rng.sample(range(size), rng.randint(0, min(size, 2))))
+        starts = rng.sample(range(size), rng.randint(1, min(size, 2)))
+        got = C._longest_marked_path(starts, lambda v: (v in marked, succ[v]))
+        assert got == longest_marked_path_reference(succ, marked, starts)
+        found.append(got)
+    assert found.count(None) >= 300 and {0, 1, 2, 3, 4} <= set(found)
+
+
+def agree_after_sets_reference(a, b, starts):
+    """`agree_after` by iterating the set of pairs reached after j letters,
+    a function of the set after j - 1, to its first repeat: the sets cycle,
+    and a letter that differs in the cycle recurs.  The cycle can be as long
+    as the lcm of the pair graph's cycle lengths."""
+    n, step_a, step_b = a.n, a.step, b.step
+    pairs, seen, after = frozenset(starts), {}, 0
+    while pairs not in seen:
+        seen[pairs] = j = len(seen)
+        reached = set()
+        for p, q in pairs:
+            for (x, s), (y, t) in zip(step_a[p * n : p * n + n], step_b[q * n : q * n + n]):
+                if x != y:
+                    after = j + 1
+                reached.add((s, t))
+        pairs = frozenset(reached)
+    return None if after > seen[pairs] else after
+
+
+def cycling_unitary(level, swaps):
+    """The two-letter u whose u^* sends the window p a (p a state, a the last
+    letter) to pi_p(a) f(p): f cycles the states in blocks of 3, 5, 7, 11, 13
+    and 17 while they fit and fixes the rest, and pi_p swaps the letters
+    exactly for p in `swaps`.  The sets of pairs that T_u reaches from R_1
+    can take the lcm of the block lengths to repeat."""
+    tail = 2 ** (level - 1)
+    f, start = list(range(tail)), 0
+    for size in (3, 5, 7, 11, 13, 17):
+        if start + size > tail:
+            break
+        f[start : start + size] = range(start + 1, start + size + 1)
+        f[start + size - 1] = start
+        start += size
+    star = [(a ^ (p in swaps)) * tail + f[p] for p in range(tail) for a in (0, 1)]
+    return U.inverse(U.PermutationUnitary(2, level, tuple(star)))
+
+
+def test_agree_after_matches_the_pair_set_iteration():
+    cases = agree_after_cases()
+    for level in (5, 6):
+        for swaps in ((), (0, 3, 8, 15, 24)):
+            cases += eventual_questions(E.endomorphism(cycling_unitary(level, swaps)))
+    found = []
+    for a, b, starts in cases:
+        got = a.agree_after(b, starts)
+        assert got == agree_after_sets_reference(a, b, starts)
+        found.append(got)
+    assert found[-8:] == [None, 0, None, None] * 2
+
+
 def ordered_pair_height_reference(t, starts):
-    """The pair-graph search on ordered pairs: the node (p, q) is p tail + q,
-    apart from (q, p), with the same depth-first search as `Transducer.height`."""
+    """The pair-graph height on ordered pairs: the node (p, q) is p tail + q,
+    apart from (q, p), by a depth-first search of its own."""
     n, tail = t.n, t.tail
     groups = [[[] for _ in range(n)] for _ in range(tail)]
     for w, (x, s) in enumerate(t.step):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,20 @@ from shiftcalc import codes as C
 from shiftcalc import endo as E
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
-from test_codes import ordered_pair_height_reference
+from test_codes import cycling_unitary, ordered_pair_height_reference
 from test_unitaries import adjoint_action, all_unitaries, from_mapping, u_k_product
 from test_words import decompose, diagonal, recompose
+
+
+def timed(budget_seconds):
+    def wrap(fn):
+        def run():
+            start = time.perf_counter()
+            fn()
+            assert time.perf_counter() - start < budget_seconds
+        run.__name__ = fn.__name__
+        return run
+    return wrap
 
 
 def endos_agree_on_cylinders(e1, e2, depth):
@@ -747,6 +759,17 @@ def test_an_automorphism_and_its_inverse_can_have_different_indices():
     assert eventual_commutation_reference(inverse) == 1
     assert E.property_p_data(e, verdict.inverse) == (2, 2)
     assert E.property_p_data(inverse, u) == (1, 1)
+
+
+@timed(2.0)
+def test_eventual_questions_stay_within_the_pair_graph_on_long_set_cycles():
+    # 128 cells: the sets of pairs reached from R_1 can cycle with period
+    # lcm(3, 5, 7, 11, 13, 17) = 255,255, while the pair graph has at most
+    # 64^2 nodes
+    plain, swapped = (E.endomorphism(cycling_unitary(7, s)) for s in ((), (0, 3, 8, 15, 24)))
+    assert E.eventual_commutation(plain) == 0
+    assert E.eventual_commutation(swapped) is None
+    assert E.is_in_ign(plain) is None and E.is_in_ign(swapped) is None
 
 
 def run_point_map(e, z):
