@@ -2,13 +2,15 @@
 
 One direction turns a certified automorphism of the one-sided shift into the
 unique permutation unitary implementing it on the diagonal (tail-matching
-construction); the other extracts the sliding block code of lambda_u o phi^m
-(`endo.read_code` reads it off the letters the point map emits).  The
-outer-class equality test needs neither: two certified diagonal
-automorphisms lie in one outer class exactly when their quotient is in the
-inner kernel, which `endo.is_in_ign` decides exactly.  The image of the
-restricted Weyl group in Out(O_n) embeds into Aut(X_n)/<sigma>, so comparing
-the extracted codes modulo shift powers would add nothing.
+construction); the other extracts the sliding block code of lambda_u o phi^m,
+which is sigma^m o T_u on points: `endo.read_code` reads its rule off the
+(m+1)-th letters of T_u's runs and checks it in lockstep with T_u, exactly,
+with no convolution and no search.  The outer-class equality test needs
+neither: two certified diagonal automorphisms lie in one outer class exactly
+when their quotient is in the inner kernel, which `endo.is_in_ign` decides
+exactly.  The image of the restricted Weyl group in Out(O_n) embeds into
+Aut(X_n)/<sigma>, so comparing the extracted codes modulo shift powers would
+add nothing.
 """
 from __future__ import annotations
 
@@ -41,21 +43,15 @@ def unitary_from_shift_automorphism(c: SlidingBlockCode) -> PermutationUnitary:
 
 
 def extract_code(e: PermutativeEndomorphism, m: int) -> SlidingBlockCode:
-    """The sliding block code of lambda_u o phi^m on the diagonal.
-
-    The code is `endo.read_code` of the composite, which decides exactly that
-    it commutes with the shift (m is too small otherwise).  It must admit an
-    E_n certificate within the window budget.
-    """
+    """The sliding block code of lambda_u o phi^m on the diagonal, exact:
+    `endo.read_code` reads sigma^m o T_u off T_u's runs of m + 1 letters and
+    checks it in lockstep with T_u (m is too small when it does not commute
+    with the shift)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    comp = e if m == 0 else E.endomorphism(e.convolve(U.shift_power_unitary(e.n, m)))
-    code = E.read_code(comp)
+    code = E.read_code(e, m)
     if code is None:
         raise ValueError("lambda_u phi^m does not commute with the shift; m too small")
-    radius = max(comp.unitary.level, 1)
-    if C.en_inverse_search(code, m + radius, 2 * radius + 2 * m + 2) is None:
-        raise ValueError("extracted code admits no inverse certificate in budget")
     return code
 
 

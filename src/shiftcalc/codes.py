@@ -104,12 +104,13 @@ class Transducer:
         nodes = [p * tail + q if p <= q else q * tail + p for p, q in starts]
         return _longest_marked_path(nodes, expand)
 
-    def agrees(self, other: Transducer) -> bool:
-        """Do the two, run in lockstep on one input from the diagonal pairs,
-        emit the same letters?  Exact, over the finitely many reachable pairs,
-        breadth first; it stops at the first letter that differs."""
+    def agrees(self, other: Transducer, starts=None) -> bool:
+        """Do the two, run in lockstep on one input from the start pairs (the
+        diagonal pairs by default), emit the same letters?  Exact, over the
+        finitely many reachable pairs, breadth first; it stops at the first
+        letter that differs."""
         n, step_a, step_b = self.n, self.step, other.step
-        seen = set(self.diagonal)
+        seen = set(self.diagonal if starts is None else starts)
         todo = list(seen)
         for p, q in todo:
             for (x, s), (y, t) in zip(step_a[p * n : p * n + n], step_b[q * n : q * n + n]):

@@ -14,15 +14,17 @@ letter it emits.  The cocycle inverse u_k^* is T_u's run table of k letters
 the first k letters T_u emits times n^(level(u)-1) plus the state reached.
 `apply_diag` reads x through the emitted letters of that table, as a code's
 dual action reads its transducer's.  Every equality on the diagonal is one
-of transducers run in lockstep on one input from the diagonal pairs
-(`Transducer.agrees`): T_a against T_b (`agree_on_diagonal`) and T_u
-against the code of its emitted letters (`read_code`, the one
-shift-commutation test).  The paper's eventual questions ask from which
-letter on two such runs agree: T_u against the identity (`is_in_ign`, the
-inner kernel) and T_u after one letter of z against T_u on sigma z
-(`eventual_commutation`, property (P)'s least m).  `Transducer.agree_after`
-answers them exactly by the one depth-first search of a pair graph (at most
-tail^2 n edges) that also decides collisions.  None builds a cocycle product.
+of transducers run in lockstep on one input (`Transducer.agrees`): T_a
+against T_b from the diagonal pairs (`agree_on_diagonal`), and
+sigma^m o T_u, the point map of lambda_u o phi^m, against the code of the
+last letters of T_u's runs of m + 1 letters, from the states T_u reaches
+after m letters (`read_code`, the one shift-commutation test).  The paper's
+eventual questions ask from which letter on two such runs agree: T_u
+against the identity (`is_in_ign`, the inner kernel) and T_u after one
+letter of z against T_u on sigma z (`eventual_commutation`, property (P)'s
+least m).  `Transducer.agree_after` answers them exactly by the one
+depth-first search of a pair graph (at most tail^2 n edges) that also
+decides collisions.  None builds a cocycle product.
 
 Certification builds the inverse by algebra, not by search: lambda_u has a
 permutative inverse v exactly when lambda_u(v) = u^*, and then v is
@@ -158,20 +160,27 @@ def point_map_is_injective(e: PermutativeEndomorphism) -> bool:
     return t.height(starts) is not None
 
 
-def read_code(e: PermutativeEndomorphism) -> Optional[C.SlidingBlockCode]:
-    """The sliding block code of lambda_u, or None if lambda_u does not
+def read_code(e: PermutativeEndomorphism, m: int = 0) -> Optional[C.SlidingBlockCode]:
+    """The sliding block code of lambda_u o phi^m, or None if it does not
     commute with the shift.
 
-    The local rule is the letters T_u emits at radius L = max(level(u), 1),
-    minimized, checked exactly: padded back to radius L, the code's transducer
-    runs in lockstep with T_u from the diagonal pairs.  That compares T_u's
-    states with the code's windows.  A code commutes with the shift, and a
-    T_u that does is the code of its first letters, so the check fails
-    exactly when lambda_u does not commute with the shift.
+    On points lambda_u o phi^m is sigma^m o T_u, so at radius m + L,
+    L = max(level(u), 1), the local rule is the (m+1)-th letter T_u emits:
+    the last letter of each run of m + 1 letters (`Transducer.runs`),
+    minimized.  It is checked exactly: padded back to radius m + L, the
+    code's transducer runs in lockstep with T_u on one input, from the pairs
+    that T_u's runs of m letters give, the state T_u reaches on a word w
+    against the code's state w (for m = 0, the diagonal pairs).  A code
+    commutes with the shift, and a sigma^m o T_u that does is the code of
+    those letters, so the check fails exactly when m is below the
+    eventual-commutation index, or there is none.
     """
-    radius, t = max(e.unitary.level, 1), e.point_map
-    code = C.minimize(C.SlidingBlockCode(e.n, radius, tuple(x + 1 for x, _ in t.step)))
-    return code if t.agrees(C.transducer(C.pad(code, radius))) else None
+    t, radius = e.point_map, m + max(e.unitary.level, 1)
+    _check_capacity(e.n, radius)
+    rule = tuple(y // t.tail % e.n + 1 for y in t.runs(m + 1))
+    code = C.minimize(C.SlidingBlockCode(e.n, radius, rule))
+    starts = [(y % t.tail, w) for w, y in enumerate(t.runs(m))]
+    return code if t.agrees(C.transducer(C.pad(code, radius)), starts) else None
 
 
 def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElement:

@@ -166,15 +166,6 @@ def strip_table(table: tuple, n: int, level: int, floor: int = 0) -> tuple:
     return level, table
 
 
-def refine(x: DiagonalElement, level: int) -> DiagonalElement:
-    """Rewrite x at a level >= level(x); coefficients copy to extensions."""
-    if level < x.level:
-        raise ValueError("cannot refine to a lower level")
-    if level == x.level:
-        return x
-    return DiagonalElement(x.n, level, lift_table(x.coeffs, x.n, level))
-
-
 def reduce(x: DiagonalElement) -> DiagonalElement:
     """Canonical minimal-level form of x."""
     level, coeffs = strip_table(x.coeffs, x.n, x.level)

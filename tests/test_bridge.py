@@ -9,6 +9,11 @@ from shiftcalc import codes as C
 from shiftcalc import endo as E
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
+from test_endo import timed
+from test_words import refine
+
+# certified at budget 5, with an inverse of level 4 and property (P)'s least m 2
+WIDE_INVERSE = U.PermutationUnitary(3, 2, (1, 0, 2, 7, 3, 4, 5, 6, 8))
 
 
 def test_kitchens_code_lifts_to_the_swap_unitary():
@@ -78,7 +83,7 @@ def extract_code_reference(e, m, depth):
     radius = max(comp.unitary.level, 1)
     rule = [0] * n**radius
     for j in range(1, n + 1):
-        for mu in W.refine(E.apply_diag(comp, W.cylinder(n, (j,))), radius).support():
+        for mu in refine(E.apply_diag(comp, W.cylinder(n, (j,))), radius).support():
             rule[W.word_rank(mu, n)] = j
     assert 0 not in rule
     code = C.minimize(C.SlidingBlockCode(n, radius, tuple(rule)))
@@ -101,12 +106,21 @@ def test_extract_code_matches_the_cylinder_read_off():
         e = E.endomorphism(E.convolution(v, U.kitchens_unitary()))
         verdict = E.certify_automorphism(e, budget=5)
         cases.append((e.unitary, E.property_p_data(e, verdict.inverse)[0]))
+    # property (P)'s least m and its guaranteed bound
+    cases += [(WIDE_INVERSE, 2), (WIDE_INVERSE, 3)]
     for u, m in cases:
         e = E.endomorphism(u)
         depth = e.unitary.level + m
         got = B.extract_code(e, m)
         want = extract_code_reference(e, m, depth)
         assert (got.radius, got.rule) == (want.radius, want.rule)
+
+
+@timed(1.0)
+def test_extract_code_needs_no_inverse_search():
+    # each code is read off a run table of m + 1 letters, 3^(m + 2) cells
+    e = E.endomorphism(WIDE_INVERSE)
+    assert [B.extract_code(e, m).radius for m in (2, 3)] == [4, 5]
 
 
 def test_a_wrong_extracted_rule_is_caught(monkeypatch):
@@ -121,6 +135,10 @@ def test_a_wrong_extracted_rule_is_caught(monkeypatch):
     monkeypatch.setattr(C, "minimize", one_entry_off)
     with pytest.raises(ValueError, match="does not commute"):
         B.extract_code(E.endomorphism(U.kitchens_unitary()), 0)
+    # past m = 0 the lockstep run starts from T_u's runs of m letters
+    skew = E.ad_unitary(U.letter_permutation(2, (2, 1)))
+    with pytest.raises(ValueError, match="does not commute"):
+        B.extract_code(E.endomorphism(skew), 1)
 
 
 def en_class_equal(c1, c2):
@@ -201,8 +219,8 @@ def test_weyl_class_equal_separates_kitchens_from_identity():
 def weyl_class_equal_reference(e1, inv1, e2, inv2):
     """Oracle: True when the quotient is in the inner kernel; else False when
     the extracted codes differ modulo shift powers, and None when they agree.
-    Each `extract_code` runs the budgeted inverse search at window
-    2r + 2m + 2, so it may raise CapacityError."""
+    Each `extract_code` reads a run table of m + 1 letters at radius
+    m + level(u), so the 3^6 limit of the census holds every one."""
     if E.is_in_ign(E.endomorphism(e1.convolve(inv2))) is not None:
         return True
     m1, _ = E.property_p_data(e1, inv1)
@@ -237,8 +255,8 @@ def certified_census(seed):
 
 
 def test_weyl_class_equal_matches_the_two_route_oracle_on_a_census():
-    # the inner-kernel test alone always answers; the oracle's code route
-    # answers False wherever it runs, and is cut short by a low capacity
+    # the inner-kernel test alone always answers, and the oracle's code route
+    # answers False on every pair outside one class
     pairs = [
         (a, b)
         for a, b in itertools.combinations_with_replacement(certified_census(5), 2)
@@ -251,25 +269,22 @@ def test_weyl_class_equal_matches_the_two_route_oracle_on_a_census():
         for (e1, inv1), (e2, inv2) in pairs:
             got = B.weyl_class_equal(e1, inv1, e2, inv2)
             assert type(got) is bool
-            try:
-                want = weyl_class_equal_reference(e1, inv1, e2, inv2)
-            except capacity.CapacityError:
-                want = "capacity"
-            assert want == "capacity" or got == want
-            outcomes.add((got, want))
+            outcomes.add((got, weyl_class_equal_reference(e1, inv1, e2, inv2)))
     finally:
         capacity.set_limit(old)
-    assert outcomes == {(True, True), (False, False), (False, "capacity")}
+    assert outcomes == {(True, True), (False, False)}
 
 
 def test_weyl_class_equal_separates_a_letter_swap_from_a_level_four_inverse():
-    # the oracle's extract_code builds a level-14 table here (4782969 cylinders)
-    # and raises CapacityError
+    # the oracle's code route answers too: it reads e's code at m = 2 off a
+    # run table of 81 cells
     swap = U.letter_permutation(3, (2, 1, 3))
-    e = E.endomorphism(U.PermutationUnitary(3, 2, (1, 0, 2, 7, 3, 4, 5, 6, 8)))
+    e = E.endomorphism(WIDE_INVERSE)
     verdict = E.certify_automorphism(e, budget=5)
     assert verdict.verdict == "automorphism" and verdict.inverse.level == 4
-    assert B.weyl_class_equal(E.endomorphism(swap), swap, e, verdict.inverse) is False
+    args = E.endomorphism(swap), swap, e, verdict.inverse
+    assert B.weyl_class_equal(*args) is False
+    assert weyl_class_equal_reference(*args) is False
 
 
 def test_weyl_class_equal_refuses_a_wrong_certificate():
@@ -311,7 +326,7 @@ def sweep_reference(n, max_level):
         rule = [0] * n**radius
         for j in range(1, n + 1):
             img = E.apply_diag(e, W.cylinder(n, (j,)))
-            for mu in W.refine(img, radius).support():
+            for mu in refine(img, radius).support():
                 rule[W.word_rank(mu, n)] = j
         if 0 in rule:
             continue

@@ -9,7 +9,7 @@ from shiftcalc import endo as E
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
 from test_unitaries import all_unitaries
-from test_words import diagonal
+from test_words import diagonal, refine
 
 
 def trace_necessary_check(c, max_level):
@@ -126,11 +126,11 @@ def test_code_apply_diag_matches_preimage_oracle():
         for v in W.enumerate_words(3, k + 1):
             preimages.setdefault(c.output(v), []).append(v)
         for w in W.enumerate_words(3, k):
-            img = W.refine(C.code_apply_diag(c, W.cylinder(3, w)), k + 1)
+            img = refine(C.code_apply_diag(c, W.cylinder(3, w)), k + 1)
             assert img.support() == preimages.get(w, [])
         # and a rational element x pulls back to v -> x(output(v))
         x = diagonal(3, k, [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(3**k)])
-        img = W.refine(C.code_apply_diag(c, x), k + 1)
+        img = refine(C.code_apply_diag(c, x), k + 1)
         for v in W.enumerate_words(3, k + 1):
             assert img.coeffs[W.word_rank(v, 3)] == x.coeffs[W.word_rank(c.output(v), 3)]
 

@@ -12,7 +12,7 @@ from shiftcalc import unitaries as U
 from shiftcalc import words as W
 from test_codes import cycling_unitary, ordered_pair_height_reference
 from test_unitaries import adjoint_action, all_unitaries, from_mapping, u_k_product
-from test_words import decompose, diagonal, recompose
+from test_words import decompose, diagonal, recompose, refine
 
 
 def timed(budget_seconds):
@@ -327,6 +327,29 @@ def test_the_lockstep_rule_check_matches_the_owner_table_check():
             assert (got.radius, got.rule) == (want.radius, want.rule)
             read += 1
     assert read >= 30
+
+
+def read_code_via_convolution(e, m):
+    """Oracle: the code of lambda_u o phi^m read at m = 0 off the composite
+    unitary, u convolved with the level-(m+1) shift-power unitary."""
+    return E.read_code(E.endomorphism(e.convolve(U.shift_power_unitary(e.n, m))))
+
+
+def test_the_run_table_read_matches_the_convolution_route():
+    # sigma^m o T_u is read off T_u's runs of m + 1 letters; it is a code
+    # exactly from the eventual-commutation index on
+    read = refused = 0
+    for e in certify_census():
+        index = E.eventual_commutation(e)
+        for m in range(4):
+            got, want = E.read_code(e, m), read_code_via_convolution(e, m)
+            assert (got is None) == (want is None) == (index is None or m < index)
+            if got is not None:
+                assert (got.radius, got.rule) == (want.radius, want.rule)
+                read += 1
+            else:
+                refused += 1
+    assert read >= 300 and refused >= 1300
 
 
 def test_read_code_refuses_exactly_the_maps_that_do_not_commute_with_the_shift():
@@ -897,7 +920,7 @@ def preimage_reference(e, y, max_depth):
         owner_level, owner = cylinder_owners_reference(e, s)
         level = max(y.level, owner_level)
         coeffs = [None] * n**s
-        for w, c in zip(W.lift_table(owner, n, level), W.refine(y, level).coeffs):
+        for w, c in zip(W.lift_table(owner, n, level), refine(y, level).coeffs):
             coeffs[w] = c
         x = W.reduce(diagonal(n, s, coeffs))
         if E.apply_diag(e, x) == y:

@@ -6,7 +6,7 @@ from shiftcalc import codes as C
 from shiftcalc import jsonio
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
-from test_words import diagonal
+from test_words import diagonal, refine
 
 
 def test_diag_roundtrip_projection():
@@ -24,7 +24,7 @@ def test_diag_roundtrip_general():
 
 
 def test_diag_emits_canonical_form():
-    fat = W.refine(W.cylinder(2, (1,)), 3)
+    fat = refine(W.cylinder(2, (1,)), 3)
     assert jsonio.diag_to_dict(fat)["level"] == 1
 
 

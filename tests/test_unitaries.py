@@ -8,6 +8,7 @@ from shiftcalc import capacity
 from shiftcalc import jsonio
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
+from test_words import refine
 
 
 def from_mapping(n, level, mapping):
@@ -58,7 +59,7 @@ def adjoint_action(u, x):
         raise ValueError("alphabet sizes differ")
     level = max(u.level, x.level)
     ue = U.embed(u, level)
-    xe = W.refine(x, level)
+    xe = refine(x, level)
     out = [None] * len(xe.coeffs)
     for src, dst in enumerate(ue.ranks):
         out[dst] = xe.coeffs[src]
@@ -157,7 +158,7 @@ def test_kitchens_unitary_adjoint_images():
 def test_adjoint_action_is_representation_independent():
     u = U.kitchens_unitary()
     p = W.cylinder(3, (1,))
-    assert adjoint_action(U.embed(u, 3), W.refine(p, 2)) == adjoint_action(u, p)
+    assert adjoint_action(U.embed(u, 3), refine(p, 2)) == adjoint_action(u, p)
 
 
 def test_adjoint_action_preserves_trace():

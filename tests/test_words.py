@@ -9,11 +9,18 @@ from shiftcalc import capacity
 from shiftcalc import words as W
 
 
+def refine(x, level):
+    """x rewritten at a level >= level(x); coefficients copy to extensions."""
+    if level < x.level:
+        raise ValueError("cannot refine to a lower level")
+    return W.DiagonalElement(x.n, level, W.lift_table(x.coeffs, x.n, level))
+
+
 def decompose(x):
     """Oracle: the components (x_1, ..., x_n) of x = sum_j P_j shift(x_j);
     x_j reads off x on the subtree below the first letter j."""
     if x.level == 0:
-        x = W.refine(x, 1)
+        x = refine(x, 1)
     n = x.n
     block = len(x.coeffs) // n
     return tuple(
@@ -27,7 +34,7 @@ def recompose(n, parts):
     if len(parts) != n:
         raise ValueError("need exactly n components")
     level = max(p.level for p in parts)
-    coeffs = tuple(c for p in parts for c in W.refine(p, level).coeffs)
+    coeffs = tuple(c for p in parts for c in refine(p, level).coeffs)
     return W.reduce(W.DiagonalElement(n, level + 1, coeffs))
 
 
@@ -42,7 +49,7 @@ def add(p, q):
     if p.n != q.n:
         raise ValueError("alphabet sizes differ")
     level = max(p.level, q.level)
-    a, b = W.refine(p, level), W.refine(q, level)
+    a, b = refine(p, level), refine(q, level)
     return W.reduce(W.DiagonalElement(p.n, level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))))
 
 
@@ -70,7 +77,7 @@ def test_format_parse_roundtrip():
 def test_refine_preserves_element_and_trace():
     x = diagonal(2, 1, (Fraction(1, 3), Fraction(2, 5)))
     for level in range(1, 5):
-        y = W.refine(x, level)
+        y = refine(x, level)
         assert y == x
         assert W.trace(y) == W.trace(x)
 
@@ -147,7 +154,7 @@ def test_capacity_guard():
     try:
         capacity.set_limit(16)
         with pytest.raises(capacity.CapacityError):
-            W.refine(W.cylinder(2, (1,)), 10)
+            refine(W.cylinder(2, (1,)), 10)
     finally:
         capacity.set_limit(old)
     # n ** -1 is 0.5, not a size: a negative level is refused in its own words
