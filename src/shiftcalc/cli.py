@@ -25,8 +25,6 @@ class RunConfig:
     """Budgets and output settings shared by every subcommand."""
 
     budget_depth: int
-    max_m: int
-    max_window: int
     fmt: str
 
 
@@ -97,21 +95,9 @@ class _Main(click.Group):
     "--budget-depth",
     default=8,
     show_default=True,
-    help="certify: largest inverse level tried; also the shift power and least "
-    "window of the degree route",
-)
-@click.option(
-    "--max-m",
-    default=4,
-    show_default=True,
-    help="degree: largest m searched for an inverse up to the shift power m",
-)
-@click.option(
-    "--max-window",
-    default=12,
-    show_default=True,
-    help="degree: widest inverse code window searched (enumerate decides "
-    "exactly and needs no window)",
+    help="largest inverse level certify tries; also the largest shift power m, "
+    "and the widest window (at least twice the code's radius), of every search "
+    "for an inverse up to sigma^m (certify, degree)",
 )
 @click.option("--capacity", default=0, help="index-set size limit")
 @click.option(
@@ -122,15 +108,10 @@ class _Main(click.Group):
     show_default=True,
 )
 @click.pass_context
-def main(ctx, budget_depth, max_m, max_window, capacity, fmt):
+def main(ctx, budget_depth, capacity, fmt):
     """Exact calculus of permutative endomorphisms of the shift diagonal."""
-    for name, value in (
-        ("--budget-depth", budget_depth),
-        ("--max-m", max_m),
-        ("--max-window", max_window),
-    ):
-        if value < 1:
-            raise click.BadParameter("%s must be at least 1" % name)
+    if budget_depth < 1:
+        raise click.BadParameter("--budget-depth must be at least 1")
     if capacity:
         previous = get_limit()
         try:
@@ -138,7 +119,7 @@ def main(ctx, budget_depth, max_m, max_window, capacity, fmt):
         except ValueError as exc:
             raise click.BadParameter(str(exc))
         ctx.call_on_close(lambda: set_limit(previous))
-    ctx.obj = RunConfig(budget_depth, max_m, max_window, fmt)
+    ctx.obj = RunConfig(budget_depth, fmt)
 
 
 @main.command()
@@ -224,15 +205,11 @@ def degree(cfg: RunConfig, code_file):
 
     def body():
         c = jsonio.code_from_dict(_load(code_file))
-        cert = C.en_inverse_search(c, cfg.max_m, cfg.max_window)
+        cert = C.degree_certificate(c, cfg.budget_depth)
         if cert is None:
-            _emit({"verdict": "unknown", "budget": cfg.max_window}, cfg.fmt)
+            _emit({"verdict": "unknown", "budget": cfg.budget_depth}, cfg.fmt)
             sys.exit(3)
-        beta, m = cert
-        k = C.degree(c, beta, m)
-        partner = C.degree(beta, c, m)
-        if k * partner != c.n**m:
-            raise C.RefutationError("degrees %d * %d != n^m" % (k, partner))
+        _, m, k, partner = cert
         _emit({"degree": k, "m": m, "partner_degree": partner}, cfg.fmt)
 
     _run(body)

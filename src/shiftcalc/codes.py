@@ -108,8 +108,9 @@ class Transducer:
         """Do the two, run in lockstep on one input from the start pairs (the
         diagonal pairs by default), emit the same letters?  Exact, over the
         finitely many reachable pairs, breadth first; it stops at the first
-        letter that differs."""
-        n, step_a, step_b = self.n, self.step, other.step
+        letter that differs, and raises CapacityError once the pairs it holds
+        pass the limit."""
+        n, step_a, step_b, limit = self.n, self.step, other.step, get_limit()
         seen = set(self.diagonal if starts is None else starts)
         todo = list(seen)
         for p, q in todo:
@@ -119,6 +120,8 @@ class Transducer:
                 if (s, t) not in seen:
                     seen.add((s, t))
                     todo.append((s, t))
+            if len(seen) > limit:
+                raise CapacityError("lockstep run holds %d pairs, limit is %d" % (len(seen), limit))
         return True
 
     def agree_after(self, other: Transducer, starts) -> Optional[int]:
@@ -329,7 +332,8 @@ def en_inverse_search(c: SlidingBlockCode, max_m: int, max_window: int) -> Optio
     beta is extracted by checking whether x_{m+1} is determined by a bounded
     window of the output; every candidate is verified by rule-table
     composition against the shift power before being returned.  Absence
-    within the bounds is inconclusive, not a disproof.
+    within the bounds is inconclusive, not a disproof.  The library picks the
+    bounds in one place, `degree_certificate`, from a single budget.
 
     Every m below the j of `shift_factor(c)` is skipped, exactly: the output
     ignores x_1 ... x_j, so for m < j two words differing only at x_{m+1}
@@ -413,8 +417,8 @@ def degree(c: SlidingBlockCode, beta: SlidingBlockCode, m: int) -> int:
     so z = w b b ... with |w| = m; and F_c(b b ...) = (1,1,...) because
     F_c F_beta = sigma^m.  So k counts the words w of length m for which
     F_c(w b b ...) starts with 1^m.  k | n^m is checked here; k * degree(beta)
-    = n^m is the caller's cross-check (the paired degree is computed with
-    the roles of c and beta swapped).
+    = n^m is checked by `degree_certificate` (the paired degree is computed
+    with the roles of c and beta swapped).
     """
     tail = (beta.rule[0],) * (c.radius - 1)
     target = (1,) * m
@@ -426,6 +430,21 @@ def degree(c: SlidingBlockCode, beta: SlidingBlockCode, m: int) -> int:
             "degree %d does not divide n^m = %d; certificate refuted" % (k, c.n**m)
         )
     return k
+
+
+def degree_certificate(c: SlidingBlockCode, budget: int) -> Optional[tuple]:
+    """(beta, m, k, partner) with beta c = c beta = sigma^m, k = degree(c) and
+    partner = degree(beta), or None if none is found with m <= budget and a
+    window of at most max(budget, 2 radius(c)): the one bounded E_n search.
+    Raises RefutationError unless k * partner = n^m."""
+    found = en_inverse_search(c, budget, max(budget, 2 * c.radius))
+    if found is None:
+        return None
+    beta, m = found
+    k, partner = degree(c, beta, m), degree(beta, c, m)
+    if k * partner != c.n**m:
+        raise RefutationError("degrees %d * %d != n^m" % (k, partner))
+    return beta, m, k, partner
 
 
 def periodic_points(n: int, r: int) -> list:

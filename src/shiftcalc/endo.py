@@ -249,11 +249,13 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
     levels s > level(u), the largest ones, T_u is tested for injectivity: a
     permutative inverse v makes T_u o T_v the identity on points, so a
     colliding T_u skips them without changing the verdict.  Otherwise, when
-    `read_code` finds lambda_u shift-commuting, a degree greater than one
-    proves the point map is not injective, and degree one (so m = 0: any
-    m > 0 needs a wider window) with an inverse code beta certifies a shift
-    automorphism whose inverse is w_s at s = radius(beta), the lift of beta.
-    Everything else is Unknown at the given budget.
+    `read_code` finds lambda_u shift-commuting, its code goes through the
+    one bounded E_n search, `codes.degree_certificate(code, budget)`: a
+    degree greater than one proves the point map is not injective, and
+    degree one (so m = 0: any m > 0 needs a wider window) with an inverse
+    code beta certifies a shift automorphism whose inverse is w_s at
+    s = radius(beta), the lift of beta.  Everything else is Unknown at the
+    given budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -266,10 +268,9 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
             return AutomorphismVerdict("automorphism", inverse=w)
     code = read_code(e)
     if code is not None:
-        found = C.en_inverse_search(code, budget, max(budget, 2 * code.radius))
+        found = C.degree_certificate(code, budget)
         if found is not None:
-            beta, m = found
-            deg = C.degree(code, beta, m)
+            beta, _, deg, _ = found
             if deg > 1:
                 return AutomorphismVerdict("not_automorphism", degree=deg)
             # degree one: the lift of beta has level <= radius(beta), so is w_s

@@ -107,11 +107,7 @@ def _check_kitchens_code_image():
 
 
 def _check_shift_square_degree():
-    c = C.shift_power_code(2, 2)
-    cert = C.en_inverse_search(c, 3, 6)
-    beta, m = cert
-    k = C.degree(c, beta, m)
-    l = C.degree(beta, c, m)
+    _, m, k, l = C.degree_certificate(C.shift_power_code(2, 2), 3)
     return [2, 4, 4], [m, k, k * l]
 
 

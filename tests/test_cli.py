@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from shiftcalc import jsonio
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
 from shiftcalc.cli import main
+from test_endo import timed
 
 
 @pytest.fixture
@@ -66,9 +68,12 @@ def test_certify_refuses_maps_that_are_not_lists_of_pairs(runner, tmp_path, entr
         ["certify"],
         ["certify", "--bogus"],
         ["bogus"],
+        # --budget-depth bounds every search; these two options are gone
+        ["--max-m", "1", "fixtures"],
+        ["--max-window", "4", "fixtures"],
     ],
     ids=["budget-depth-0", "negative-capacity", "missing-file", "no-file", "unknown-option",
-         "unknown-command"],
+         "unknown-command", "max-m", "max-window"],
 )
 def test_usage_errors_exit_one(runner, tmp_path, argv):
     # a usage error is an input error: exit 1 with click's one-line message,
@@ -122,10 +127,59 @@ def test_degree_of_the_shift(runner, tmp_path):
 
 
 def test_degree_inconclusive_exits_three(runner, tmp_path):
+    # sigma^3 needs m = 3, past the budget
     f = write(tmp_path / "c.json", jsonio.code_to_dict(C.shift_power_code(2, 3)))
-    result = runner.invoke(main, ["--max-m", "1", "degree", "--code", f])
+    result = runner.invoke(main, ["--budget-depth", "2", "degree", "--code", f])
     assert result.exit_code == 3
-    assert json.loads(result.output)["verdict"] == "unknown"
+    assert json.loads(result.output) == {"budget": 2, "verdict": "unknown"}
+
+
+# a three-letter radius-2 table with no certificate within the default
+# budget; a search with m <= 4 and windows up to 12 runs over a minute on it
+RANDOM3 = {"n": 3, "radius": 2, "rule": {"11": 2, "12": 3, "13": 1, "21": 1, "22": 1,
+                                         "23": 3, "31": 2, "32": 3, "33": 2}}
+
+
+@timed(10.0)
+def test_degree_answers_unknown_within_the_default_budget():
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["degree", "--code", write(Path("c.json"), RANDOM3)])
+    assert result.exit_code == 3
+    assert json.loads(result.output) == {"budget": 8, "verdict": "unknown"}
+
+
+def degree_record_reference(c):
+    """The `degree` record under the earlier default bounds, m <= 4 and
+    windows up to 12, with "unknown" carrying no budget."""
+    found = C.en_inverse_search(c, 4, 12)
+    if found is None:
+        return {"verdict": "unknown"}
+    beta, m = found
+    return {"degree": C.degree(c, beta, m), "m": m, "partner_degree": C.degree(beta, c, m)}
+
+
+def test_degree_at_the_default_budget_matches_the_earlier_bounds(runner, tmp_path):
+    cases = [
+        C.SlidingBlockCode(2, r, rule)
+        for r in (1, 2)
+        for rule in itertools.product((1, 2), repeat=2**r)
+    ]
+    for head in (C.identity_code(3), C.letter_code(3, (2, 3, 1))):
+        for m in range(4):
+            cases.append(C.code_compose(
+                C.code_compose(head, C.kitchens_code()), C.shift_power_code(3, m)
+            ))
+    assert len(cases) == 28
+    for c in cases:
+        f = write(tmp_path / "c.json", jsonio.code_to_dict(c))
+        result = runner.invoke(main, ["degree", "--code", f])
+        out = json.loads(result.output)
+        if result.exit_code == 3:
+            assert out.pop("budget") == 8
+        else:
+            assert result.exit_code == 0
+        assert out == degree_record_reference(c), c
 
 
 def test_compose_kitchens_with_itself_is_identity(runner, tmp_path):
@@ -429,7 +483,7 @@ DIAGONALS = _documents(diag_docs())
 
 NO_ARGS = st.just([])
 PERIOD = st.integers(-1, 3).map(lambda r: ["--r", str(r)])
-SMALL_SEARCH = ["--max-m", "2", "--max-window", "4"]
+SMALL_SEARCH = ["--budget-depth", "2"]
 
 # subcommand -> (arguments before the files, documents, arguments after)
 FUZZED = {

@@ -19,6 +19,7 @@ from shiftcalc import jsonio
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
 from shiftcalc.cli import main
+from test_cli import RANDOM3
 from test_words import diagonal
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -45,6 +46,7 @@ INPUTS = {
     ),
     "shift2_c": lambda: jsonio.code_to_dict(C.shift_power_code(2, 1)),
     "shift2sq_c": lambda: jsonio.code_to_dict(C.shift_power_code(2, 2)),
+    "random3_c": lambda: RANDOM3,
     "p1": lambda: jsonio.diag_to_dict(W.cylinder(3, (1,))),
     "x": lambda: jsonio.diag_to_dict(
         diagonal(3, 2, ["1/3", 0, 2, 0, 0, "-1/2", 0, 1, 0])
@@ -67,6 +69,7 @@ CASES = {
     # codes that ignore their first letters: no inverse is sought below that shift
     "degree_shift3": ["degree", "--code", "{shift3_c}"],
     "degree_kitchens_shift2": ["degree", "--code", "{kitchens_shift2_c}"],
+    "degree_unknown_random3": ["degree", "--code", "{random3_c}"],
     "enumerate_n2_r2": ["enumerate", "--n", "2", "--max-radius", "2"],
     # all 24 automorphisms of the one-sided 3-shift up to radius 2 (Kitchens' among them)
     "enumerate_n3_r2": ["enumerate", "--n", "3", "--max-radius", "2"],

@@ -899,6 +899,23 @@ def test_apply_diag_reads_x_with_no_lifted_copy(monkeypatch):
         capacity.set_limit(old)
 
 
+def test_the_lockstep_run_is_bounded_by_the_capacity():
+    # read_code checks the 8 cells of the radius-3 code, but its lockstep run
+    # from the diagonal reaches 16 pairs of states
+    from shiftcalc import capacity
+
+    e = E.endomorphism(U.PermutationUnitary(2, 3, (2, 4, 0, 6, 1, 7, 5, 3)))
+    old = capacity.get_limit()
+    try:
+        capacity.set_limit(8)
+        with pytest.raises(capacity.CapacityError, match="lockstep"):
+            E.read_code(e)
+        capacity.set_limit(16)
+        assert E.read_code(e) is not None
+    finally:
+        capacity.set_limit(old)
+
+
 def test_is_identity_on_diagonal_matches_the_cylinder_loop():
     maps, _ = census()
     units = [U.embed(U.identity(n), level) for n in (2, 3) for level in (0, 1, 3)]
@@ -1242,6 +1259,9 @@ def test_the_rank_identities_are_the_convolution_checks():
     for u, v in pairs:
         want = tuple(E.convolution(*p).is_identity() for p in ((u, v), (v, u)))
         assert rank_identities(u, v) == want
+        # O_n is simple, so convolution(u, v) = 1 makes lambda_u bijective with
+        # inverse lambda_v: either identity implies the other (both are checked)
+        assert want[0] == want[1]
         assert E.is_inverse(E.endomorphism(u), v) == all(want)
         held += all(want)
     # 15 of the 729 pairs over two letters (the identity at three levels and
