@@ -333,7 +333,8 @@ def en_inverse_search(c: SlidingBlockCode, max_m: int, max_window: int) -> Optio
     window of the output; every candidate is verified by rule-table
     composition against the shift power before being returned.  Absence
     within the bounds is inconclusive, not a disproof.  The library picks the
-    bounds in one place, `degree_certificate`, from a single budget.
+    bounds in one place, `degree_certificate`, from a single budget and the
+    capacity limit.
 
     Every m below the j of `shift_factor(c)` is skipped, exactly: the output
     ignores x_1 ... x_j, so for m < j two words differing only at x_{m+1}
@@ -435,9 +436,14 @@ def degree(c: SlidingBlockCode, beta: SlidingBlockCode, m: int) -> int:
 def degree_certificate(c: SlidingBlockCode, budget: int) -> Optional[tuple]:
     """(beta, m, k, partner) with beta c = c beta = sigma^m, k = degree(c) and
     partner = degree(beta), or None if none is found with m <= budget and a
-    window of at most max(budget, 2 radius(c)): the one bounded E_n search.
+    window s of at most max(budget, 2 radius(c)): the one bounded E_n search.
+    The window also stops where the n^(s + r - 1) words of its table would
+    pass the capacity limit, so the search ends in None, not CapacityError.
     Raises RefutationError unless k * partner = n^m."""
-    found = en_inverse_search(c, budget, max(budget, 2 * c.radius))
+    window = max(budget, 2 * c.radius)
+    while window > 0 and c.n ** (window + c.radius - 1) > get_limit():
+        window -= 1
+    found = en_inverse_search(c, budget, window)
     if found is None:
         return None
     beta, m = found

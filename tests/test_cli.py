@@ -149,6 +149,27 @@ def test_degree_answers_unknown_within_the_default_budget():
     assert json.loads(result.output) == {"budget": 8, "verdict": "unknown"}
 
 
+def test_degree_window_stops_at_the_capacity(runner, tmp_path):
+    # a binary radius-8 table: windows up to 2r = 16 would build tables of up
+    # to 2^23 words, and the default limit is 2^22; under a limit of 2^12 the
+    # window stops at s = 5, so the search answers unknown instead of exit 4
+    rule = tuple(itertools.islice(itertools.cycle((1, 2, 2, 1, 2)), 2**8))
+    c = write(tmp_path / "c.json", jsonio.code_to_dict(C.SlidingBlockCode(2, 8, rule)))
+    result = runner.invoke(main, ["--capacity", str(2**12), "degree", "--code", c])
+    assert result.exit_code == 3
+    assert json.loads(result.output) == {"budget": 8, "verdict": "unknown"}
+    from shiftcalc import capacity
+
+    old = capacity.get_limit()
+    try:
+        capacity.set_limit(2**12)
+        with pytest.raises(C.CapacityError):
+            C.en_inverse_search(C.SlidingBlockCode(2, 8, rule), 8, 6)
+        assert C.degree_certificate(C.SlidingBlockCode(2, 8, rule), 8) is None
+    finally:
+        capacity.set_limit(old)
+
+
 def degree_record_reference(c):
     """The `degree` record under the earlier default bounds, m <= 4 and
     windows up to 12, with "unknown" carrying no budget."""
@@ -180,6 +201,19 @@ def test_degree_at_the_default_budget_matches_the_earlier_bounds(runner, tmp_pat
         else:
             assert result.exit_code == 0
         assert out == degree_record_reference(c), c
+    # where the answers differ: certificates at m = 5, past the earlier m <= 4
+    changed = [
+        (C.pad(C.code_compose(C.letter_code(2, (2, 1)), C.shift_power_code(2, 5)), 6),
+         {"degree": 32, "m": 5, "partner_degree": 1}),
+        (C.code_compose(C.kitchens_code(), C.shift_power_code(3, 5)),
+         {"degree": 243, "m": 5, "partner_degree": 1}),
+    ]
+    for c, record in changed:
+        assert degree_record_reference(c) == {"verdict": "unknown"}
+        f = write(tmp_path / "c.json", jsonio.code_to_dict(c))
+        result = runner.invoke(main, ["degree", "--code", f])
+        assert result.exit_code == 0
+        assert json.loads(result.output) == record
 
 
 def test_compose_kitchens_with_itself_is_identity(runner, tmp_path):
