@@ -15,9 +15,9 @@ permutation a code induces on them all live here; every returned
 certificate is verified exactly against rule tables before it escapes.  Words are ranks in
 lexicographic order (`jsonio` names them), periodic points among them.
 F_c and the point map T_u of lambda_u are both a `Transducer`: the run
-kernel, lockstep agreement and one depth-first pair-graph search (tail^2 n
-edges for T_u or lockstep runs) for collisions, one-sided automorphisms and
-their window, where the inverse rule is read, and eventual agreement.
+kernel and one depth-first pair-graph search (tail^2 n edges for T_u or
+lockstep runs) for collisions, one-sided automorphisms and their window,
+where the inverse rule is read, and for agreement, exact or eventual.
 """
 from __future__ import annotations
 
@@ -104,35 +104,21 @@ class Transducer:
         nodes = [p * tail + q if p <= q else q * tail + p for p, q in starts]
         return _longest_marked_path(nodes, expand)
 
-    def agrees(self, other: Transducer, starts=None) -> bool:
-        """Do the two, run in lockstep on one input from the start pairs (the
-        diagonal pairs by default), emit the same letters?  Exact, over the
-        finitely many reachable pairs, breadth first; it stops at the first
-        letter that differs, and raises CapacityError once the pairs it holds
-        pass the limit."""
-        n, step_a, step_b, limit = self.n, self.step, other.step, get_limit()
-        seen = set(self.diagonal if starts is None else starts)
-        todo = list(seen)
-        for p, q in todo:
-            for (x, s), (y, t) in zip(step_a[p * n : p * n + n], step_b[q * n : q * n + n]):
-                if x != y:
-                    return False
-                if (s, t) not in seen:
-                    seen.add((s, t))
-                    todo.append((s, t))
-            if len(seen) > limit:
-                raise CapacityError("lockstep run holds %d pairs, limit is %d" % (len(seen), limit))
-        return True
-
     def agree_after(self, other: Transducer, starts) -> Optional[int]:
         """Least k such that the two, run in lockstep on one input from any
         pair in `starts`, emit the same letters from the (k+1)-th on, or None:
-        `_longest_marked_path` on the pairs p tail + q, a letter marking its
-        edge when the two emit different letters.  Against itself a transducer
-        runs on unordered pairs, as in `height`, and stops at the diagonal."""
-        n, tail, step_a, step_b, same = self.n, self.tail, self.step, other.step, self is other
+        `_longest_marked_path` on the pairs p other.tail + q, a letter marking
+        its edge when the two emit different letters.  So it is 0 exactly when
+        no reachable pair emits two different letters.  Against itself a
+        transducer runs on unordered pairs, as in `height`, and stops at the
+        diagonal.  Raises CapacityError once the pairs it holds pass the limit."""
+        n, tail, step_a, step_b, same = self.n, other.tail, self.step, other.step, self is other
+        held, limit = itertools.count(1), get_limit()
 
         def expand(node):
+            pairs = next(held)
+            if pairs > limit:
+                raise CapacityError("lockstep run holds %d pairs, limit is %d" % (pairs, limit))
             p, q = divmod(node, tail)
             if p == q and same:
                 return False, ()

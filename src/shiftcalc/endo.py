@@ -13,18 +13,19 @@ letter it emits.  The cocycle inverse u_k^* is T_u's run table of k letters
 (`Transducer.runs`): on a word of length k + level(u) - 1 it is the rank of
 the first k letters T_u emits times n^(level(u)-1) plus the state reached.
 `apply_diag` reads x through the emitted letters of that table, as a code's
-dual action reads its transducer's.  Every equality on the diagonal is one
-of transducers run in lockstep on one input (`Transducer.agrees`): T_a
-against T_b from the diagonal pairs (`agree_on_diagonal`), and
-sigma^m o T_u, the point map of lambda_u o phi^m, against the code of the
-last letters of T_u's runs of m + 1 letters, from the states T_u reaches
-after m letters (`read_code`, the one shift-commutation test).  The paper's
-eventual questions ask from which letter on two such runs agree: T_u
-against the identity (`is_in_ign`, the inner kernel) and T_u after one
-letter of z against T_u on sigma z (`eventual_commutation`, property (P)'s
-least m).  `Transducer.agree_after` answers them exactly by the one
-depth-first search of a pair graph (at most tail^2 n edges) that also
-decides collisions.  None builds a cocycle product.
+dual action reads its transducer's.  Every question on the diagonal asks
+from which letter on two transducers, run in lockstep on one input, emit
+the same letters, and `Transducer.agree_after` answers each exactly by the
+one depth-first search of a pair graph (at most tail^2 n edges) that also
+decides collisions.  An equality is the answer 0: T_a against T_b from the
+diagonal pairs (`agree_on_diagonal`), and sigma^m o T_u, the point map of
+lambda_u o phi^m, against the code of the last letters of T_u's runs of
+m + 1 letters, from the states T_u reaches after m letters (`read_code`,
+the one shift-commutation test).  The paper's eventual questions ask for
+the letter itself: T_u against the identity (`is_in_ign`, the inner
+kernel) and T_u after one letter of z against T_u on sigma z
+(`eventual_commutation`, property (P)'s least m).  None builds a cocycle
+product.
 
 Certification builds the inverse by algebra, not by search: lambda_u has a
 permutative inverse v exactly when lambda_u(v) = u^*, and then v is
@@ -170,7 +171,8 @@ def read_code(e: PermutativeEndomorphism, m: int = 0) -> Optional[C.SlidingBlock
     minimized.  It is checked exactly: padded back to radius m + L, the
     code's transducer runs in lockstep with T_u on one input, from the pairs
     that T_u's runs of m letters give, the state T_u reaches on a word w
-    against the code's state w (for m = 0, the diagonal pairs).  A code
+    against the code's state w (for m = 0, the diagonal pairs), and the two
+    must agree from the first letter on (`Transducer.agree_after` is 0).  A code
     commutes with the shift, and a sigma^m o T_u that does is the code of
     those letters, so the check fails exactly when m is below the
     eventual-commutation index, or there is none.
@@ -180,7 +182,7 @@ def read_code(e: PermutativeEndomorphism, m: int = 0) -> Optional[C.SlidingBlock
     rule = tuple(y // t.tail % e.n + 1 for y in t.runs(m + 1))
     code = C.minimize(C.SlidingBlockCode(e.n, radius, rule))
     starts = [(y % t.tail, w) for w, y in enumerate(t.runs(m))]
-    return code if t.agrees(C.transducer(C.pad(code, radius)), starts) else None
+    return code if t.agree_after(C.transducer(C.pad(code, radius)), starts) == 0 else None
 
 
 def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElement:
@@ -199,12 +201,14 @@ def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElemen
 
 def agree_on_diagonal(a: PermutationUnitary, b: PermutationUnitary) -> bool:
     """Exact test: do lambda_a and lambda_b restrict to the same map on D_n?
-    That is T_a = T_b, both written at one level, in lockstep on one input."""
+    That is T_a = T_b, both written at one level: run in lockstep on one
+    input from the diagonal pairs, they agree from the first letter on
+    (`Transducer.agree_after` is 0)."""
     if a.n != b.n:
         raise ValueError("alphabet sizes differ")
     level = max(a.level, b.level, 1)
     t_a, t_b = (PermutativeEndomorphism(U.embed(v, level)).point_map for v in (a, b))
-    return t_a.agrees(t_b)
+    return t_a.agree_after(t_b, t_a.diagonal) == 0
 
 
 def is_in_ign(e: PermutativeEndomorphism) -> Optional[int]:

@@ -556,7 +556,8 @@ def agree_after_reference(a, b, starts):
 
 def agree_after_cases():
     """Seeded step tables against copies with a few emitted letters changed,
-    and T_u against the identity and, one letter on, against itself."""
+    T_u against the identity and, one letter on, against itself, and T_u
+    against the code `read_code` reads at m = 1, 2, which has more states."""
     rng = random.Random(73)
     cases = []
     for _ in range(400):
@@ -572,7 +573,8 @@ def agree_after_cases():
     for n, level in ((2, 2), (2, 3), (3, 2)):
         for _ in range(30):
             ranks = tuple(rng.sample(range(n**level), n**level))
-            cases += eventual_questions(E.endomorphism(U.PermutationUnitary(n, level, ranks)))
+            e = E.endomorphism(U.PermutationUnitary(n, level, ranks))
+            cases += eventual_questions(e) + [read_code_question(e, m) for m in (1, 2)]
     return cases
 
 
@@ -583,6 +585,16 @@ def eventual_questions(e):
         (t, C.Transducer.identity(t.n, t.tail), t.diagonal),
         (t, t, [(s, w % t.tail) for w, (_, s) in enumerate(t.step)]),
     ]
+
+
+def read_code_question(e, m):
+    """The lockstep check of `read_code(e, m)`: T_u, with n^(L-1) states,
+    against the code of its (m+1)-th letters at radius m + L, with n^m times
+    as many, from the state T_u reaches on each word w against the state w."""
+    t, radius = e.point_map, m + max(e.unitary.level, 1)
+    rule = tuple(y // t.tail % t.n + 1 for y in t.runs(m + 1))
+    code = C.transducer(C.SlidingBlockCode(t.n, radius, rule))
+    return t, code, [(y % t.tail, w) for w, y in enumerate(t.runs(m))]
 
 
 def test_agree_after_matches_the_longest_path_to_a_disagreement():

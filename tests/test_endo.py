@@ -370,7 +370,8 @@ def test_the_census_catches_a_commutation_closure_started_at_r0():
     # T_u against itself from the diagonal pairs passes every map: the census
     # holds maps on which that mutant and the flip-convolution oracle differ
     def started_at_r0(e):
-        return e.point_map.agrees(e.point_map)
+        t = e.point_map
+        return t.agree_after(t, t.diagonal) == 0
 
     missed = [e for e in certify_census() if started_at_r0(e) != commutes_reference(e)]
     assert len(missed) >= 100
@@ -901,17 +902,22 @@ def test_apply_diag_reads_x_with_no_lifted_copy(monkeypatch):
 
 def test_the_lockstep_run_is_bounded_by_the_capacity():
     # read_code checks the 8 cells of the radius-3 code, but its lockstep run
-    # from the diagonal reaches 16 pairs of states
+    # from the diagonal reaches 16 pairs of states; so does agree_on_diagonal
+    # on u and a second level-3 unitary with the same diagonal action
     from shiftcalc import capacity
 
     e = E.endomorphism(U.PermutationUnitary(2, 3, (2, 4, 0, 6, 1, 7, 5, 3)))
+    same = U.PermutationUnitary(2, 3, (0, 2, 4, 6, 1, 3, 5, 7))
     old = capacity.get_limit()
     try:
         capacity.set_limit(8)
         with pytest.raises(capacity.CapacityError, match="lockstep"):
             E.read_code(e)
+        with pytest.raises(capacity.CapacityError, match="lockstep"):
+            E.agree_on_diagonal(e.unitary, same)
         capacity.set_limit(16)
         assert E.read_code(e) is not None
+        assert E.agree_on_diagonal(e.unitary, same)
     finally:
         capacity.set_limit(old)
 
