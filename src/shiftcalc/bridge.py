@@ -4,13 +4,14 @@ One direction turns a certified automorphism of the one-sided shift into the
 unique permutation unitary implementing it on the diagonal (tail-matching
 construction); the other extracts the sliding block code of lambda_u o phi^m,
 which is sigma^m o T_u on points: `endo.read_code` reads its rule off the
-(m+1)-th letters of T_u's runs and checks it in lockstep with T_u, exactly,
-with no convolution and no search.  The outer-class equality test needs
-neither: two certified diagonal automorphisms lie in one outer class exactly
-when their quotient is in the inner kernel, which `endo.is_in_ign` decides
-exactly.  The image of the restricted Weyl group in Out(O_n) embeds into
-Aut(X_n)/<sigma>, so comparing the extracted codes modulo shift powers would
-add nothing.
+(m+1)-th letters of T_u's runs once `endo.eventual_commutation` finds that
+it commutes with the shift, and checks its first letter against T_u,
+exactly, with no convolution and no search.  The outer-class equality test
+needs neither: two certified diagonal automorphisms lie in one outer class
+exactly when their quotient is in the inner kernel, which `endo.is_in_ign`
+decides exactly.  The image of the restricted Weyl group in Out(O_n)
+embeds into Aut(X_n)/<sigma>, so comparing the extracted codes modulo shift
+powers would add nothing.
 """
 from __future__ import annotations
 
@@ -45,8 +46,9 @@ def unitary_from_shift_automorphism(c: SlidingBlockCode) -> PermutationUnitary:
 def extract_code(e: PermutativeEndomorphism, m: int) -> SlidingBlockCode:
     """The sliding block code of lambda_u o phi^m on the diagonal, exact:
     `endo.read_code` reads sigma^m o T_u off T_u's runs of m + 1 letters and
-    checks it in lockstep with T_u (m is too small when it does not commute
-    with the shift)."""
+    checks its first letter against T_u (m is too small when it is below the
+    eventual-commutation index, so sigma^m o T_u does not commute with the
+    shift)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     code = E.read_code(e, m)

@@ -27,9 +27,16 @@ def set_limit(limit: int) -> None:
 
 
 def check(n: int, level: int) -> int:
-    """Return n**level, raising CapacityError if it exceeds the limit."""
+    """Return n**level, raising CapacityError if it exceeds the limit.  From
+    the limit's bit length on, |n| >= 2 puts n**level past the limit, so it
+    is refused without building the power."""
     if level < 0:
         raise ValueError("level or radius %d is negative" % level)
+    if abs(n) >= 2 and level >= _limit.bit_length():
+        raise CapacityError(
+            "level-%d index set over alphabet %d has at least 2^%d cylinders, "
+            "limit is %d" % (level, n, level, _limit)
+        )
     size = n**level
     if size > _limit:
         raise CapacityError(

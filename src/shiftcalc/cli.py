@@ -99,7 +99,7 @@ class _Main(click.Group):
     "and the widest window (at least twice the code's radius), of every search "
     "for an inverse up to sigma^m (certify, degree)",
 )
-@click.option("--capacity", default=0, help="index-set size limit")
+@click.option("--capacity", type=int, help="index-set size limit")
 @click.option(
     "--format",
     "fmt",
@@ -112,7 +112,7 @@ def main(ctx, budget_depth, capacity, fmt):
     """Exact calculus of permutative endomorphisms of the shift diagonal."""
     if budget_depth < 1:
         raise click.BadParameter("--budget-depth must be at least 1")
-    if capacity:
+    if capacity is not None:
         previous = get_limit()
         try:
             set_limit(capacity)

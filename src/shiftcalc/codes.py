@@ -111,7 +111,9 @@ class Transducer:
         its edge when the two emit different letters.  So it is 0 exactly when
         no reachable pair emits two different letters.  Against itself a
         transducer runs on unordered pairs, as in `height`, and stops at the
-        diagonal.  Raises CapacityError once the pairs it holds pass the limit."""
+        diagonal.  `endo` runs T_u only against T_u, the identity or a T_b
+        with as many states, so it holds at most tail^2 pairs, whatever the
+        question.  Raises CapacityError once the pairs it holds pass the limit."""
         n, tail, step_a, step_b, same = self.n, other.tail, self.step, other.step, self is other
         held, limit = itertools.count(1), get_limit()
 
@@ -425,9 +427,12 @@ def degree_certificate(c: SlidingBlockCode, budget: int) -> Optional[tuple]:
     window s of at most max(budget, 2 radius(c)): the one bounded E_n search.
     The window also stops where the n^(s + r - 1) words of its table would
     pass the capacity limit, so the search ends in None, not CapacityError.
+    It is counted down from below s + r - 1 = the limit's bit length, where
+    n >= 2 puts every table past the limit, so no such power is built.
     Raises RefutationError unless k * partner = n^m."""
-    window = max(budget, 2 * c.radius)
-    while window > 0 and c.n ** (window + c.radius - 1) > get_limit():
+    limit = get_limit()
+    window = min(max(budget, 2 * c.radius), limit.bit_length() - c.radius)
+    while window > 0 and c.n ** (window + c.radius - 1) > limit:
         window -= 1
     found = en_inverse_search(c, budget, window)
     if found is None:
@@ -498,9 +503,11 @@ def enumerate_one_sided_automorphisms(n: int, max_radius: int):
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
     # the (n!)^(n^(r-1)) tables of the largest radius, counted only until
-    # past the limit, so that no large n! or power is ever built
-    tables = 1
-    for _ in range(n ** (max_radius - 1) if max_radius else 0):
+    # past the limit, so that no large n! or power is ever built: each column
+    # at least doubles the count, so past the limit's bit length the columns
+    # need not be counted
+    tables, bits = 1, get_limit().bit_length()
+    for _ in range(n ** min(max_radius - 1, bits) if max_radius else 0):
         for factor in range(2, n + 1):
             tables *= factor
             if tables > get_limit():

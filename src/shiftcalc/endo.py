@@ -18,14 +18,15 @@ from which letter on two transducers, run in lockstep on one input, emit
 the same letters, and `Transducer.agree_after` answers each exactly by the
 one depth-first search of a pair graph (at most tail^2 n edges) that also
 decides collisions.  An equality is the answer 0: T_a against T_b from the
-diagonal pairs (`agree_on_diagonal`), and sigma^m o T_u, the point map of
-lambda_u o phi^m, against the code of the last letters of T_u's runs of
-m + 1 letters, from the states T_u reaches after m letters (`read_code`,
-the one shift-commutation test).  The paper's eventual questions ask for
-the letter itself: T_u against the identity (`is_in_ign`, the inner
+diagonal pairs (`agree_on_diagonal`).  The paper's eventual questions ask
+for the letter itself: T_u against the identity (`is_in_ign`, the inner
 kernel) and T_u after one letter of z against T_u on sigma z
-(`eventual_commutation`, property (P)'s least m).  None builds a cocycle
-product.
+(`eventual_commutation`, property (P)'s least m, and the one
+shift-commutation test).  So `read_code` runs no lockstep of its own:
+sigma^m o T_u, the point map of lambda_u o phi^m, is a code exactly when m
+is at least that index, and the code read off the last letters of T_u's
+runs of m + 1 letters is checked at its first letter, one table
+comparison.  None builds a cocycle product.
 
 Certification builds the inverse by algebra, not by search: lambda_u has a
 permutative inverse v exactly when lambda_u(v) = u^*, and then v is
@@ -165,24 +166,26 @@ def read_code(e: PermutativeEndomorphism, m: int = 0) -> Optional[C.SlidingBlock
     """The sliding block code of lambda_u o phi^m, or None if it does not
     commute with the shift.
 
-    On points lambda_u o phi^m is sigma^m o T_u, so at radius m + L,
-    L = max(level(u), 1), the local rule is the (m+1)-th letter T_u emits:
-    the last letter of each run of m + 1 letters (`Transducer.runs`),
-    minimized.  It is checked exactly: padded back to radius m + L, the
-    code's transducer runs in lockstep with T_u on one input, from the pairs
-    that T_u's runs of m letters give, the state T_u reaches on a word w
-    against the code's state w (for m = 0, the diagonal pairs), and the two
-    must agree from the first letter on (`Transducer.agree_after` is 0).  A code
-    commutes with the shift, and a sigma^m o T_u that does is the code of
-    those letters, so the check fails exactly when m is below the
-    eventual-commutation index, or there is none.
+    On points lambda_u o phi^m is sigma^m o T_u, which commutes with the
+    shift exactly when m is at least the eventual-commutation index
+    (`eventual_commutation`, the one shift-commutation test).  Then, at
+    radius m + L, L = max(level(u), 1), the local rule is the (m+1)-th
+    letter T_u emits: the last letter of each run of m + 1 letters
+    (`Transducer.runs`), minimized.  Padded back to radius m + L, the code
+    must give on each window w a the letter T_u emits on a from the state
+    its runs of m letters reach on w: that is the first letter of the
+    lockstep run of the code against T_u, and the later letters agree
+    because sigma^m o T_u commutes with sigma.
     """
+    index = eventual_commutation(e)
+    if index is None or index > m:
+        return None
     t, radius = e.point_map, m + max(e.unitary.level, 1)
     _check_capacity(e.n, radius)
     rule = tuple(y // t.tail % e.n + 1 for y in t.runs(m + 1))
     code = C.minimize(C.SlidingBlockCode(e.n, radius, rule))
-    starts = [(y % t.tail, w) for w, y in enumerate(t.runs(m))]
-    return code if t.agree_after(C.transducer(C.pad(code, radius)), starts) == 0 else None
+    first = tuple(t.step[y % t.tail * e.n + a][0] + 1 for y in t.runs(m) for a in range(e.n))
+    return code if C.pad(code, radius).rule == first else None
 
 
 def apply_diag(e: PermutativeEndomorphism, x: DiagonalElement) -> DiagonalElement:

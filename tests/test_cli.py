@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,7 @@ def test_certify_refuses_maps_that_are_not_lists_of_pairs(runner, tmp_path, entr
     [
         ["--budget-depth", "0", "fixtures"],
         ["--capacity", "-3", "fixtures"],
+        ["--capacity", "0", "fixtures"],
         ["certify", "{missing}"],
         ["certify"],
         ["certify", "--bogus"],
@@ -72,8 +74,8 @@ def test_certify_refuses_maps_that_are_not_lists_of_pairs(runner, tmp_path, entr
         ["--max-m", "1", "fixtures"],
         ["--max-window", "4", "fixtures"],
     ],
-    ids=["budget-depth-0", "negative-capacity", "missing-file", "no-file", "unknown-option",
-         "unknown-command", "max-m", "max-window"],
+    ids=["budget-depth-0", "negative-capacity", "zero-capacity", "missing-file", "no-file",
+         "unknown-option", "unknown-command", "max-m", "max-window"],
 )
 def test_usage_errors_exit_one(runner, tmp_path, argv):
     # a usage error is an input error: exit 1 with click's one-line message,
@@ -168,6 +170,15 @@ def test_degree_window_stops_at_the_capacity(runner, tmp_path):
         assert C.degree_certificate(C.SlidingBlockCode(2, 8, rule), 8) is None
     finally:
         capacity.set_limit(old)
+    # the window is counted down from below the limit's bit length, not from
+    # the budget, so a deep budget builds no n^(s + r - 1) past the limit on
+    # the way down; the two-letter swap is its own inverse, found at once
+    swap = write(tmp_path / "swap.json", {"n": 2, "radius": 1, "rule": {"1": 2, "2": 1}})
+    start = time.perf_counter()
+    result = runner.invoke(main, ["--budget-depth", "200000", "degree", "--code", swap])
+    assert time.perf_counter() - start < 10
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {"degree": 1, "m": 0, "partner_degree": 1}
 
 
 def degree_record_reference(c):
@@ -272,6 +283,20 @@ def test_oversized_tables_exit_four_before_allocating(runner, tmp_path):
     c = write(tmp_path / "c.json", {"n": 2, "radius": 23, "rule": {}})
     assert runner.invoke(main, ["apply", u, x]).exit_code == 4
     assert runner.invoke(main, ["degree", "--code", c]).exit_code == 4
+    # past the limit's bit length n^k is neither built nor printed: one short line
+    huge_u = write(tmp_path / "huge_u.json", {"n": 2, "level": 10**8, "map": []})
+    huge_c = write(tmp_path / "huge_c.json", {"n": 2, "radius": 10**5, "rule": {}})
+    wide_u = write(tmp_path / "wide_u.json", {"n": 3, "level": 5000, "map": []})
+    for argv in (
+        ["certify", huge_u],
+        ["degree", "--code", huge_c],
+        ["orbits", "--code", huge_c, "--r", "2"],
+        ["certify", wide_u],
+    ):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 4 and result.stdout == ""
+        assert result.stderr.startswith("capacity exceeded: ") and result.stderr.count("\n") == 1
+        assert len(result.stderr) < 200
 
 
 def test_capacity_limit_exits_four(runner, tmp_path):

@@ -350,6 +350,9 @@ def test_enumeration_guards_the_tables_it_tries():
         assert len(C.enumerate_one_sided_automorphisms(3, 2)) == 24
     finally:
         capacity.set_limit(old)
+    # the n^(r-1) columns are not built past the limit's bit length
+    with pytest.raises(capacity.CapacityError, match="radius-1000000000000 tables"):
+        C.enumerate_one_sided_automorphisms(2, 10**12)
 
 
 def injective_on_periodics(c, max_r):
@@ -588,9 +591,10 @@ def eventual_questions(e):
 
 
 def read_code_question(e, m):
-    """The lockstep check of `read_code(e, m)`: T_u, with n^(L-1) states,
-    against the code of its (m+1)-th letters at radius m + L, with n^m times
-    as many, from the state T_u reaches on each word w against the state w."""
+    """The lockstep check of the `read_code(e, m)` oracle in test_endo: T_u,
+    with n^(L-1) states, against the code of its (m+1)-th letters at radius
+    m + L, with n^m times as many, from the state T_u reaches on each word w
+    against the state w."""
     t, radius = e.point_map, m + max(e.unitary.level, 1)
     rule = tuple(y // t.tail % t.n + 1 for y in t.runs(m + 1))
     code = C.transducer(C.SlidingBlockCode(t.n, radius, rule))

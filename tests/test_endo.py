@@ -335,17 +335,34 @@ def read_code_via_convolution(e, m):
     return E.read_code(E.endomorphism(e.convolve(U.shift_power_unitary(e.n, m))))
 
 
+def read_code_lockstep_reference(e, m):
+    """Oracle: the code read off T_u's runs of m + 1 letters, kept only if,
+    padded back to radius m + L, its transducer runs in lockstep with T_u
+    from the pairs that T_u's runs of m letters give (the state T_u reaches
+    on a word w against the code's state w) and the two agree from the first
+    letter on."""
+    t, radius = e.point_map, m + max(e.unitary.level, 1)
+    rule = tuple(y // t.tail % e.n + 1 for y in t.runs(m + 1))
+    code = C.minimize(C.SlidingBlockCode(e.n, radius, rule))
+    starts = [(y % t.tail, w) for w, y in enumerate(t.runs(m))]
+    return code if t.agree_after(C.transducer(C.pad(code, radius)), starts) == 0 else None
+
+
 def test_the_run_table_read_matches_the_convolution_route():
     # sigma^m o T_u is read off T_u's runs of m + 1 letters; it is a code
-    # exactly from the eventual-commutation index on
+    # exactly from the eventual-commutation index on, where a lockstep run of
+    # the code against T_u agrees from the first letter on
     read = refused = 0
     for e in certify_census():
         index = E.eventual_commutation(e)
         for m in range(4):
             got, want = E.read_code(e, m), read_code_via_convolution(e, m)
+            lockstep = read_code_lockstep_reference(e, m)
             assert (got is None) == (want is None) == (index is None or m < index)
+            assert (got is None) == (lockstep is None)
             if got is not None:
                 assert (got.radius, got.rule) == (want.radius, want.rule)
+                assert (got.radius, got.rule) == (lockstep.radius, lockstep.rule)
                 read += 1
             else:
                 refused += 1
@@ -353,9 +370,10 @@ def test_the_run_table_read_matches_the_convolution_route():
 
 
 def test_read_code_refuses_exactly_the_maps_that_do_not_commute_with_the_shift():
-    # the lockstep rule check is the one shift-commutation test: it is checked
-    # against the flip-convolution oracle on the certify census and on fresh
-    # seeded samples of P_2^3 and P_3^2
+    # read_code refuses exactly below the eventual-commutation index, the one
+    # shift-commutation test: it is checked against the flip-convolution
+    # oracle on the certify census and on fresh seeded samples of P_2^3 and
+    # P_3^2
     rng = random.Random(71)
     samples = [random_unitary(rng, n, level) for n, level in ((2, 3), (3, 2)) for _ in range(150)]
     outcomes = []
@@ -901,22 +919,24 @@ def test_apply_diag_reads_x_with_no_lifted_copy(monkeypatch):
 
 
 def test_the_lockstep_run_is_bounded_by_the_capacity():
-    # read_code checks the 8 cells of the radius-3 code, but its lockstep run
-    # from the diagonal reaches 16 pairs of states; so does agree_on_diagonal
-    # on u and a second level-3 unitary with the same diagonal action
+    # read_code's eventual-commutation search on u holds 7 pairs of states,
+    # before the 8 cells of the radius-3 code are checked; agree_on_diagonal
+    # on u and a second level-3 unitary with the same diagonal action reaches
+    # 16 pairs from the diagonal
     from shiftcalc import capacity
 
     e = E.endomorphism(U.PermutationUnitary(2, 3, (2, 4, 0, 6, 1, 7, 5, 3)))
     same = U.PermutationUnitary(2, 3, (0, 2, 4, 6, 1, 3, 5, 7))
     old = capacity.get_limit()
     try:
-        capacity.set_limit(8)
+        capacity.set_limit(6)
         with pytest.raises(capacity.CapacityError, match="lockstep"):
             E.read_code(e)
+        capacity.set_limit(8)
+        assert E.read_code(e) is not None
         with pytest.raises(capacity.CapacityError, match="lockstep"):
             E.agree_on_diagonal(e.unitary, same)
         capacity.set_limit(16)
-        assert E.read_code(e) is not None
         assert E.agree_on_diagonal(e.unitary, same)
     finally:
         capacity.set_limit(old)

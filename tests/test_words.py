@@ -160,6 +160,14 @@ def test_capacity_guard():
     # n ** -1 is 0.5, not a size: a negative level is refused in its own words
     with pytest.raises(ValueError, match="^level or radius -1 is negative$"):
         capacity.check(2, -1)
+    # from the limit's bit length on, n^k is past the limit and is never
+    # built: 2^(10^18) would not fit in memory, and 2^5000 would print 1,506
+    # digits in the message
+    for n, level in ((2, 10**18), (2, 5000), (2, capacity.get_limit().bit_length())):
+        with pytest.raises(capacity.CapacityError, match="at least 2\\^%d cylinders" % level):
+            capacity.check(n, level)
+    assert capacity.check(2, capacity.get_limit().bit_length() - 1) <= capacity.get_limit()
+    assert capacity.check(1, 10**18) == 1
 
 
 def test_projection_deduplicates_and_checks_levels():
