@@ -26,21 +26,23 @@ def set_limit(limit: int) -> None:
     _limit = limit
 
 
+def fits(n: int, level: int) -> bool:
+    """Does n**level stay within the limit?  From the limit's bit length on,
+    |n| >= 2 puts n**level past it, so that is decided without building the
+    power."""
+    if abs(n) >= 2 and level >= _limit.bit_length():
+        return False
+    return n**level <= _limit
+
+
 def check(n: int, level: int) -> int:
-    """Return n**level, raising CapacityError if it exceeds the limit.  From
-    the limit's bit length on, |n| >= 2 puts n**level past the limit, so it
-    is refused without building the power."""
+    """Return n**level, raising CapacityError unless it `fits` the limit."""
     if level < 0:
         raise ValueError("level or radius %d is negative" % level)
-    if abs(n) >= 2 and level >= _limit.bit_length():
+    if not fits(n, level):
+        size = "at least 2^%d" % level if level >= _limit.bit_length() else n**level
         raise CapacityError(
-            "level-%d index set over alphabet %d has at least 2^%d cylinders, "
-            "limit is %d" % (level, n, level, _limit)
+            "level-%d index set over alphabet %d has %s cylinders, limit is %d"
+            % (level, n, size, _limit)
         )
-    size = n**level
-    if size > _limit:
-        raise CapacityError(
-            "level-%d index set over alphabet %d has %d cylinders, "
-            "limit is %d" % (level, n, size, _limit)
-        )
-    return size
+    return n**level

@@ -12,7 +12,11 @@ with code_compose(c1, c2) returning the code of F_{c1} o F_{c2}.
 
 Inverse-to-shift-power search, degree, periodic orbits and the
 permutation a code induces on them all live here; every returned
-certificate is verified exactly against rule tables before it escapes.  Words are ranks in
+certificate is verified exactly against rule tables before it escapes.
+Every inverse code beta with beta c = c beta = sigma^m is read one way,
+`_inverse_rule`: one gather of letter m + 1 over the code's output ranks,
+then both compositions, for the (m, s) search and for the one-sided
+automorphism check alike.  Words are ranks in
 lexicographic order (`jsonio` names them), periodic points among them.
 F_c and the point map T_u of lambda_u are both a `Transducer`: the run
 kernel and one depth-first pair-graph search (tail^2 n edges for T_u or
@@ -27,7 +31,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .capacity import CapacityError, check as _check_capacity, get_limit
+from .capacity import CapacityError, check as _check_capacity, fits, get_limit
 from . import words as W
 from .words import DiagonalElement, word_rank
 
@@ -317,9 +321,10 @@ def shift_factor(c: SlidingBlockCode) -> tuple:
 def en_inverse_search(c: SlidingBlockCode, max_m: int, max_window: int) -> Optional[tuple]:
     """Search for (beta, m) with alpha beta = beta alpha = phi^m, exactly.
 
-    beta is extracted by checking whether x_{m+1} is determined by a bounded
-    window of the output; every candidate is verified by rule-table
-    composition against the shift power before being returned.  Absence
+    At each (m, s) the search asks whether x_{m+1} is determined by the
+    first s letters of the output; at the first (m, s) where it is, beta is
+    the one gather `_inverse_rule`, which also verifies it by rule-table
+    composition against the shift power before it is returned.  Absence
     within the bounds is inconclusive, not a disproof.  The library picks the
     bounds in one place, `degree_certificate`, from a single budget and the
     capacity limit.
@@ -334,22 +339,31 @@ def en_inverse_search(c: SlidingBlockCode, max_m: int, max_window: int) -> Optio
             if m + 1 > s + r - 1:
                 continue
             table = {}
-            determined = True
             for x in W.enumerate_words(n, s + r - 1):
                 y = c.output(x)
                 target = x[m]
                 if table.setdefault(y, target) != target:
-                    determined = False
                     break
-            if not determined:
-                continue
-            rule = tuple(table.get(y, 1) for y in W.enumerate_words(n, s))
-            beta = SlidingBlockCode(n, s, rule)
-            sigma_m = shift_power_code(n, m)
-            if code_equal(code_compose(beta, c), sigma_m) and code_equal(
-                code_compose(c, beta), sigma_m
-            ):
-                return minimize(beta), m
+            else:
+                beta = _inverse_rule(c, m, s)
+                if beta is not None:
+                    return beta, m
+    return None
+
+
+def _inverse_rule(c: SlidingBlockCode, m: int, s: int) -> Optional[SlidingBlockCode]:
+    """The radius-s code beta with beta c = c beta = sigma^m, minimized, or None.
+    One gather over output_ranks(s + r - 1): rule[out[x]] is letter m + 1 of
+    x, and 1 at an output no word produces; both compositions are checked."""
+    length = s + c.radius - 1
+    out = c.output_ranks(length)
+    power = c.n ** (length - m - 1)
+    rule = [1] * c.n**s
+    for x, y in enumerate(out):
+        rule[y] = x // power % c.n + 1
+    beta = minimize(SlidingBlockCode(c.n, s, tuple(rule)))
+    if code_compose(beta, c) == code_compose(c, beta) == shift_power_code(c.n, m):
+        return beta
     return None
 
 
@@ -382,18 +396,13 @@ def automorphism_window(c: SlidingBlockCode) -> Optional[int]:
 def one_sided_automorphism_check(c: SlidingBlockCode) -> Optional[SlidingBlockCode]:
     """Two-sided inverse code if c is an automorphism of the one-sided shift,
     else None; decided exactly by automorphism_window.  At that window s the
-    inverse rule is one gather, rule[out[x]] = x_1 over output_ranks(s + r - 1),
-    and both compositions are checked against the identity."""
+    inverse is the one gather `_inverse_rule(c, 0, s)`, checked against the
+    identity on both sides."""
     window = automorphism_window(c)
     if window is None:
         return None
-    out = c.output_ranks(window + c.radius - 1)
-    head = len(out) // c.n
-    rule = [1] * c.n**window
-    for x, y in enumerate(out):
-        rule[y] = x // head + 1
-    beta = minimize(SlidingBlockCode(c.n, window, tuple(rule)))
-    if not code_compose(beta, c) == code_compose(c, beta) == identity_code(c.n):
+    beta = _inverse_rule(c, 0, window)
+    if beta is None:
         raise AssertionError("no inverse at the pair-graph window %d" % window)
     return beta
 
@@ -428,11 +437,11 @@ def degree_certificate(c: SlidingBlockCode, budget: int) -> Optional[tuple]:
     The window also stops where the n^(s + r - 1) words of its table would
     pass the capacity limit, so the search ends in None, not CapacityError.
     It is counted down from below s + r - 1 = the limit's bit length, where
-    n >= 2 puts every table past the limit, so no such power is built.
+    n >= 2 puts every table past the limit (`capacity.fits`), so no such
+    power is built.
     Raises RefutationError unless k * partner = n^m."""
-    limit = get_limit()
-    window = min(max(budget, 2 * c.radius), limit.bit_length() - c.radius)
-    while window > 0 and c.n ** (window + c.radius - 1) > limit:
+    window = min(max(budget, 2 * c.radius), get_limit().bit_length() - c.radius)
+    while window > 0 and not fits(c.n, window + c.radius - 1):
         window -= 1
     found = en_inverse_search(c, budget, window)
     if found is None:

@@ -58,7 +58,7 @@ from itertools import repeat
 from typing import Optional
 
 from . import codes as C
-from .capacity import check as _check_capacity
+from .capacity import check as _check_capacity, fits
 from . import unitaries as U
 from . import words as W
 from .unitaries import PermutationUnitary
@@ -261,13 +261,17 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
     degree greater than one proves the point map is not injective, and
     degree one (so m = 0: any m > 0 needs a wider window) with an inverse
     code beta certifies a shift automorphism whose inverse is w_s at
-    s = radius(beta), the lift of beta.  Everything else is Unknown at the
-    given budget.
+    s = radius(beta), the lift of beta.  A level s is tried only while its
+    run table u_s^*, of n^(s + level(u) - 1) ranks, fits the capacity limit
+    (`capacity.fits`), so a deep budget stops there as the E_n window does.
+    Everything else is Unknown at the given budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     level = e.unitary.level
     for s in range(min(max(level, 1), budget), budget + 1):
+        if not fits(e.n, s + level - 1):
+            break
         if s == level + 1 and not point_map_is_injective(e):
             break
         w = _direct_inverse(e, s)
@@ -281,7 +285,8 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
             if deg > 1:
                 return AutomorphismVerdict("not_automorphism", degree=deg)
             # degree one: the lift of beta has level <= radius(beta), so is w_s
-            w = _direct_inverse(e, beta.radius)
+            s = beta.radius
+            w = _direct_inverse(e, s) if fits(e.n, s + level - 1) else None
             if w is not None:
                 return AutomorphismVerdict("automorphism", inverse=w)
     return AutomorphismVerdict("unknown", budget=budget)

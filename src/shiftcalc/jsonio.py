@@ -60,6 +60,15 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _alphabet(data, kind: str) -> int:
+    """data["n"], the alphabet size of a `kind`: an integer at least 2,
+    refused before the rest of the document is read."""
+    n = _integer(_field(data, "n", kind), "n")
+    if n < 2:
+        raise ValueError("alphabet size must be at least 2")
+    return n
+
+
 def diag_to_dict(x: DiagonalElement) -> dict:
     x = W.reduce(x)
     if x.is_projection():
@@ -102,7 +111,7 @@ def _rational(value) -> Fraction:
 
 
 def diag_from_dict(data: dict) -> DiagonalElement:
-    n = _integer(_field(data, "n", "a diagonal element"), "n")
+    n = _alphabet(data, "a diagonal element")
     if "support" in data:
         support = data["support"]
         if type(support) is not list:
@@ -137,7 +146,7 @@ def unitary_to_dict(u: PermutationUnitary) -> dict:
 
 
 def unitary_from_dict(data: dict) -> PermutationUnitary:
-    n = _integer(_field(data, "n", "a unitary"), "n")
+    n = _alphabet(data, "a unitary")
     level = _integer(_field(data, "level", "a unitary"), "level")
     entries = _field(data, "map", "a unitary")
     if type(entries) is not list or any(type(e) is not list or len(e) != 2 for e in entries):
@@ -168,7 +177,7 @@ def code_to_dict(c: SlidingBlockCode) -> dict:
 
 
 def code_from_dict(data: dict) -> SlidingBlockCode:
-    n = _integer(_field(data, "n", "a code"), "n")
+    n = _alphabet(data, "a code")
     radius = _integer(_field(data, "radius", "a code"), "radius")
     rule = [0] * _check_capacity(n, radius)
     entries = _table(data, "rule", "a code")

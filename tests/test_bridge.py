@@ -131,11 +131,13 @@ def test_a_wrong_extracted_rule_is_caught(monkeypatch):
         rule = (c.rule[0] % c.n + 1,) + c.rule[1:]
         return C.SlidingBlockCode(c.n, c.radius, rule)
 
-    # read_code's lockstep check refuses the rule, so no code is returned
+    # read_code compares the padded rule with the first letters T_u emits,
+    # refuses the rule, and so returns no code
     monkeypatch.setattr(C, "minimize", one_entry_off)
     with pytest.raises(ValueError, match="does not commute"):
         B.extract_code(E.endomorphism(U.kitchens_unitary()), 0)
-    # past m = 0 the lockstep run starts from T_u's runs of m letters
+    # past m = 0 that first letter is read from the state T_u's runs of m
+    # letters reach
     skew = E.ad_unitary(U.letter_permutation(2, (2, 1)))
     with pytest.raises(ValueError, match="does not commute"):
         B.extract_code(E.endomorphism(skew), 1)

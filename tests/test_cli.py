@@ -462,6 +462,44 @@ def test_an_operator_that_is_not_an_object_is_named(runner, tmp_path, argv, oper
     assert result.stderr == "input error: an operator must be a JSON object: a unitary or a code\n"
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["certify", "{doc}"], {"n": -2, "level": 100000001, "map": []}),
+        (["degree", "--code", "{doc}"], {"n": -2, "radius": 100001, "rule": {}}),
+        (["apply", "{flip}", "{doc}"], {"n": -3, "level": 25, "coeffs": {}}),
+        (["certify", "{doc}"], {"n": -2, "level": 1, "map": [["1", "2"], ["2", "1"]]}),
+        (["degree", "--code", "{doc}"], {"n": -2, "radius": 1, "rule": {"1": 1, "2": 2}}),
+    ],
+    ids=["huge-map", "huge-rule", "huge-coeffs", "small-map", "small-rule"],
+)
+def test_an_alphabet_below_two_exits_one_before_the_rest_is_read(runner, tmp_path, argv, doc):
+    # read later, the first three would fail on their level and the last two
+    # on a letter or the table's size
+    files = {"doc": write(tmp_path / "doc.json", doc), "flip": write(tmp_path / "u.json", FLIP)}
+    result = runner.invoke(main, [arg.format(**files) for arg in argv])
+    assert result.exit_code == 1
+    assert result.stderr == "input error: alphabet size must be at least 2\n"
+
+
+# T_u of this map is injective and never commutes with the shift, so certify
+# tries every level; u_s^* has n^(s + 1) ranks, past the default limit 2^22
+# from s = 22 on and past 64 from s = 6 on
+NEVER_SHIFT_COMMUTING = {"n": 2, "level": 2, "map": [["11", "12"], ["12", "11"], ["21", "21"], ["22", "22"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [(["--budget-depth", "30"], 30), (["--capacity", "64", "--budget-depth", "8"], 8)],
+    ids=["deep-budget", "small-capacity"],
+)
+def test_certify_stops_its_levels_at_the_capacity(runner, tmp_path, argv, budget):
+    f = write(tmp_path / "u.json", NEVER_SHIFT_COMMUTING)
+    result = runner.invoke(main, argv + ["certify", f])
+    assert result.exit_code == 3
+    assert json.loads(result.output) == {"budget": budget, "verdict": "unknown"}
+
+
 # --- fuzzing: every subcommand is total on small documents -----------------
 
 # Bounded scalars only: a large n or level would ask for a huge table.

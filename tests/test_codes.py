@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from shiftcalc import endo as E
 from shiftcalc import unitaries as U
 from shiftcalc import words as W
 from test_unitaries import all_unitaries
+from test_workload_golden import _workloads
 from test_words import diagonal, refine
 
 
@@ -858,6 +860,79 @@ def test_en_inverse_search_matches_the_reference_on_a_census():
                 assert C.en_inverse_search(c, max_m, max_window) == expected
                 found += expected is not None
     assert found > 100
+
+
+def inverse_rule_reference(c, m, s):
+    """Oracle: beta read with word tuples, as `en_inverse_search` read it
+    before `_inverse_rule`: a dict from each output word of the words of
+    s + r - 1 letters to letter m + 1, 1 at an output no word has, then both
+    compositions against sigma^m."""
+    n = c.n
+    table = {c.output(x): x[m] for x in W.enumerate_words(n, s + c.radius - 1)}
+    beta = C.SlidingBlockCode(n, s, tuple(table.get(y, 1) for y in W.enumerate_words(n, s)))
+    sigma_m = C.shift_power_code(n, m)
+    if C.code_equal(C.code_compose(beta, c), sigma_m) and C.code_equal(
+        C.code_compose(c, beta), sigma_m
+    ):
+        return C.minimize(beta)
+    return None
+
+
+def is_determined(c, m, s):
+    """Does the output on the words of s + r - 1 letters determine letter
+    m + 1?  Read off output_ranks: one letter per output rank."""
+    length = s + c.radius - 1
+    out = c.output_ranks(length)
+    power = c.n ** (length - m - 1)
+    letters = [x // power % c.n for x in range(len(out))]
+    first = dict(zip(out, letters))
+    return list(map(first.__getitem__, out)) == letters
+
+
+def determined_tables():
+    """(c, m, s) at every determined table: the `codes` workload's inputs of
+    seeds 1-10 (bench/workloads.py, imported read-only) within its bounds,
+    Kitchens o sigma^j and the flip's code o sigma^j for j <= 5 with
+    m <= j + 1 and s <= 3, and every radius-2 tail-bijective table over 2 and
+    3 letters at its automorphism window."""
+    bench = _workloads()
+    lib = bench.layer_modules()
+    found = {}
+    for seed in range(1, 11):
+        for case in bench.WORKLOADS["codes"].cases(lib, random.Random(seed)):
+            c = lib.jsonio.code_from_dict(json.loads(case.doc))
+            found[c.n, c.radius, c.rule] = c, bench.MAX_M, bench.MAX_WINDOW
+    flip = E.read_code(E.endomorphism(U.flip_unitary(2)))
+    for a in (C.kitchens_code(), flip):
+        for j in range(6):
+            c = C.code_compose(a, C.shift_power_code(a.n, j))
+            found[c.n, c.radius, c.rule] = c, j + 1, 3
+    for c, max_m, max_window in found.values():
+        for m in range(max_m + 1):
+            for s in range(1, max_window + 1):
+                if m + 1 <= s + c.radius - 1 and is_determined(c, m, s):
+                    yield c, m, s
+    for n in (2, 3):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for columns in itertools.product(perms, repeat=n):
+            c = C.SlidingBlockCode(n, 2, tuple(itertools.chain(*zip(*columns))))
+            window = C.automorphism_window(c)
+            if window is not None:
+                assert is_determined(c, 0, window)
+                yield c, 0, window
+
+
+def test_the_inverse_rule_gather_matches_the_word_tuple_read():
+    def key(beta):
+        return None if beta is None else (beta.radius, beta.rule)
+
+    tables = found = 0
+    for c, m, s in determined_tables():
+        expected = inverse_rule_reference(c, m, s)
+        assert key(C._inverse_rule(c, m, s)) == key(expected), (c, m, s)
+        tables += 1
+        found += expected is not None
+    assert tables == found > 600
 
 
 def test_shift_exponent_factors_the_code():
