@@ -96,4 +96,4 @@ def weyl_class_equal(
     for e, inv in ((e1, inv1), (e2, inv2)):
         if not E.is_inverse(e, inv):
             raise ValueError("inverse certificate does not invert its automorphism")
-    return E.is_in_ign(E.endomorphism(e1.convolve(inv2))) is not None
+    return E.is_in_ign(E.endomorphism(E.convolution(e1.unitary, inv2))) is not None

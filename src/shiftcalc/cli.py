@@ -207,7 +207,8 @@ def degree(cfg: RunConfig, code_file):
         c = jsonio.code_from_dict(_load(code_file))
         cert = C.degree_certificate(c, cfg.budget_depth)
         if cert is None:
-            _emit({"verdict": "unknown", "budget": cfg.budget_depth}, cfg.fmt)
+            unknown = E.AutomorphismVerdict("unknown", budget=cfg.budget_depth)
+            _emit(jsonio.verdict_to_dict(unknown), cfg.fmt)
             sys.exit(3)
         _, m, k, partner = cert
         _emit({"degree": k, "m": m, "partner_degree": partner}, cfg.fmt)

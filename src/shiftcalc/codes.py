@@ -15,7 +15,8 @@ permutation a code induces on them all live here; every returned
 certificate is verified exactly against rule tables before it escapes.
 Every inverse code beta with beta c = c beta = sigma^m is read one way,
 `_inverse_rule`: one gather of letter m + 1 over the code's output ranks,
-then both compositions, for the (m, s) search and for the one-sided
+which refutes beta c = sigma^m at the first output two letters claim, then
+one composition for c beta, for the (m, s) search and for the one-sided
 automorphism check alike.  Words are ranks in
 lexicographic order (`jsonio` names them), periodic points among them.
 F_c and the point map T_u of lambda_u are both a `Transducer`: the run
@@ -323,8 +324,8 @@ def en_inverse_search(c: SlidingBlockCode, max_m: int, max_window: int) -> Optio
 
     At each (m, s) the search asks whether x_{m+1} is determined by the
     first s letters of the output; at the first (m, s) where it is, beta is
-    the one gather `_inverse_rule`, which also verifies it by rule-table
-    composition against the shift power before it is returned.  Absence
+    the one gather `_inverse_rule`, which also verifies it against the shift
+    power on both sides before it is returned.  Absence
     within the bounds is inconclusive, not a disproof.  The library picks the
     bounds in one place, `degree_certificate`, from a single budget and the
     capacity limit.
@@ -354,17 +355,20 @@ def en_inverse_search(c: SlidingBlockCode, max_m: int, max_window: int) -> Optio
 def _inverse_rule(c: SlidingBlockCode, m: int, s: int) -> Optional[SlidingBlockCode]:
     """The radius-s code beta with beta c = c beta = sigma^m, minimized, or None.
     One gather over output_ranks(s + r - 1): rule[out[x]] is letter m + 1 of
-    x, and 1 at an output no word produces; both compositions are checked."""
+    x, and 1 at an output no word produces.  Two words with one output and
+    different letters m + 1 are exactly beta c != sigma^m, so that answers
+    None at once; otherwise c beta = sigma^m is checked."""
     length = s + c.radius - 1
-    out = c.output_ranks(length)
     power = c.n ** (length - m - 1)
-    rule = [1] * c.n**s
-    for x, y in enumerate(out):
-        rule[y] = x // power % c.n + 1
-    beta = minimize(SlidingBlockCode(c.n, s, tuple(rule)))
-    if code_compose(beta, c) == code_compose(c, beta) == shift_power_code(c.n, m):
-        return beta
-    return None
+    rule = [0] * c.n**s
+    for x, y in enumerate(c.output_ranks(length)):
+        letter = x // power % c.n + 1
+        if rule[y] != letter:
+            if rule[y]:
+                return None
+            rule[y] = letter
+    beta = minimize(SlidingBlockCode(c.n, s, tuple(letter or 1 for letter in rule)))
+    return beta if code_compose(c, beta) == shift_power_code(c.n, m) else None
 
 
 def transducer(c: SlidingBlockCode) -> Transducer:
@@ -396,8 +400,8 @@ def automorphism_window(c: SlidingBlockCode) -> Optional[int]:
 def one_sided_automorphism_check(c: SlidingBlockCode) -> Optional[SlidingBlockCode]:
     """Two-sided inverse code if c is an automorphism of the one-sided shift,
     else None; decided exactly by automorphism_window.  At that window s the
-    inverse is the one gather `_inverse_rule(c, 0, s)`, checked against the
-    identity on both sides."""
+    inverse is the one gather `_inverse_rule(c, 0, s)`, whose composites with
+    c on both sides are the identity."""
     window = automorphism_window(c)
     if window is None:
         return None

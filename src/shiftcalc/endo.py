@@ -68,10 +68,17 @@ from .words import DiagonalElement
 def convolution(u: PermutationUnitary, w: PermutationUnitary) -> PermutationUnitary:
     """Unitary of the composite endomorphism: conv(u, w) h as lambda_u o lambda_w.
 
-    The product is lambda_u(w) u, where lambda_u(w) = u_m w u_m^* for w of
-    level m.
+    The product is lambda_u(w) u = u_m w u_m^* u for w of level m, reduced;
+    u_m^* is lambda_u's run table and u_m its inverse.
     """
-    return endomorphism(u).convolve(w)
+    if u.n != w.n:
+        raise ValueError("alphabet sizes differ")
+    e = endomorphism(u)
+    if w.level == 0:
+        return e.unitary
+    star = e.u_k_star(w.level)
+    conj = U.multiply(U.multiply(U.inverse(star), w), star)
+    return U.reduce(U.multiply(conj, e.unitary))
 
 
 def ad_unitary(w: PermutationUnitary) -> PermutationUnitary:
@@ -82,22 +89,14 @@ def ad_unitary(w: PermutationUnitary) -> PermutationUnitary:
 @dataclass(frozen=True)
 class PermutativeEndomorphism:
     """lambda_u for a permutation unitary u, with its point map and cached
-    cocycle inverses, and the cocycle products that `convolve` reads."""
+    cocycle inverses."""
 
     unitary: PermutationUnitary
-    _uk: dict = field(default_factory=dict, compare=False, repr=False)
     _uk_star: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.unitary.n
-
-    def u_k(self, k: int) -> PermutationUnitary:
-        """The cocycle product u_k = u phi(u_{k-1}), cached: the inverse of
-        the cached u_k^*."""
-        if k not in self._uk:
-            self._uk[k] = U.inverse(self.u_k_star(k))
-        return self._uk[k]
 
     def u_k_star(self, k: int) -> PermutationUnitary:
         """u_k^*, cached: T_u's runs of k letters (`Transducer.runs`), at
@@ -119,17 +118,6 @@ class PermutativeEndomorphism:
                 runs = self.point_map.runs(k if self.unitary.level else level)
                 self._uk_star[k] = U._trusted(self.n, level, tuple(runs))
         return self._uk_star[k]
-
-    def convolve(self, w: PermutationUnitary) -> PermutationUnitary:
-        """convolution(u, w) = u_m w u_m^* u, with u_m and u_m^* read from
-        the cache."""
-        if self.n != w.n:
-            raise ValueError("alphabet sizes differ")
-        m = w.level
-        if m == 0:
-            return self.unitary
-        conj = U.multiply(U.multiply(self.u_k(m), w), self.u_k_star(m))
-        return U.reduce(U.multiply(conj, self.unitary))
 
     @cached_property
     def point_map(self) -> C.Transducer:
@@ -318,13 +306,13 @@ def _w_scatter(e: PermutativeEndomorphism, s: int) -> PermutationUnitary:
 def is_inverse(e: PermutativeEndomorphism, w: PermutationUnitary) -> bool:
     """Is lambda_w the inverse of lambda_u, u = e.unitary?  Exactly when
     convolution(u, w) = 1 and convolution(w, u) = 1, each checked as a rank
-    identity (`_convolves_to_one`), with no convolution built or reduced."""
+    identity (`_convolution_is_one`), with no convolution built or reduced."""
     if e.n != w.n:
         raise ValueError("alphabet sizes differ")
-    return _convolves_to_one(e, w) and _convolves_to_one(endomorphism(w), e.unitary)
+    return _convolution_is_one(e, w) and _convolution_is_one(endomorphism(w), e.unitary)
 
 
-def _convolves_to_one(e: PermutativeEndomorphism, w: PermutationUnitary) -> bool:
+def _convolution_is_one(e: PermutativeEndomorphism, w: PermutationUnitary) -> bool:
     """Is convolution(u, w) = u_m w u_m^* u the identity, for u = e.unitary
     and m = level(w)?  Exactly when w (u_m^* u) = u_m^*.  u and w are at
     most u_m^*'s level, m + level(u) - 1, so that is one block copy and one

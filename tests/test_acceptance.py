@@ -54,7 +54,7 @@ def test_criterion_03_convolution_law():
         for u, w in pairs:
             eu = cache.setdefault(u, E.endomorphism(u))
             ew = cache.setdefault(w, E.endomorphism(w))
-            composed = E.endomorphism(eu.convolve(ew.unitary))
+            composed = E.endomorphism(E.convolution(eu.unitary, ew.unitary))
             for p in cylinders:
                 assert E.apply_diag(composed, p) == E.apply_diag(
                     eu, E.apply_diag(ew, p)

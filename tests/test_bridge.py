@@ -223,7 +223,7 @@ def weyl_class_equal_reference(e1, inv1, e2, inv2):
     the extracted codes differ modulo shift powers, and None when they agree.
     Each `extract_code` reads a run table of m + 1 letters at radius
     m + level(u), so the 3^6 limit of the census holds every one."""
-    if E.is_in_ign(E.endomorphism(e1.convolve(inv2))) is not None:
+    if E.is_in_ign(E.endomorphism(E.convolution(e1.unitary, inv2))) is not None:
         return True
     m1, _ = E.property_p_data(e1, inv1)
     m2, _ = E.property_p_data(e2, inv2)

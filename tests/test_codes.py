@@ -889,12 +889,12 @@ def is_determined(c, m, s):
     return list(map(first.__getitem__, out)) == letters
 
 
-def determined_tables():
-    """(c, m, s) at every determined table: the `codes` workload's inputs of
-    seeds 1-10 (bench/workloads.py, imported read-only) within its bounds,
-    Kitchens o sigma^j and the flip's code o sigma^j for j <= 5 with
+def bounded_windows():
+    """(c, m, s) at every window within the bounds: the `codes` workload's
+    inputs of seeds 1-10 (bench/workloads.py, imported read-only) within its
+    bounds, Kitchens o sigma^j and the flip's code o sigma^j for j <= 5 with
     m <= j + 1 and s <= 3, and every radius-2 tail-bijective table over 2 and
-    3 letters at its automorphism window."""
+    3 letters at m = 0 and s up to its automorphism window."""
     bench = _workloads()
     lib = bench.layer_modules()
     found = {}
@@ -910,7 +910,7 @@ def determined_tables():
     for c, max_m, max_window in found.values():
         for m in range(max_m + 1):
             for s in range(1, max_window + 1):
-                if m + 1 <= s + c.radius - 1 and is_determined(c, m, s):
+                if m + 1 <= s + c.radius - 1:
                     yield c, m, s
     for n in (2, 3):
         perms = list(itertools.permutations(range(1, n + 1)))
@@ -919,7 +919,16 @@ def determined_tables():
             window = C.automorphism_window(c)
             if window is not None:
                 assert is_determined(c, 0, window)
-                yield c, 0, window
+                for s in range(1, window + 1):
+                    yield c, 0, s
+
+
+def determined_tables():
+    """(c, m, s) at every determined table of `bounded_windows`: below its
+    automorphism window a tail-bijective table is not determined."""
+    for c, m, s in bounded_windows():
+        if is_determined(c, m, s):
+            yield c, m, s
 
 
 def test_the_inverse_rule_gather_matches_the_word_tuple_read():
@@ -933,6 +942,30 @@ def test_the_inverse_rule_gather_matches_the_word_tuple_read():
         tables += 1
         found += expected is not None
     assert tables == found > 600
+
+
+def test_the_inverse_rule_is_none_exactly_at_the_undetermined_windows(monkeypatch):
+    # two words with one output and different letters m + 1 are beta c !=
+    # sigma^m, and on these codes c beta = sigma^m holds wherever they are
+    # not; each call builds c's output table once, and beta's for c beta
+    built = []
+    output_ranks = C.SlidingBlockCode.output_ranks
+    monkeypatch.setattr(
+        C.SlidingBlockCode,
+        "output_ranks",
+        lambda self, length: built.append((self, length)) or output_ranks(self, length),
+    )
+    determined = undetermined = 0
+    for c, m, s in bounded_windows():
+        want = is_determined(c, m, s)
+        built.clear()
+        beta = C._inverse_rule(c, m, s)
+        assert (beta is not None) == want, (c, m, s)
+        assert [length for code, length in built if code is c] == [s + c.radius - 1]
+        assert len(built) == 1 + want
+        determined += want
+        undetermined += not want
+    assert determined > 600 and undetermined > 10000
 
 
 def test_shift_exponent_factors_the_code():

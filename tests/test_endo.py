@@ -152,7 +152,9 @@ def agree_reference(a, b):
 def commutes_reference(e):
     # lambda_theta is phi, so convolution(theta, u) is phi(u) theta
     theta = U.flip_unitary(e.n)
-    return agree_reference(e.convolve(theta), U.multiply(U.phi_shift(e.unitary), theta))
+    return agree_reference(
+        E.convolution(e.unitary, theta), U.multiply(U.phi_shift(e.unitary), theta)
+    )
 
 
 def is_in_ign_reference(e, max_k):
@@ -179,7 +181,7 @@ def test_cached_cocycle_products_match_the_direct_product():
         rng.shuffle(perm)
         e = E.endomorphism(U.PermutationUnitary(n, level, tuple(perm)))
         for k in (4, 1, 3, 2, 5):  # out of order: later k reuse earlier ones
-            assert e.u_k(k).ranks == u_k_product(e.unitary, k).ranks
+            assert U.inverse(e.u_k_star(k)).ranks == u_k_product(e.unitary, k).ranks
 
 
 def test_convolve_matches_the_composition_formula():
@@ -192,9 +194,7 @@ def test_convolve_matches_the_composition_formula():
             pool.append(U.PermutationUnitary(n, level, tuple(perm)))
         pool += [U.shift_power_unitary(n, k) for k in range(3)]
         for u in pool:
-            e = E.endomorphism(u)
             for w in pool:
-                assert e.convolve(w) == convolution_reference(u, w)
                 assert E.convolution(u, w) == convolution_reference(u, w)
             # lambda_theta is phi
             theta = U.flip_unitary(n)
@@ -272,9 +272,10 @@ def test_the_point_map_tests_match_their_cylinder_oracles():
 
 def cylinder_owners_reference(e, k):
     """(level, owner) with lambda_u(x)[q] = x[owner[q]] for x of level k >= 1,
-    off the cocycle product: u_k sends the rank-src word to q, so owner[q] is
-    the first k letters of src; `level` is the least that keeps the table."""
-    uk = e.u_k(k)
+    off the cocycle product, built factor by factor: u_k sends the rank-src
+    word to q, so owner[q] is the first k letters of src; `level` is the least
+    that keeps the table."""
+    uk = u_k_product(e.unitary, k)
     top = max(uk.level, k)
     drop = e.n ** (top - k)
     owner = [0] * e.n**top
@@ -332,7 +333,7 @@ def test_the_lockstep_rule_check_matches_the_owner_table_check():
 def read_code_via_convolution(e, m):
     """Oracle: the code of lambda_u o phi^m read at m = 0 off the composite
     unitary, u convolved with the level-(m+1) shift-power unitary."""
-    return E.read_code(E.endomorphism(e.convolve(U.shift_power_unitary(e.n, m))))
+    return E.read_code(E.endomorphism(E.convolution(e.unitary, U.shift_power_unitary(e.n, m))))
 
 
 def read_code_lockstep_reference(e, m):
@@ -1110,7 +1111,7 @@ def certify_ungated(e, budget):
     u = e.unitary
     u_star = U.inverse(u)
     for s in range(1, budget + 1):
-        us = e.u_k(s)
+        us = u_k_product(u, s)
         w = U.reduce(U.multiply(U.multiply(U.inverse(us), u_star), us))
         if w.level <= s:
             both = (E.convolution(w, u), E.convolution(u, w))
@@ -1200,16 +1201,16 @@ def test_certification_builds_no_u_s(monkeypatch):
     # so no level above it is tried, and the degree route reads the code off e
     # once, and that check on the point map is its one shift-commutation test;
     # w_s and both rank identities read only run tables u_k^*, none past
-    # u_{level(u)}^*, so no cocycle u_s is built, for u or for an inverse
-    built = []
-    u_k = E.PermutativeEndomorphism.u_k
-    monkeypatch.setattr(
-        E.PermutativeEndomorphism, "u_k", lambda self, k: built.append(k) or u_k(self, k)
-    )
+    # u_{level(u)}^*.  A cocycle u_s could only be built by inverting a run
+    # table, and the only unitaries inverted are u and the certified inverse,
+    # each into its one-letter run table, so no u_s is built
+    inverted = []
+    inverse = U.inverse
+    monkeypatch.setattr(U, "inverse", lambda v: inverted.append(v) or inverse(v))
     pi, pi2 = U.letter_permutation(3, (2, 3, 1)), U.letter_permutation(3, (2, 1, 3))
     u = E.convolution(E.convolution(pi, U.shift_power_unitary(3, 2)), pi2)
     cases = [E.endomorphism(case.unitary) for case in certify_census()]
-    built.clear()  # the convolutions above build u_m
+    inverted.clear()  # the convolutions above invert u_m^*
     e = E.endomorphism(u)
     attempts = counted(monkeypatch, "_direct_inverse")
     commutation_tests = counted(monkeypatch, "read_code")
@@ -1217,20 +1218,23 @@ def test_certification_builds_no_u_s(monkeypatch):
     verdict = E.certify_automorphism(e, budget=8)
     assert verdict == E.AutomorphismVerdict("not_automorphism", degree=9)
     assert [s for _, s in attempts] == [e.unitary.level] == [3]
-    assert max(e._uk_star) <= e.unitary.level and not e._uk
+    assert max(e._uk_star) <= e.unitary.level
     assert len(commutation_tests) == len(collision_tests) == 1
-    assert built == []
+    assert [v.ranks for v in inverted] == [e.unitary.ranks]
     # an inverse found at s <= level(u) needs no collision test: Kitchens is
     # certified by the one attempt at s = level(u) = 2
     attempts.clear()
+    inverted.clear()
     verdict = E.certify_automorphism(E.endomorphism(U.kitchens_unitary()), budget=8)
     assert verdict.inverse == U.kitchens_unitary()
     assert [s for _, s in attempts] == [2]
     assert len(collision_tests) == 1
+    assert [v.ranks for v in inverted] == [U.kitchens_unitary().ranks] * 2
     # nor does certifying any map of the census, automorphism or not
     for case in cases:
-        E.certify_automorphism(case, budget=5)
-    assert built == []
+        inverted.clear()
+        verdict = E.certify_automorphism(case, budget=5)
+        assert all(v in (case.unitary, verdict.inverse) for v in inverted)
 
 
 def test_certify_starts_at_the_level_of_u():
@@ -1252,8 +1256,9 @@ def test_certify_starts_at_the_level_of_u():
 def test_cached_cocycle_inverses_are_the_inverses():
     for e in certify_census():
         for k in (4, 1, 3, 2):  # out of order: later k reuse earlier ones
-            assert e.u_k_star(k) == U.inverse(e.u_k(k))
-            assert e.u_k_star(k).ranks == U.inverse(e.u_k(k)).ranks
+            uk = u_k_product(e.unitary, k)
+            assert e.u_k_star(k) == U.inverse(uk)
+            assert e.u_k_star(k).ranks == U.inverse(uk).ranks
 
 
 def certified_pairs():
@@ -1270,7 +1275,8 @@ def certified_pairs():
 def rank_identities(u, v):
     """convolution(u, v) = 1 and convolution(v, u) = 1, as the rank identities
     of `_direct_inverse`."""
-    return E._convolves_to_one(E.endomorphism(u), v), E._convolves_to_one(E.endomorphism(v), u)
+    one = E._convolution_is_one
+    return one(E.endomorphism(u), v), one(E.endomorphism(v), u)
 
 
 def test_the_rank_identities_are_the_convolution_checks():
