@@ -4,6 +4,8 @@ Subcommands load JSON objects (unitaries, codes, diagonal elements), run the
 corresponding library operation, and print canonical JSON (sorted keys) or a
 plain table.  Exit codes follow one scheme everywhere: 0 success, 1 input
 error, 2 negative result, 3 inconclusive within budget, 4 capacity exceeded.
+The command group maps errors to codes once (`_exit_codes`), so each
+subcommand only loads, calls the library and prints.
 """
 from __future__ import annotations
 
@@ -56,24 +58,11 @@ def _load(path: str) -> dict:
             raise ValueError("JSON nesting is too deep") from None
 
 
-def _run(body) -> None:
-    try:
-        body()
-    except CapacityError as exc:
-        click.echo("capacity exceeded: %s" % exc, err=True)
-        sys.exit(4)
-    except C.RefutationError as exc:
-        click.echo("refuted: %s" % exc, err=True)
-        sys.exit(2)
-    except (
-        ArithmeticError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError
-    ) as exc:
-        click.echo("input error: %s" % exc, err=True)
-        sys.exit(1)
-
-
-def _exit_one(method):
-    """Click's usage errors are input errors: they exit 1, not 2."""
+def _exit_codes(method):
+    """The one exit-code scheme, around the group's parsing and invocation,
+    so around every subcommand: click's usage errors exit 1 with click's
+    message; an input error exits 1, a refutation 2 and an exceeded capacity
+    4, each with one stderr line.  A subcommand exits 0, 2 or 3 itself."""
 
     def wrapped(*args, **kwargs):
         try:
@@ -81,13 +70,22 @@ def _exit_one(method):
         except click.UsageError as exc:
             exc.exit_code = 1
             raise
+        except CapacityError as exc:
+            click.echo("capacity exceeded: %s" % exc, err=True)
+            sys.exit(4)
+        except C.RefutationError as exc:
+            click.echo("refuted: %s" % exc, err=True)
+            sys.exit(2)
+        except (ArithmeticError, ValueError, KeyError, TypeError, OSError) as exc:
+            click.echo("input error: %s" % exc, err=True)
+            sys.exit(1)
 
     return wrapped
 
 
 class _Main(click.Group):
-    make_context = _exit_one(click.Group.make_context)
-    invoke = _exit_one(click.Group.invoke)
+    make_context = _exit_codes(click.Group.make_context)
+    invoke = _exit_codes(click.Group.invoke)
 
 
 @click.group(cls=_Main)
@@ -127,19 +125,15 @@ def main(ctx, budget_depth, capacity, fmt):
 @click.pass_obj
 def certify(cfg: RunConfig, unitary_file):
     """Decide whether the unitary's diagonal endomorphism is an automorphism."""
-
-    def body():
-        u = jsonio.unitary_from_dict(_load(unitary_file))
-        e = E.endomorphism(u)
-        verdict = E.certify_automorphism(e, cfg.budget_depth)
-        if verdict.verdict == "automorphism":
-            _, m_min = E.property_p_data(e, verdict.inverse)
-            _emit(jsonio.verdict_to_dict(verdict, property_p_m=m_min), cfg.fmt)
-            sys.exit(0)
-        _emit(jsonio.verdict_to_dict(verdict), cfg.fmt)
-        sys.exit(2 if verdict.verdict == "not_automorphism" else 3)
-
-    _run(body)
+    u = jsonio.unitary_from_dict(_load(unitary_file))
+    e = E.endomorphism(u)
+    verdict = E.certify_automorphism(e, cfg.budget_depth)
+    if verdict.verdict == "automorphism":
+        _, m_min = E.property_p_data(e, verdict.inverse)
+        _emit(jsonio.verdict_to_dict(verdict, property_p_m=m_min), cfg.fmt)
+        sys.exit(0)
+    _emit(jsonio.verdict_to_dict(verdict), cfg.fmt)
+    sys.exit(2 if verdict.verdict == "not_automorphism" else 3)
 
 
 @main.command()
@@ -148,17 +142,13 @@ def certify(cfg: RunConfig, unitary_file):
 @click.pass_obj
 def compose(cfg: RunConfig, left_file, right_file):
     """Compose two unitaries (as diagonal endomorphisms) or two codes."""
-
-    def body():
-        left, right = (jsonio.operator_from_dict(_load(f)) for f in (left_file, right_file))
-        if type(left) is not type(right):
-            raise ValueError("cannot compose a unitary with a code")
-        if isinstance(left, C.SlidingBlockCode):
-            _emit(jsonio.code_to_dict(C.code_compose(left, right)), cfg.fmt)
-        else:
-            _emit(jsonio.unitary_to_dict(E.convolution(left, right)), cfg.fmt)
-
-    _run(body)
+    left, right = (jsonio.operator_from_dict(_load(f)) for f in (left_file, right_file))
+    if type(left) is not type(right):
+        raise ValueError("cannot compose a unitary with a code")
+    if isinstance(left, C.SlidingBlockCode):
+        _emit(jsonio.code_to_dict(C.code_compose(left, right)), cfg.fmt)
+    else:
+        _emit(jsonio.unitary_to_dict(E.convolution(left, right)), cfg.fmt)
 
 
 @main.command("apply")
@@ -167,18 +157,14 @@ def compose(cfg: RunConfig, left_file, right_file):
 @click.pass_obj
 def apply_cmd(cfg: RunConfig, operator_file, diag_file):
     """Apply a unitary's endomorphism, or a code, to a diagonal element."""
-
-    def body():
-        doc = _load(operator_file)
-        x = jsonio.diag_from_dict(_load(diag_file))
-        op = jsonio.operator_from_dict(doc)
-        if isinstance(op, C.SlidingBlockCode):
-            image = C.code_apply_diag(op, x)
-        else:
-            image = E.apply_diag(E.endomorphism(op), x)
-        _emit(jsonio.diag_to_dict(image), cfg.fmt)
-
-    _run(body)
+    doc = _load(operator_file)
+    x = jsonio.diag_from_dict(_load(diag_file))
+    op = jsonio.operator_from_dict(doc)
+    if isinstance(op, C.SlidingBlockCode):
+        image = C.code_apply_diag(op, x)
+    else:
+        image = E.apply_diag(E.endomorphism(op), x)
+    _emit(jsonio.diag_to_dict(image), cfg.fmt)
 
 
 @main.command()
@@ -187,14 +173,10 @@ def apply_cmd(cfg: RunConfig, operator_file, diag_file):
 @click.pass_obj
 def orbits(cfg: RunConfig, code_file, period):
     """The permutation a code induces on the period-r orbits of the shift."""
-
-    def body():
-        c = jsonio.code_from_dict(_load(code_file))
-        if period < 1:
-            raise ValueError("r must be at least 1")
-        _emit(jsonio.orbit_report(c, period), cfg.fmt)
-
-    _run(body)
+    c = jsonio.code_from_dict(_load(code_file))
+    if period < 1:
+        raise ValueError("r must be at least 1")
+    _emit(jsonio.orbit_report(c, period), cfg.fmt)
 
 
 @main.command()
@@ -202,18 +184,14 @@ def orbits(cfg: RunConfig, code_file, period):
 @click.pass_obj
 def degree(cfg: RunConfig, code_file):
     """Constant-to-one degree of a code, via its inverse-up-to-shift partner."""
-
-    def body():
-        c = jsonio.code_from_dict(_load(code_file))
-        cert = C.degree_certificate(c, cfg.budget_depth)
-        if cert is None:
-            unknown = E.AutomorphismVerdict("unknown", budget=cfg.budget_depth)
-            _emit(jsonio.verdict_to_dict(unknown), cfg.fmt)
-            sys.exit(3)
-        _, m, k, partner = cert
-        _emit({"degree": k, "m": m, "partner_degree": partner}, cfg.fmt)
-
-    _run(body)
+    c = jsonio.code_from_dict(_load(code_file))
+    cert = C.degree_certificate(c, cfg.budget_depth)
+    if cert is None:
+        unknown = E.AutomorphismVerdict("unknown", budget=cfg.budget_depth)
+        _emit(jsonio.verdict_to_dict(unknown), cfg.fmt)
+        sys.exit(3)
+    _, m, k, partner = cert
+    _emit({"degree": k, "m": m, "partner_degree": partner}, cfg.fmt)
 
 
 @main.command()
@@ -222,16 +200,12 @@ def degree(cfg: RunConfig, code_file):
 @click.pass_obj
 def enumerate(cfg: RunConfig, n, max_radius):
     """Stream every automorphism of the one-sided n-shift up to a radius."""
-
-    def body():
-        for code, inv in C.enumerate_one_sided_automorphisms(n, max_radius):
-            record = {
-                "code": jsonio.code_to_dict(code),
-                "inverse": jsonio.code_to_dict(inv),
-            }
-            click.echo(json.dumps(record, sort_keys=True, separators=(",", ":")))
-
-    _run(body)
+    for code, inv in C.enumerate_one_sided_automorphisms(n, max_radius):
+        record = {
+            "code": jsonio.code_to_dict(code),
+            "inverse": jsonio.code_to_dict(inv),
+        }
+        click.echo(json.dumps(record, sort_keys=True, separators=(",", ":")))
 
 
 @main.command()

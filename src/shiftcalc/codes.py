@@ -109,12 +109,14 @@ class Transducer:
         nodes = [p * tail + q if p <= q else q * tail + p for p, q in starts]
         return _longest_marked_path(nodes, expand)
 
-    def agree_after(self, other: Transducer, starts) -> Optional[int]:
+    def agree_after(self, other: Transducer, starts, bound=None) -> Optional[int]:
         """Least k such that the two, run in lockstep on one input from any
         pair in `starts`, emit the same letters from the (k+1)-th on, or None:
         `_longest_marked_path` on the pairs p other.tail + q, a letter marking
         its edge when the two emit different letters.  So it is 0 exactly when
-        no reachable pair emits two different letters.  Against itself a
+        no reachable pair emits two different letters; with a `bound`, the
+        search stops at the first differing letter past it and answers some
+        k > bound.  Against itself a
         transducer runs on unordered pairs, as in `height`, and stops at the
         diagonal.  `endo` runs T_u only against T_u, the identity or a T_b
         with as many states, so it holds at most tail^2 pairs, whatever the
@@ -136,13 +138,16 @@ class Transducer:
             return marked, nxt
 
         nodes = [q * tail + p if same and p > q else p * tail + q for p, q in starts]
-        return _longest_marked_path(nodes, expand)
+        return _longest_marked_path(nodes, expand, bound)
 
 
-def _longest_marked_path(starts, expand) -> Optional[int]:
+def _longest_marked_path(starts, expand, bound=None) -> Optional[int]:
     """The most edges on a path from a start that ends with a marked edge, 0
     if none does, or None if a reachable cycle leads to one; expand(node)
-    gives (whether it has a marked edge, its successors).  One depth-first
+    gives (whether it has a marked edge, its successors).  With a `bound`, a
+    marked edge found at the end of a path of more than `bound` edges answers
+    at once with that path's length, a count past the bound that may be
+    neither the most edges nor None.  One depth-first
     search over strongly connected components (Tarjan, "Depth-first search
     and linear graph algorithms", 1972).  A node's count is the larger of 1,
     if it has a marked edge, and 1 + its successors' largest positive count.
@@ -156,6 +161,8 @@ def _longest_marked_path(starts, expand) -> Optional[int]:
             below = done.get(nxt)
             if below is None and nxt not in low:
                 marked, succ = expand(nxt)
+                if marked and bound is not None and len(frames) > bound:
+                    return len(frames)
                 if succ:  # read the edge again once the child returns
                     frame[2:] = itertools.chain((nxt,), edges), count, cyclic
                     low[nxt] = len(low) + len(done)

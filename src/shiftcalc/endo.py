@@ -36,9 +36,12 @@ automorphisms of O_n whose inverse has level <= b, and on the shift
 automorphisms that the degree route finds an inverse code for.  A level
 s < level(u) finds nothing or the v that s = level(u) finds, so the levels
 start at s = level(u) (at 1 for level(u) = 0, and at b when level(u) > b)
-with the same verdict.  The stages run in this order: the level
-s = level(u), then the collision test on T_u, then the levels above level(u)
-up to b, then the degree route.  A
+with the same verdict.  The stages run in this order: the eventual
+commutation of T_u, the level s = level(u), the collision test on T_u, the
+levels above level(u) up to b, the degree route.  By the paper's theorem an
+automorphism of O_n that preserves D_n and F_n, as a permutative inverse
+makes lambda_u, restricts to a T_u that eventually commutes with sigma: when
+none does, no level can return and no code is read.  A
 permutative inverse v gives T_u o T_v = T_v o T_u = id on points, so when
 T_u collides (`point_map_is_injective` is false, decided on the pair graph of
 T_u) no level can return and certification goes straight to the degree
@@ -130,6 +133,12 @@ class PermutativeEndomorphism:
         tail = len(src) // self.n
         return C.Transducer(self.n, tail, tuple(map(divmod, src, repeat(tail))))
 
+    @cached_property
+    def commutation_index(self) -> Optional[int]:
+        """`eventual_commutation`, cached."""
+        t = self.point_map
+        return t.agree_after(t, {(s, w % t.tail) for w, (_, s) in enumerate(t.step)})
+
 
 def endomorphism(u: PermutationUnitary) -> PermutativeEndomorphism:
     return PermutativeEndomorphism(U.reduce(u))
@@ -165,7 +174,7 @@ def read_code(e: PermutativeEndomorphism, m: int = 0) -> Optional[C.SlidingBlock
     lockstep run of the code against T_u, and the later letters agree
     because sigma^m o T_u commutes with sigma.
     """
-    index = eventual_commutation(e)
+    index = e.commutation_index
     if index is None or index > m:
         return None
     t, radius = e.point_map, m + max(e.unitary.level, 1)
@@ -199,7 +208,7 @@ def agree_on_diagonal(a: PermutationUnitary, b: PermutationUnitary) -> bool:
         raise ValueError("alphabet sizes differ")
     level = max(a.level, b.level, 1)
     t_a, t_b = (PermutativeEndomorphism(U.embed(v, level)).point_map for v in (a, b))
-    return t_a.agree_after(t_b, t_a.diagonal) == 0
+    return t_a.agree_after(t_b, t_a.diagonal, bound=0) == 0
 
 
 def is_in_ign(e: PermutativeEndomorphism) -> Optional[int]:
@@ -215,8 +224,7 @@ def eventual_commutation(e: PermutativeEndomorphism) -> Optional[int]:
     after the first window w of z and T_u on sigma z, from the state of w's
     last L - 1 letters, emit the same letters from the (m+1)-th on, exactly.
     """
-    t = e.point_map
-    return t.agree_after(t, {(s, w % t.tail) for w, (_, s) in enumerate(t.step)})
+    return e.commutation_index
 
 
 @dataclass(frozen=True)
@@ -240,7 +248,9 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
     are still checked to be the identity, each as a rank identity
     (`_direct_inverse`).  The levels start at
     s0 = min(max(level(u), 1), budget), exactly: each s < s0 finds nothing or
-    the v that s0 finds, since v = w_s0 once s0 >= level(v).  Before the
+    the v that s0 finds, since v = w_s0 once s0 >= level(v).  Before any
+    level, a T_u that never commutes with the shift answers Unknown, as
+    every stage would (the paper's theorem, in the module docstring).  Before the
     levels s > level(u), the largest ones, T_u is tested for injectivity: a
     permutative inverse v makes T_u o T_v the identity on points, so a
     colliding T_u skips them without changing the verdict.  Otherwise, when
@@ -256,6 +266,8 @@ def certify_automorphism(e: PermutativeEndomorphism, budget: int) -> Automorphis
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if e.commutation_index is None:
+        return AutomorphismVerdict("unknown", budget=budget)
     level = e.unitary.level
     for s in range(min(max(level, 1), budget), budget + 1):
         if not fits(e.n, s + level - 1):
@@ -342,7 +354,7 @@ def property_p_data(
     T_u(sigma^d z)_{m+1}.  So m_min is the eventual-commutation index.
     """
     m_upper = max(U.reduce(inverse).level - 1, 0)
-    m_min = eventual_commutation(e)
+    m_min = e.commutation_index
     if m_min is None or m_min > m_upper:
         raise ValueError("inverse certificate violates the guaranteed property-(P) bound")
     return m_upper, m_min

@@ -292,6 +292,8 @@ def test_oversized_tables_exit_four_before_allocating(runner, tmp_path):
         ["degree", "--code", huge_c],
         ["orbits", "--code", huge_c, "--r", "2"],
         ["certify", wide_u],
+        ["compose", huge_u, huge_u],
+        ["enumerate", "--n", "2", "--max-radius", "100000000"],
     ):
         result = runner.invoke(main, argv)
         assert result.exit_code == 4 and result.stdout == ""
@@ -482,9 +484,32 @@ def test_an_alphabet_below_two_exits_one_before_the_rest_is_read(runner, tmp_pat
     assert result.stderr == "input error: alphabet size must be at least 2\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "{bad}"],
+        ["compose", "{flip}", "{bad}"],
+        ["apply", "{flip}", "{bad}"],
+        ["orbits", "--code", "{bad}", "--r", "2"],
+        ["degree", "--code", "{bad}"],
+        ["enumerate", "--n", "1", "--max-radius", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_subcommand_exits_one_on_malformed_input(runner, tmp_path, argv):
+    # the command group maps the error, whichever subcommand raised it
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 2,')
+    files = {"bad": str(bad), "flip": write(tmp_path / "u.json", FLIP)}
+    result = runner.invoke(main, [arg.format(**files) for arg in argv])
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr.startswith("input error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+
+
 # T_u of this map is injective and never commutes with the shift, so certify
-# tries every level; u_s^* has n^(s + 1) ranks, past the default limit 2^22
-# from s = 22 on and past 64 from s = 6 on
+# answers before any level; the run table u_s^* of a level s has n^(s + 1)
+# ranks, past the default limit 2^22 from s = 22 on and past 64 from s = 6 on
 NEVER_SHIFT_COMMUTING = {"n": 2, "level": 2, "map": [["11", "12"], ["12", "11"], ["21", "21"], ["22", "22"]]}
 
 

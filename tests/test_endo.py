@@ -923,11 +923,14 @@ def test_the_lockstep_run_is_bounded_by_the_capacity():
     # read_code's eventual-commutation search on u holds 7 pairs of states,
     # before the 8 cells of the radius-3 code are checked; agree_on_diagonal
     # on u and a second level-3 unitary with the same diagonal action reaches
-    # 16 pairs from the diagonal
+    # 16 pairs from the diagonal, while against one that differs it stops at
+    # the first letter they emit differently, in the first pair, where the
+    # whole search holds 7
     from shiftcalc import capacity
 
     e = E.endomorphism(U.PermutationUnitary(2, 3, (2, 4, 0, 6, 1, 7, 5, 3)))
     same = U.PermutationUnitary(2, 3, (0, 2, 4, 6, 1, 3, 5, 7))
+    other = U.PermutationUnitary(2, 3, (3, 6, 1, 5, 7, 0, 4, 2))
     old = capacity.get_limit()
     try:
         capacity.set_limit(6)
@@ -939,6 +942,10 @@ def test_the_lockstep_run_is_bounded_by_the_capacity():
             E.agree_on_diagonal(e.unitary, same)
         capacity.set_limit(16)
         assert E.agree_on_diagonal(e.unitary, same)
+        capacity.set_limit(1)
+        assert not E.agree_on_diagonal(e.unitary, other)
+        with pytest.raises(capacity.CapacityError, match="lockstep"):
+            e.point_map.agree_after(E.endomorphism(other).point_map, e.point_map.diagonal)
     finally:
         capacity.set_limit(old)
 
@@ -1184,6 +1191,7 @@ def test_the_collision_gate_keeps_every_verdict():
             assert verdict == certify_ungated(E.endomorphism(e.unitary), budget)
             if verdict.verdict == "automorphism":
                 assert E.point_map_is_injective(e)
+                assert E.eventual_commutation(e) is not None
                 found += 1
         assert found == automorphisms
 
@@ -1235,6 +1243,19 @@ def test_certification_builds_no_u_s(monkeypatch):
         inverted.clear()
         verdict = E.certify_automorphism(case, budget=5)
         assert all(v in (case.unitary, verdict.inverse) for v in inverted)
+
+
+def test_a_map_that_never_commutes_is_unknown_before_any_level(monkeypatch):
+    # T_u of this map is injective but never commutes with the shift, so no
+    # level can find a permutative inverse: certify answers at once, at any
+    # budget, with no inverse tried and no collision test
+    skew = U.PermutationUnitary(2, 2, (1, 0, 2, 3))
+    attempts = counted(monkeypatch, "_direct_inverse")
+    collision_tests = counted(monkeypatch, "point_map_is_injective")
+    e = E.endomorphism(skew)
+    assert E.certify_automorphism(e, budget=30) == E.AutomorphismVerdict("unknown", budget=30)
+    assert attempts == collision_tests == []
+    assert E.eventual_commutation(e) is None and E.point_map_is_injective(e)
 
 
 def test_certify_starts_at_the_level_of_u():
